@@ -18,6 +18,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# cmd/confperf (the performance benchmark) is its own module, so the
+# root build and vet above never compile it; an API change that breaks
+# the benchmark would otherwise go unnoticed until it is next run.
+# (-o /dev/null: a bare build of the one main package would drop a
+# binary into the source tree.)
+echo "== (cd cmd/confperf && go vet ./... && go build -o /dev/null ./...)"
+(cd cmd/confperf && go vet ./... && go build -o /dev/null ./...)
+
 echo "== go vet ./internal/metrics ./internal/trace ./internal/store ./internal/rulepack && go test -race ./internal/metrics ./internal/trace ./internal/store ./internal/rulepack"
 go vet ./internal/metrics ./internal/trace ./internal/store ./internal/rulepack
 go test -race ./internal/metrics ./internal/trace ./internal/store ./internal/rulepack

@@ -73,7 +73,7 @@ type Anonymizer struct {
 
 	// stats is the worker-local cumulative record; synced is its state at
 	// the last flush, so flush applies only the signed delta to the
-	// Session (and registry).
+	// Session.
 	stats  Stats
 	synced Stats
 
@@ -82,14 +82,9 @@ type Anonymizer struct {
 	lineHits []int
 	ctx      lineCtx
 
-	// metrics is the optional shared registry this engine flushes into
-	// at file boundaries (metrics.go); nil means no registry wired.
-	// bytesIn/bytesOut accumulate streaming throughput for the flush
-	// (not part of Stats: they measure I/O work done, so they are not
-	// rolled back with a failed file's counters).
-	metrics  *engineMetrics
-	bytesIn  int64
-	bytesOut int64
+	// metrics holds the handles for the events this engine pushes into
+	// the Session's registry (metrics.go); nil means no registry wired.
+	metrics *engineMetrics
 
 	// Fault-isolation scratch: the file name and 1-based line currently
 	// being processed, recorded so a recovered panic can be pinned to a

@@ -65,10 +65,10 @@ func (a *Anonymizer) recoverFile(name string, snap Stats, ferr **FileError) {
 
 // rollback restores a pre-file statistics snapshot and clears the
 // engine's per-line scratch, so an aborted file leaves the batch totals
-// describing only files that completed. The Session (and a wired
-// metrics registry) is reconciled immediately: the flush after a
-// restore emits negative deltas, backing the aborted file's partial
-// counts out of the shared totals so they keep tracking Stats exactly.
+// describing only files that completed. The Session is reconciled
+// immediately: the flush after a restore merges a negative delta,
+// backing the aborted file's partial counts out of the Session's Stats
+// (which a wired registry reads at scrape time).
 // The buffered provenance decisions are discarded with the counters —
 // they publish only at a file span's clean end, so a rolled-back file
 // leaves no partial ledger records.

@@ -1,29 +1,29 @@
 package anonymizer
 
 import (
+	"slices"
 	"time"
 
 	"confanon/internal/metrics"
 	"confanon/internal/store"
 )
 
-// The metrics bridge. The engine keeps its counters in the plain Stats
-// value (one non-atomic increment per event, unchanged hot path) and
-// reconciles them into an optional shared metrics.Registry at file
-// boundaries: the worker's flush computes the signed delta between the
-// current Stats and the last-flushed snapshot and applies it to the
-// registry counters. Because the delta is signed, a fault-isolation
-// rollback (fault.go) is followed by a negative flush and the registry
-// tracks exactly what Stats reports — counters describe only files that
-// completed, the same contract the batch API documents.
+// The metrics bridge. The engine keeps its counts in the plain Stats
+// value (one non-atomic increment per event, unchanged hot path), and
+// workers merge their Stats into the Session at file boundaries
+// (flush); a fault rollback merges the negative difference, so the
+// Session's Stats describe only files that completed. That merged
+// Stats is the only copy: a wired metrics.Registry reads it through a
+// collector when it is scraped (Session.SetMetrics), and so equals what
+// the batch API reports by construction. The Program's own sources —
+// the rewrite memo and the ASN permutation — are read the same way,
+// once per Program (Program.collectInto).
 //
-// Several engines (parallel corpus workers) may share one Registry:
-// registration is idempotent and counter adds are atomic, so the
-// per-worker deltas merge by construction.
+// What a worker still pushes are events nothing else keeps: stage
+// latencies, leak findings, and stream bytes.
 
 // statScalars is the single table tying each Stats scalar to its metric
-// name: the registration loop, the delta flush, and the completeness
-// test in stats_test.go all walk it.
+// name; the Session collector walks it.
 var statScalars = []struct {
 	name, help string
 	get        func(*Stats) int64
@@ -63,116 +63,92 @@ const (
 	stageLeakReport = "leakreport"
 )
 
-// engineMetrics holds one worker's resolved instrument handles plus the
-// byte-counter baselines (the Stats baseline is the worker's synced
-// field, shared with the Session reconciliation). The session-level
-// gauges — mapper size, remaps, permutation walks, rewrite-cache hits —
-// live on sessionMetrics (session.go), because their sources are shared
-// by every worker and need one baseline, not one per worker.
+// engineMetrics holds one worker's handles for the events it pushes.
 type engineMetrics struct {
-	reg *metrics.Registry
-
-	scalars []*metrics.Counter // parallel to statScalars
-
-	// Per-rule counters resolve lazily through the vecs: the global rule
-	// registry can grow after this worker was wired (another Program
-	// compiled with packs), so a slot is filled the first time its rule
-	// flushes a nonzero delta, not eagerly at registration.
-	hitVec   *metrics.CounterVec
-	timeVec  *metrics.CounterVec
-	ruleHits [maxRules]*metrics.Counter
-	ruleTime [maxRules]*metrics.Counter
-
 	stageSeconds *metrics.HistogramVec
 	bytesIn      *metrics.Counter
 	bytesOut     *metrics.Counter
 	leaks        *metrics.CounterVec
-
-	flushedBytesIn  int64
-	flushedBytesOut int64
 }
 
 func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
-	m := &engineMetrics{reg: reg}
-	m.scalars = make([]*metrics.Counter, len(statScalars))
-	for i, sc := range statScalars {
-		m.scalars[i] = reg.Counter(sc.name, sc.help)
+	return &engineMetrics{
+		stageSeconds: reg.HistogramVec("confanon_stage_seconds", "per-file pipeline stage latency", nil, "stage"),
+		bytesIn:      reg.Counter("confanon_stream_bytes_in_total", "bytes read by the streaming path"),
+		bytesOut:     reg.Counter("confanon_stream_bytes_out_total", "bytes written by the streaming path"),
+		leaks:        reg.CounterVec("confanon_leaks_total", "leak-report findings by token kind and severity", "kind", "severity"),
 	}
-	m.hitVec = reg.CounterVec("confanon_rule_hits_total", "context-rule firings by registry rule", "rule")
-	m.timeVec = reg.CounterVec("confanon_rule_time_ns_total", "wall time attributed to each rule, nanoseconds", "rule")
-	for i, info := range ruleInfos {
-		m.ruleHits[i] = m.hitVec.With(string(info.ID))
-		m.ruleTime[i] = m.timeVec.With(string(info.ID))
-	}
-	m.stageSeconds = reg.HistogramVec("confanon_stage_seconds", "per-file pipeline stage latency", nil, "stage")
-	m.bytesIn = reg.Counter("confanon_stream_bytes_in_total", "bytes read by the streaming path")
-	m.bytesOut = reg.Counter("confanon_stream_bytes_out_total", "bytes written by the streaming path")
-	m.leaks = reg.CounterVec("confanon_leaks_total", "leak-report findings by token kind and severity", "kind", "severity")
-	return m
 }
 
-// SetMetrics wires a shared registry into this worker's Session (gauges,
-// future workers) and this worker (counter flushes). All instruments are
-// registered immediately and idempotently; counters update at file
-// boundaries via the delta flush. A nil registry unwires.
-func (a *Anonymizer) SetMetrics(reg *metrics.Registry) {
-	a.sess.SetMetrics(reg)
-	if reg == nil {
-		a.metrics = nil
+// SetMetrics wires a shared registry into the Session (call once, before
+// use): workers created afterwards push their events into it, and one
+// collector exposes the Session's merged Stats and its IP mapping's size
+// and remaps at every scrape. The registry holds the Session for its own
+// lifetime.
+func (s *Session) SetMetrics(reg *metrics.Registry) {
+	s.reg = reg
+	s.prog.collectInto(reg)
+	scalars := make([]*metrics.Counter, len(statScalars))
+	for i, sc := range statScalars {
+		scalars[i] = reg.Counter(sc.name, sc.help)
+	}
+	hits := reg.CounterVec("confanon_rule_hits_total", "context-rule firings by registry rule", "rule")
+	times := reg.CounterVec("confanon_rule_time_ns_total", "wall time attributed to each rule, nanoseconds", "rule")
+	for _, info := range ruleInfos {
+		hits.With(string(info.ID))
+		times.With(string(info.ID))
+	}
+	entries := reg.Counter("confanon_ipmap_entries_total", "distinct addresses resolved by the IP mapping")
+	remaps := reg.Counter("confanon_ipmap_remaps_total", "IP collision-chase steps (§4.3 special-range remapping)")
+	reg.Collect(func(add func(*metrics.Counter, int64)) {
+		st := s.Stats()
+		for i, sc := range statScalars {
+			add(scalars[i], sc.get(&st))
+		}
+		// Pack rules registered after wiring get their series the first
+		// time they fire.
+		rr := ruleReg.Load()
+		for i, info := range rr.infos {
+			if n := st.ruleHits[i]; n != 0 {
+				add(hits.With(string(info.ID)), n)
+			}
+			if ns := st.ruleTimeNs[i]; ns != 0 {
+				add(times.With(string(info.ID)), ns)
+			}
+		}
+		ip := s.mapper()
+		add(entries, int64(ip.Len()))
+		add(remaps, ip.Remaps())
+	})
+}
+
+// collectInto exposes the Program's shared sources — rewrite-memo hits
+// and misses, ASN cycle walks — in reg, once however many of its
+// Sessions are wired to reg.
+func (p *Program) collectInto(reg *metrics.Registry) {
+	p.metMu.Lock()
+	defer p.metMu.Unlock()
+	if slices.Contains(p.metRegs, reg) {
 		return
 	}
-	a.metrics = newEngineMetrics(reg)
+	p.metRegs = append(p.metRegs, reg)
+	walks := reg.Counter("confanon_asn_cycle_walks_total", "ASN permutation cycle-walking steps (§4.4)")
+	hits := reg.Counter("confanon_cregex_cache_hits_total", "regexp rewrites answered from the compiled Program's memo")
+	misses := reg.Counter("confanon_cregex_cache_misses_total", "regexp rewrites computed and memoized by the compiled Program")
+	reg.Collect(func(add func(*metrics.Counter, int64)) {
+		add(walks, p.ASNCycleWalks())
+		add(hits, p.CacheHits())
+		add(misses, p.CacheMisses())
+	})
 }
 
-// FlushMetrics reconciles this worker's accumulated state into its
-// Session and the wired registry. The engine flushes at every file
-// boundary, stage end, and rollback on its own; callers that read the
-// Session or registry mid-run (the run-report builder, a portal scrape
-// racing a batch) may call it to tighten the window.
-func (a *Anonymizer) FlushMetrics() { a.flush() }
-
-// flush reconciles the worker into the shared halves: the signed Stats
-// delta since the last flush merges into the Session totals (and the
-// registry counters, when wired), the pending leak-recorder entries
-// publish into the Session recorder, and the session-level gauges
-// refresh. Deltas are signed, so a rollback flush backs a failed file's
-// partial counts out of both destinations.
+// flush merges the worker into the Session: the signed Stats delta since
+// the last flush (negative after a rollback) and the pending
+// leak-recorder entries.
 func (a *Anonymizer) flush() {
-	delta := a.stats.diff(a.synced)
+	a.sess.stats.Add(a.stats.diff(a.synced))
 	a.synced = a.stats
-	a.sess.stats.Add(delta)
 	a.flushRecorder()
-	if m := a.metrics; m != nil {
-		for i, sc := range statScalars {
-			if d := sc.get(&delta); d != 0 {
-				m.scalars[i].Add(d)
-			}
-		}
-		reg := ruleReg.Load()
-		for i := range reg.infos {
-			if d := delta.ruleHits[i]; d != 0 {
-				if m.ruleHits[i] == nil {
-					m.ruleHits[i] = m.hitVec.With(string(reg.infos[i].ID))
-				}
-				m.ruleHits[i].Add(d)
-			}
-			if d := delta.ruleTimeNs[i]; d != 0 {
-				if m.ruleTime[i] == nil {
-					m.ruleTime[i] = m.timeVec.With(string(reg.infos[i].ID))
-				}
-				m.ruleTime[i].Add(d)
-			}
-		}
-		if d := a.bytesIn - m.flushedBytesIn; d != 0 {
-			m.bytesIn.Add(d)
-			m.flushedBytesIn = a.bytesIn
-		}
-		if d := a.bytesOut - m.flushedBytesOut; d != 0 {
-			m.bytesOut.Add(d)
-			m.flushedBytesOut = a.bytesOut
-		}
-	}
-	a.sess.flushGauges()
 }
 
 // flushRecorder publishes the worker's pending leak-recorder entries

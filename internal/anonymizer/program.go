@@ -6,6 +6,7 @@ import (
 
 	"confanon/internal/asn"
 	"confanon/internal/cregex"
+	"confanon/internal/metrics"
 	"confanon/internal/passlist"
 	"confanon/internal/rulepack"
 )
@@ -35,6 +36,11 @@ type Program struct {
 	rewrites    sync.Map // rewriteKey → *rewriteEntry
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+
+	// metRegs lists the registries the Program's counters are exposed
+	// in (collectInto), guarded by metMu.
+	metMu   sync.Mutex
+	metRegs []*metrics.Registry
 }
 
 type rewriteKey struct {
@@ -108,6 +114,10 @@ func (p *Program) CacheHits() int64 { return p.cacheHits.Load() }
 // CacheMisses reports how many regexp rewrites were computed (one per
 // distinct pattern per kind).
 func (p *Program) CacheMisses() int64 { return p.cacheMisses.Load() }
+
+// ASNCycleWalks reports the cycle-walking steps the Program's ASN
+// permutation has taken (§4.4; expected on ≈1.6% of maps).
+func (p *Program) ASNCycleWalks() int64 { return p.perms.ASN.CycleWalks() }
 
 // rewrite memoizes one pattern rewrite. compute runs at most once per
 // (kind, pattern); record receives every ASN the (possibly cached)

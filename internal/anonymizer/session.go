@@ -32,8 +32,10 @@ type Session struct {
 	ipMu sync.RWMutex
 	ip   ipanon.Mapper
 
-	// stats is the merged record of every completed file; workers apply
-	// signed deltas with atomic adds, so reads must go through Stats().
+	// stats is the merged record of every completed file, and the only
+	// one: a wired registry reads it at scrape time (SetMetrics). Workers
+	// apply signed deltas with atomic adds, so reads must go through
+	// Stats().
 	stats Stats
 
 	// The leak recorder: every public ASN, hashed word, and mapped
@@ -57,8 +59,8 @@ type Session struct {
 	ipOuts    map[uint32]bool
 	ipOutsLen int
 
+	// reg is the registry workers push their events into (SetMetrics).
 	reg *metrics.Registry
-	met *sessionMetrics
 
 	// tracer is the span/ledger recorder every worker of this Session
 	// writes into (copied from Options.Tracer at NewSession; nil =
@@ -89,25 +91,6 @@ type Session struct {
 type LedgerSink interface {
 	Append(recs ...store.Record) error
 	Commit() error
-}
-
-// sessionMetrics holds the session-level instruments that reconcile
-// shared cumulative sources (the mapper, the permutations, the rewrite
-// cache) into registry counters. The baselines are session-held and
-// mutex-guarded because many workers flush against the same sources.
-type sessionMetrics struct {
-	mu        sync.Mutex
-	ipEntries *metrics.Counter
-	ipRemaps  *metrics.Counter
-	asnWalks  *metrics.Counter
-	cacheHit  *metrics.Counter
-	cacheMiss *metrics.Counter
-
-	baseIPLen  int64
-	baseRemaps int64
-	baseWalks  int64
-	baseHits   int64
-	baseMisses int64
 }
 
 // NewSession creates a Session with a fresh IP mapping (shaped tree, or
@@ -197,59 +180,6 @@ func (s *Session) newWorker() *Anonymizer {
 
 // Stats returns a consistent snapshot of the merged statistics.
 func (s *Session) Stats() Stats { return s.stats.snapshotAtomic() }
-
-// SetMetrics wires a shared registry into the Session: workers created
-// afterwards flush their counters into it, and the session-level gauges
-// (mapper size, remaps, permutation walks, rewrite-cache hits) register
-// immediately. A nil registry unwires future workers.
-func (s *Session) SetMetrics(reg *metrics.Registry) {
-	s.reg = reg
-	if reg == nil {
-		s.met = nil
-		return
-	}
-	m := &sessionMetrics{}
-	m.ipEntries = reg.Counter("confanon_ipmap_entries_total", "distinct addresses resolved by the IP mapping")
-	m.ipRemaps = reg.Counter("confanon_ipmap_remaps_total", "IP collision-chase steps (§4.3 special-range remapping)")
-	m.asnWalks = reg.Counter("confanon_asn_cycle_walks_total", "ASN permutation cycle-walking steps (§4.4)")
-	m.cacheHit = reg.Counter("confanon_cregex_cache_hits_total", "regexp rewrites answered from the compiled Program's memo")
-	m.cacheMiss = reg.Counter("confanon_cregex_cache_misses_total", "regexp rewrites computed and memoized by the compiled Program")
-	s.met = m
-}
-
-// flushGauges reconciles the shared cumulative sources — mapper entries
-// and remaps, permutation cycle walks, rewrite-cache hits — into the
-// registry. Session-level (one baseline, mutex-guarded) because the
-// sources are shared by every worker.
-func (s *Session) flushGauges() {
-	m := s.met
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ip := s.mapper()
-	if d := int64(ip.Len()) - m.baseIPLen; d != 0 {
-		m.ipEntries.Add(d)
-		m.baseIPLen += d
-	}
-	if d := ip.Remaps() - m.baseRemaps; d != 0 {
-		m.ipRemaps.Add(d)
-		m.baseRemaps += d
-	}
-	if d := s.prog.perms.ASN.CycleWalks() - m.baseWalks; d != 0 {
-		m.asnWalks.Add(d)
-		m.baseWalks += d
-	}
-	if d := s.prog.CacheHits() - m.baseHits; d != 0 {
-		m.cacheHit.Add(d)
-		m.baseHits += d
-	}
-	if d := s.prog.CacheMisses() - m.baseMisses; d != 0 {
-		m.cacheMiss.Add(d)
-		m.baseMisses += d
-	}
-}
 
 // AddSensitiveToken registers an operator-supplied rule for every worker
 // of this Session (copy-on-write: in-flight workers pick it up on their

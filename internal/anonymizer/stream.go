@@ -19,7 +19,18 @@ import (
 //
 // One edge differs from AnonymizeText: a zero-byte input streams to zero
 // bytes, where AnonymizeText returns "\n" (an artifact of its join).
+//
+// With a registry wired, the bytes read and written are added to the
+// stream byte counters once per call, also when the file fails: they
+// measure I/O work done, so a rollback does not take them back.
 func (a *Anonymizer) StreamText(r io.Reader, w io.Writer) error {
+	var bytesIn, bytesOut int64
+	if m := a.metrics; m != nil {
+		defer func() {
+			m.bytesIn.Add(bytesIn)
+			m.bytesOut.Add(bytesOut)
+		}()
+	}
 	if !a.opts.StatelessIP {
 		data, err := io.ReadAll(r)
 		if err != nil {
@@ -29,8 +40,8 @@ func (a *Anonymizer) StreamText(r io.Reader, w io.Writer) error {
 			return nil
 		}
 		out := a.AnonymizeText(string(data))
-		a.bytesIn += int64(len(data))
-		a.bytesOut += int64(len(out))
+		bytesIn += int64(len(data))
+		bytesOut += int64(len(out))
 		_, err = io.WriteString(w, out)
 		return err
 	}
@@ -44,14 +55,14 @@ func (a *Anonymizer) StreamText(r io.Reader, w io.Writer) error {
 				return "", false
 			}
 			line := sc.Text()
-			a.bytesIn += int64(len(line)) + 1
+			bytesIn += int64(len(line)) + 1
 			return line, true
 		},
 		func(line string) {
 			if werr != nil {
 				return
 			}
-			a.bytesOut += int64(len(line)) + 1
+			bytesOut += int64(len(line)) + 1
 			if _, err := bw.WriteString(line); err != nil {
 				werr = err
 				return

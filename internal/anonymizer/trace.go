@@ -7,15 +7,15 @@ import (
 	"confanon/internal/trace"
 )
 
-// The tracing bridge. Like the metrics bridge (metrics.go) it keeps the
-// hot path untouched when unwired: every call site guards on the
-// worker's tracer pointer, so a nil tracer costs one predictable branch
-// per decision site and nothing else. When wired, the worker buffers
-// its provenance decisions privately (pending) and publishes them at
-// the successful end of each file span — the ledger-side mirror of the
-// Stats delta flush, with the same rollback contract: a file that fails
-// mid-way discards its buffered decisions, so failed and quarantined
-// files leave no partial provenance records. The file's span is still
+// The tracing bridge. It keeps the hot path untouched when unwired:
+// every call site guards on the worker's tracer pointer, so a nil tracer
+// costs one predictable branch per decision site and nothing else. When
+// wired, the worker buffers its provenance decisions privately (pending)
+// and publishes them at the successful end of each file span — the
+// ledger-side mirror of the worker's Stats merge into the Session, with
+// the same rollback contract: a file that fails mid-way discards its
+// buffered decisions, so failed and quarantined files leave no partial
+// provenance records. The file's span is still
 // published, marked failed; failures are traced, never dropped.
 //
 // Span nesting: batch layers open one corpus span and hand its ID to

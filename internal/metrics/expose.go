@@ -50,43 +50,12 @@ func (s Sample) ID() string {
 
 // Snapshot returns every series (histograms expanded) sorted by ID.
 func (r *Registry) Snapshot() []Sample {
-	var out []Sample
-	for _, f := range r.sortedFamilies() {
-		keys := f.labelKeys
-		for _, s := range f.sortedSeries() {
-			labels := func(extra ...string) map[string]string {
-				if len(keys) == 0 && len(extra) == 0 {
-					return nil
-				}
-				m := make(map[string]string, len(keys)+len(extra)/2)
-				for i, k := range keys {
-					m[k] = s.labelVals[i]
-				}
-				for i := 0; i+1 < len(extra); i += 2 {
-					m[extra[i]] = extra[i+1]
-				}
-				return m
-			}
-			switch {
-			case s.c != nil:
-				out = append(out, Sample{f.name, labels(), float64(s.c.Value())})
-			case s.g != nil:
-				out = append(out, Sample{f.name, labels(), float64(s.g.Value())})
-			case s.fn != nil:
-				out = append(out, Sample{f.name, labels(), s.fn()})
-			case s.h != nil:
-				cum := int64(0)
-				for i, b := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					out = append(out, Sample{f.name + "_bucket", labels("le", formatFloat(b)), float64(cum)})
-				}
-				out = append(out, Sample{f.name + "_bucket", labels("le", "+Inf"), float64(s.h.Count())})
-				out = append(out, Sample{f.name + "_sum", labels(), s.h.Sum()})
-				out = append(out, Sample{f.name + "_count", labels(), float64(s.h.Count())})
-			}
-		}
+	snap := r.snapshot()
+	sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
+	out := make([]Sample, len(snap))
+	for i, s := range snap {
+		out[i] = s.Sample
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
@@ -94,17 +63,64 @@ func (r *Registry) Snapshot() []Sample {
 // RunReport embeds and the integration tests compare against a portal
 // scrape.
 func (r *Registry) Counters() map[string]float64 {
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	m := make(map[string]float64, len(snap))
 	for _, s := range snap {
-		m[s.ID()] = s.Value
+		m[s.id] = s.Value
 	}
 	return m
+}
+
+// idSample is a Sample with its ID computed once.
+type idSample struct {
+	id string
+	Sample
+}
+
+// snapshot samples every series, in no particular order.
+func (r *Registry) snapshot() []idSample {
+	added := r.collect()
+	var out []idSample
+	for _, f := range r.sortedFamilies() {
+		keys := f.labelKeys
+		for _, s := range f.sortedSeries() {
+			put := func(name string, v float64, extra ...string) {
+				smp := Sample{Name: name, Value: v}
+				if len(keys) > 0 || len(extra) > 0 {
+					smp.Labels = make(map[string]string, len(keys)+len(extra)/2)
+					for i, k := range keys {
+						smp.Labels[k] = s.labelVals[i]
+					}
+					for i := 0; i+1 < len(extra); i += 2 {
+						smp.Labels[extra[i]] = extra[i+1]
+					}
+				}
+				out = append(out, idSample{smp.ID(), smp})
+			}
+			switch {
+			case s.c != nil:
+				put(f.name, float64(s.c.Value()+added[s.c]))
+			case s.g != nil:
+				put(f.name, float64(s.g.Value()))
+			case s.h != nil:
+				cum := int64(0)
+				for i, b := range s.h.bounds {
+					cum += s.h.counts[i].Load()
+					put(f.name+"_bucket", float64(cum), "le", formatFloat(b))
+				}
+				put(f.name+"_bucket", float64(s.h.Count()), "le", "+Inf")
+				put(f.name+"_sum", s.h.Sum())
+				put(f.name+"_count", float64(s.h.Count()))
+			}
+		}
+	}
+	return out
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4), deterministically ordered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	added := r.collect()
 	for _, f := range r.sortedFamilies() {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
@@ -115,7 +131,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.sortedSeries() {
-			if err := writeSeries(w, f, s); err != nil {
+			if err := writeSeries(w, f, s, added); err != nil {
 				return err
 			}
 		}
@@ -123,11 +139,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+func writeSeries(w io.Writer, f *family, s *series, added map[*Counter]int64) error {
 	lbl := func(extra ...string) string { return renderLabels(f.labelKeys, s.labelVals, extra) }
 	switch {
 	case s.c != nil:
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lbl(), s.c.Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lbl(), s.c.Value()+added[s.c]); err != nil {
 			return err
 		}
 		if ex := s.c.Exemplar(); ex != "" {
@@ -140,9 +156,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return nil
 	case s.g != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lbl(), s.g.Value())
-		return err
-	case s.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lbl(), formatFloat(s.fn()))
 		return err
 	case s.h != nil:
 		cum := int64(0)
@@ -200,15 +213,14 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
+
+func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // Handler returns an http.Handler serving the text exposition, for
 // mounting at /metrics.

@@ -8,8 +8,9 @@
 //
 //   - Hot-path cost. Counter.Add is one atomic add; Histogram.Observe is
 //     a branch-free bucket walk plus two atomic adds and a CAS loop for
-//     the float sum. The engine flushes counter deltas at file
-//     granularity, so even those costs are off the per-line path.
+//     the float sum. Counts kept elsewhere (the anonymizer's Stats) are
+//     not pushed at all: a collector (Collect) reads them when the
+//     registry is scraped, so they cost nothing until then.
 //   - Concurrency. Every instrument is safe for concurrent use; a single
 //     Registry can be shared by all workers of a parallel corpus run and
 //     the counts merge by construction, with no gather step.
@@ -35,10 +36,7 @@ import (
 	"time"
 )
 
-// Counter is a monotonic-by-convention cumulative count. Add accepts
-// negative deltas because the anonymizer's fail-closed batch layer rolls
-// a failed file's partial counts back out of the totals; between file
-// boundaries the value is monotonic.
+// Counter is a monotonic cumulative count.
 type Counter struct {
 	v atomic.Int64
 	// exemplar holds the last SetExemplar annotation (a string, e.g.
@@ -51,7 +49,7 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (negative n rolls back a failed file's partial counts).
+// Add adds n, which must not be negative.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -151,7 +149,6 @@ type series struct {
 	c         *Counter
 	g         *Gauge
 	h         *Histogram
-	fn        func() float64 // sampled gauge
 }
 
 // family is all series sharing one metric name.
@@ -214,8 +211,9 @@ func joinVals(vals []string) string {
 
 // Registry holds a namespace of instrument families.
 type Registry struct {
-	mu   sync.RWMutex
-	fams map[string]*family
+	mu         sync.RWMutex
+	fams       map[string]*family
+	collectors []func(add func(*Counter, int64))
 }
 
 // NewRegistry returns an empty registry.
@@ -266,15 +264,35 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.getOrCreate(nil, func() *series { return &series{g: &Gauge{}} }).g
 }
 
-// GaugeFunc registers a gauge whose value is sampled by calling fn at
-// exposition time (for sizes held elsewhere, e.g. the IP-mapping table).
-// Re-registering the same name replaces the sampling function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.familyFor(name, help, typeGauge, nil, nil)
-	s := f.getOrCreate(nil, func() *series { return &series{} })
-	f.mu.Lock()
-	s.fn = fn
-	f.mu.Unlock()
+// Collect registers fn to run once at every Snapshot and
+// WritePrometheus, for counts held outside the registry. fn reports them
+// by calling add with counters registered on r; within that scrape each
+// counter reads as its own value plus everything added to it, so several
+// collectors adding to one series sum. Collectors stay registered for the
+// registry's lifetime.
+func (r *Registry) Collect(fn func(add func(c *Counter, n int64))) {
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
+}
+
+// collect runs every collector and returns what they added, by counter.
+// It runs before the families are walked, so counters a collector
+// creates on the way (a labeled series seen for the first time) are
+// exposed in the same scrape.
+func (r *Registry) collect() map[*Counter]int64 {
+	r.mu.RLock()
+	fns := r.collectors
+	r.mu.RUnlock()
+	if len(fns) == 0 {
+		return nil
+	}
+	added := make(map[*Counter]int64)
+	add := func(c *Counter, n int64) { added[c] += n }
+	for _, fn := range fns {
+		fn(add)
+	}
+	return added
 }
 
 // Histogram returns the unlabeled histogram name with the given bucket
@@ -361,13 +379,15 @@ func (r *Registry) sortedFamilies() []*family {
 // sortedSeries returns a family's series in label-value order.
 func (f *family) sortedSeries() []*series {
 	f.mu.RLock()
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
+	defer f.mu.RUnlock()
+	keys := make([]string, 0, len(f.series))
+	for k := range f.series {
+		keys = append(keys, k)
 	}
-	f.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		return joinVals(out[i].labelVals) < joinVals(out[j].labelVals)
-	})
+	sort.Strings(keys)
+	out := make([]*series, len(keys))
+	for i, k := range keys {
+		out[i] = f.series[k]
+	}
 	return out
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -13,9 +14,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c := r.Counter("c_total", "a counter")
 	c.Inc()
 	c.Add(4)
-	c.Add(-2) // rollback path
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("g", "a gauge")
 	g.Set(10)
@@ -89,13 +89,70 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestGaugeFunc(t *testing.T) {
+// TestCollect: collectors run at every scrape, their additions sum with
+// each other and with the counter's own value, and a labeled series a
+// collector creates mid-scrape is exposed in that same scrape.
+func TestCollect(t *testing.T) {
 	r := NewRegistry()
-	n := 41.0
-	r.GaugeFunc("size", "sampled", func() float64 { return n })
+	c := r.Counter("held_total", "counted elsewhere")
+	c.Inc()
+	vec := r.CounterVec("per_total", "", "k")
+	n := int64(41)
+	r.Collect(func(add func(*Counter, int64)) { add(c, n) })
+	r.Collect(func(add func(*Counter, int64)) {
+		add(c, 100)
+		add(vec.With("late"), n)
+	})
 	n = 42
-	if got := r.Counters()["size"]; got != 42 {
-		t.Fatalf("GaugeFunc sampled %v, want 42", got)
+	if got := r.Counters(); got["held_total"] != 143 || got[`per_total{k="late"}`] != 42 {
+		t.Fatalf("collected = %v, want held_total 143 and per_total{k=\"late\"} 42", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "held_total 143\n") {
+		t.Fatalf("exposition lacks the collected value:\n%s", b.String())
+	}
+	// Collected values are read, never stored: the counter itself holds
+	// only its own count, so repeated scrapes do not accumulate.
+	if c.Value() != 1 || r.Counters()["held_total"] != 143 {
+		t.Fatalf("counter = %d after scrapes, want 1", c.Value())
+	}
+}
+
+// TestCountersAllocs bounds the cost of flattening a registry shaped
+// like a golden-corpus run's (~160 series: scalar counters, per-rule
+// vecs, stage histograms, two-label leak counters). The portal pays it
+// once per job, so per-call escaper construction or repeated ID
+// formatting inside the sort would show up here as hundreds of
+// allocations per series.
+func TestCountersAllocs(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 20; i++ {
+		r.Counter(fmt.Sprintf("scalar_%02d_total", i), "").Add(int64(i))
+	}
+	hits := r.CounterVec("rule_hits_total", "", "rule")
+	ns := r.CounterVec("rule_time_ns_total", "", "rule")
+	for i := 0; i < 40; i++ {
+		hits.With(fmt.Sprintf("R%02d-rule", i)).Add(int64(i))
+		ns.With(fmt.Sprintf("R%02d-rule", i)).Add(int64(i) * 1000)
+	}
+	stages := r.HistogramVec("stage_seconds", "", []float64{0.001, 0.01, 0.1}, "stage")
+	for _, st := range []string{"prescan", "rewrite", "leakreport"} {
+		stages.With(st).Observe(0.005)
+	}
+	leaks := r.CounterVec("leaks_total", "", "kind", "severity")
+	leaks.With("ip", "confirmed").Inc()
+	leaks.With("word", "likely_false_positive").Inc()
+	extra := r.Counter("collected_total", "")
+	r.Collect(func(add func(*Counter, int64)) { add(extra, 7) })
+
+	series := len(r.Counters())
+	allocs := testing.AllocsPerRun(20, func() { r.Counters() })
+	if perSeries := allocs / float64(series); perSeries > 10 {
+		t.Fatalf("Counters() = %.0f allocs for %d series (%.1f per series), want <= 10 per series",
+			allocs, series, perSeries)
 	}
 }
 

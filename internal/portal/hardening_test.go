@@ -5,8 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,8 +33,8 @@ func TestHealthz(t *testing.T) {
 
 func TestRecoveryMiddlewareTurnsPanicInto500(t *testing.T) {
 	var logBuf bytes.Buffer
-	logger := log.New(&logBuf, "", 0)
-	h := WithRecovery(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
+	h := withRecovery(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("handler exploded")
 	}))
 	rec := httptest.NewRecorder()
@@ -50,8 +49,8 @@ func TestRecoveryMiddlewareTurnsPanicInto500(t *testing.T) {
 
 func TestLoggingMiddlewareOmitsQueryString(t *testing.T) {
 	var logBuf bytes.Buffer
-	logger := log.New(&logBuf, "", 0)
-	h := WithLogging(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
+	h := withLogging(logger, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))
 	rec := httptest.NewRecorder()
@@ -121,7 +120,7 @@ func TestScreenBudgetFailsClosed(t *testing.T) {
 
 func TestUploadBodyCapReturns413(t *testing.T) {
 	s := NewStore()
-	s.SetLogger(log.New(io.Discard, "", 0))
+	s.SetSlogger(discardLogger())
 	s.SetLimits(Limits{MaxBodyBytes: 256})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -228,11 +227,11 @@ func TestHandlerSurvivesPanickingRoute(t *testing.T) {
 	// End-to-end: a panic inside the portal's own handler chain must
 	// come back as a 500, and the server must keep serving afterwards.
 	s := NewStore()
-	s.SetLogger(log.New(io.Discard, "", 0))
+	s.SetSlogger(discardLogger())
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
 	mux.HandleFunc("GET /explode", func(w http.ResponseWriter, r *http.Request) { panic("kaboom") })
-	srv := httptest.NewServer(WithRecovery(s.log(), mux))
+	srv := httptest.NewServer(withRecovery(s.slog(), mux))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/explode")

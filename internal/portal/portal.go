@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -189,11 +188,8 @@ type Store struct {
 	rulePacks map[string]*confanon.RulePack
 	limits    Limits
 	// slogger receives the structured request log and recovered-panic
-	// reports; logger is the legacy handle SetLogger keeps for callers
-	// built against the *log.Logger API (it feeds slogger through the
-	// shim). Both nil means slog.Default() / log.Default().
+	// reports; nil means slog.Default().
 	slogger *slog.Logger
-	logger  *log.Logger
 	// reg, requests, latency are the observability wiring (SetMetrics);
 	// adminToken gates GET /metrics and /debug/pprof/* (SetAdminToken).
 	// All are configured before serving, like limits and logger.
@@ -258,29 +254,7 @@ func (s *Store) Limits() Limits { return s.limits }
 // SetSlogger directs the structured request log and panic reports (nil
 // restores slog.Default()). The portal logs with fields — request id,
 // owner, route, status, duration — so any slog.Handler can route them.
-func (s *Store) SetSlogger(l *slog.Logger) {
-	s.slogger = l
-	s.logger = nil
-}
-
-// SetLogger is the compatibility shim for callers still wiring a
-// *log.Logger: the structured log renders as "msg k=v ..." lines
-// through it (nil restores the defaults). New code wants SetSlogger.
-func (s *Store) SetLogger(l *log.Logger) {
-	s.logger = l
-	if l == nil {
-		s.slogger = nil
-		return
-	}
-	s.slogger = shimSlog(l)
-}
-
-func (s *Store) log() *log.Logger {
-	if s.logger != nil {
-		return s.logger
-	}
-	return log.Default()
-}
+func (s *Store) SetSlogger(l *slog.Logger) { s.slogger = l }
 
 func (s *Store) slog() *slog.Logger {
 	if s.slogger != nil {
@@ -413,8 +387,8 @@ func (s *Store) Handler() http.Handler {
 	mux.HandleFunc("GET /datasets/{id}/comments", s.handleGetComments)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mountObservability(mux)
-	return WithRequestID(withSlogRecovery(s.slog(),
-		withSlogLogging(s.slog(), s.principal, s.withRequestMetrics(mux))))
+	return WithRequestID(withRecovery(s.slog(),
+		withLogging(s.slog(), s.principal, s.withRequestMetrics(mux))))
 }
 
 // principal names the request's authenticated party for the log's owner

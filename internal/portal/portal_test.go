@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +14,12 @@ import (
 	"confanon/internal/netgen"
 )
 
+// discardLogger is a structured logger that writes nowhere.
+func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
+
 func newTestPortal() (*Store, *httptest.Server) {
 	s := NewStore()
-	s.SetLogger(log.New(io.Discard, "", 0))
+	s.SetSlogger(discardLogger())
 	s.AddResearcher("key-alice", "alice")
 	srv := httptest.NewServer(s.Handler())
 	return s, srv

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -118,19 +117,5 @@ func TestPrincipalNeverLogsOwnerTokens(t *testing.T) {
 	}
 	if strings.Contains(logs, "key-alice") {
 		t.Error("API key appears in the request log")
-	}
-}
-
-// TestLogShimRendersStructuredFields: the *log.Logger compatibility
-// shim renders slog records as "msg k=v ..." through the wrapped
-// logger, preserving its prefix.
-func TestLogShimRendersStructuredFields(t *testing.T) {
-	var buf bytes.Buffer
-	l := shimSlog(log.New(&buf, "portal: ", 0))
-	l.Info("request", slog.String("route", "GET /healthz"), slog.Int("status", 200))
-	got := strings.TrimSpace(buf.String())
-	want := "portal: request route=GET /healthz status=200"
-	if got != want {
-		t.Errorf("shim rendered %q, want %q", got, want)
 	}
 }

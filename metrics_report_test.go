@@ -2,15 +2,21 @@ package confanon_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	. "confanon"
+	"confanon/internal/anonymizer"
 	"confanon/internal/metrics"
 	"confanon/internal/portal"
 )
@@ -206,4 +212,168 @@ func TestPortalMetricsFailClosed(t *testing.T) {
 			t.Errorf("%s without admin token: status %d, want 404", path, resp.StatusCode)
 		}
 	}
+}
+
+// TestProgramCountersNotDoubledAcrossSessions: two Sessions of one
+// Program share a registry. The Program-level series — the rewrite
+// memo's hits and misses, the ASN permutation's cycle walks — must read
+// the Program's own values, not one copy per Session, while the
+// Session-level engine counters sum over both Sessions.
+func TestProgramCountersNotDoubledAcrossSessions(t *testing.T) {
+	in := readGoldenDir(t, "testdata/golden/in")
+	reg := NewMetricsRegistry()
+	prog := Compile(Options{Salt: []byte(goldenSalt), Metrics: reg})
+	var sum Stats
+	for i := 0; i < 2; i++ {
+		res, err := prog.NewSession().CorpusContext(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Add(res.Stats)
+	}
+	hits, misses, walks := ProgramCounters(prog)
+	if misses == 0 || hits == 0 {
+		t.Fatalf("golden corpus exercised no rewrite memo (hits %d, misses %d)", hits, misses)
+	}
+	counters := reg.Counters()
+	for name, want := range map[string]int64{
+		"confanon_cregex_cache_hits_total":   hits,
+		"confanon_cregex_cache_misses_total": misses,
+		"confanon_asn_cycle_walks_total":     walks,
+	} {
+		if got := counters[name]; got != float64(want) {
+			t.Errorf("%s = %v, want the Program's %d", name, got, want)
+		}
+	}
+	checkStatsCounters(t, counters, sum)
+}
+
+// TestMetricsMatchStatsAfterRollback: a file that fails mid-rewrite is
+// rolled back out of Stats, and the registry — which reads Stats at
+// scrape time — must agree with the result series for series, in the
+// serial and parallel batch modes. The stream case fails the sink on
+// close after a clean rewrite, so the rollback takes back counts the
+// Session had already merged.
+func TestMetricsMatchStatsAfterRollback(t *testing.T) {
+	in := readGoldenDir(t, "testdata/golden/in")
+	const poison = "cr2-sfo-confg"
+	run := func(t *testing.T, body func(a *Anonymizer) Stats) {
+		reg := NewMetricsRegistry()
+		a := New(Options{Salt: []byte(goldenSalt), Metrics: reg})
+		st := body(a)
+		if st.Files != int64(len(in)-1) {
+			t.Fatalf("Stats count %d files, want %d (the poisoned file rolled back)", st.Files, len(in)-1)
+		}
+		checkStatsCounters(t, reg.Counters(), st)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			anonymizer.SetFaultHook(func(name string, line int) {
+				if name == poison && line == 10 {
+					panic("injected mid-rewrite fault")
+				}
+			})
+			defer anonymizer.SetFaultHook(nil)
+			run(t, func(a *Anonymizer) Stats {
+				res, err := a.ParallelCorpusContext(context.Background(), in, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f := res.Files[poison]; f.Status != FileFailed {
+					t.Fatalf("%s status %v, want failed", poison, f.Status)
+				}
+				return res.Stats
+			})
+		})
+	}
+	t.Run("stream-close-fails", func(t *testing.T) {
+		run(t, func(a *Anonymizer) Stats {
+			names := make([]string, 0, len(in))
+			for n := range in {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			next := func() (string, io.Reader, error) {
+				if len(names) == 0 {
+					return "", nil, io.EOF
+				}
+				n := names[0]
+				names = names[1:]
+				return n, strings.NewReader(in[n]), nil
+			}
+			sink := func(name string) (io.WriteCloser, error) {
+				return &closeFailer{fail: name == poison}, nil
+			}
+			ferrs, err := a.StreamCorpusContext(context.Background(), next, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ferrs) != 1 || ferrs[0].Name != poison {
+				t.Fatalf("file errors %v, want exactly %s", ferrs, poison)
+			}
+			return a.Stats()
+		})
+	})
+}
+
+// closeFailer discards writes and, when fail is set, fails on Close.
+type closeFailer struct{ fail bool }
+
+func (w *closeFailer) Write(p []byte) (int, error) { return len(p), nil }
+
+func (w *closeFailer) Close() error {
+	if w.fail {
+		return errors.New("sink close failed")
+	}
+	return nil
+}
+
+// TestMetricsScrapeDuringRuns: scrapes race Sessions of one Program
+// being wired and run in parallel. Collectors are registered while
+// others run, each scrape reads live Stats, and once every run is done
+// the registry equals the Sessions' summed Stats.
+func TestMetricsScrapeDuringRuns(t *testing.T) {
+	in := readGoldenDir(t, "testdata/golden/in")
+	reg := NewMetricsRegistry()
+	prog := Compile(Options{Salt: []byte(goldenSalt), Metrics: reg})
+	done := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				reg.Counters()
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	results := make([]Stats, 3)
+	var runs sync.WaitGroup
+	for i := range results {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			res, err := prog.NewSession().ParallelCorpusContext(context.Background(), in, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res.Stats
+		}()
+	}
+	runs.Wait()
+	close(done)
+	scraper.Wait()
+	var sum Stats
+	for _, st := range results {
+		sum.Add(st)
+	}
+	checkStatsCounters(t, reg.Counters(), sum)
 }
