@@ -15,16 +15,14 @@ import (
 	"confanon/internal/trace"
 )
 
-// This file is the fail-closed batch layer. The string-returning APIs
-// (File, Corpus, ParallelCorpus) are fail-open: a panic on one poisoned
-// file kills the whole batch, and a leak in the output is published
-// unless the operator reads the report. The *Context APIs below invert
-// both defaults: every file is processed under per-file panic recovery
-// (one bad file yields one FileError, the rest of the corpus completes),
-// cancellation and deadlines flow in through context.Context, and under
-// Options.Strict a file whose post-anonymization leak report contains
-// confirmed (non-false-positive) leaks is quarantined — recorded,
-// withheld from the outputs, never silently published.
+// This file is the batch layer, and it fails closed: every file is
+// processed under per-file panic recovery (one bad file yields one
+// FileError, the rest of the corpus completes), cancellation and
+// deadlines flow in through context.Context, and under Options.Strict a
+// file whose post-anonymization leak report contains confirmed
+// (non-false-positive) leaks is quarantined — recorded, withheld from
+// the outputs, never silently published. Only the single-file File and
+// Stream calls are fail-open.
 
 // FileError identifies the file, line, and cause of one per-file failure.
 // It is the internal/anonymizer type re-exported.
@@ -214,80 +212,97 @@ func (a *Anonymizer) traceCensusFailure(sp *trace.Span, ferr *FileError) {
 	tr.End(fs, trace.StatusFailed)
 }
 
-// anonymizeOne runs one file through the fail-closed pipeline on the
-// given Session worker: panic recovery, then — in strict mode —
-// leak-gating of the output against the Session's accumulated sensitive
-// values.
-func (a *Anonymizer) anonymizeOne(wk *anonymizer.Anonymizer, name, text string, strict bool) (res FileResult) {
-	defer func() { a.batch.countFile(res.Status) }()
-	out, ferr := wk.SafeAnonymizeText(name, text)
-	if ferr != nil {
-		return FileResult{Name: name, Status: FileFailed, Err: ferr}
-	}
-	if strict {
-		if leaks := confirmedLeaks(wk.LeakReport(out)); len(leaks) > 0 {
-			return FileResult{Name: name, Status: FileQuarantined, Leaks: leaks}
-		}
-	}
-	return FileResult{Name: name, Status: FileOK, Text: out}
-}
-
-// CorpusContext anonymizes a set of files as one network like Corpus,
-// but fail-closed: per-file panic recovery, strict leak-gating when
-// Options.Strict is set, and cancellation via ctx. All readable files
-// are prescanned first (a file whose prescan fails is marked failed and
-// skipped), then each file is rewritten in sorted-name order. On
-// cancellation the partial CorpusResult is returned along with ctx's
-// error; files not yet started are absent from Files.
-func (a *Anonymizer) CorpusContext(ctx context.Context, files map[string]string) (*CorpusResult, error) {
-	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
+// sortedNames returns a corpus's file names in the order every batch
+// driver prescans, replays, gates and counts them.
+func sortedNames(files map[string]string) []string {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	sp := a.traceCorpus("corpus", len(files), 1)
-	finish := func(err error) (*CorpusResult, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
-		return res, err
-	}
-
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for _, n := range names {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
-			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
-			a.batch.countFile(FileFailed)
-		}
-	}
-	for _, n := range names {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if _, done := res.Files[n]; done { // prescan already failed it
-			continue
-		}
-		res.Files[n] = a.anonymizeOne(wk, n, files[n], a.strict)
-	}
-	return finish(nil)
+	return names
 }
 
-// ParallelCorpusContext anonymizes a corpus across several workers with
-// the fail-closed semantics of CorpusContext: one poisoned file yields
-// one FileError instead of killing the batch, Options.Strict gates every
-// file's emission on its leak report, and ctx cancels the run (workers
-// finish their in-flight file, unstarted files stay absent from the
-// result). The convenience form of the Anonymizer method: it compiles a
-// fresh Program and runs one Session over the corpus.
+// corpusRun is one batch run's shared bookkeeping: the result under
+// construction and the run's root span.
+type corpusRun struct {
+	a   *Anonymizer
+	res *CorpusResult
+	sp  *trace.Span
+}
+
+// beginCorpus opens a batch run over nfiles files.
+func (a *Anonymizer) beginCorpus(op string, nfiles, workers int) *corpusRun {
+	return &corpusRun{
+		a:   a,
+		res: &CorpusResult{Files: make(map[string]FileResult, nfiles)},
+		sp:  a.traceCorpus(op, nfiles, workers),
+	}
+}
+
+// finish closes the run: a run-fatal err (cancellation) is counted and
+// fails the corpus span, and the result gets the Session's merged Stats
+// and its RunReport.
+func (r *corpusRun) finish(err error) (*CorpusResult, error) {
+	a := r.a
+	if err != nil {
+		a.batch.countCancel()
+	}
+	a.endCorpus(r.sp, err)
+	r.res.Stats = a.Stats()
+	r.res.finishReport(a.reg, a.prog.Packs())
+	return r.res, err
+}
+
+// fail records a file that failed before the rewrite phase.
+func (r *corpusRun) fail(name string, ferr *FileError) {
+	r.res.Files[name] = FileResult{Name: name, Status: FileFailed, Err: ferr}
+	r.a.batch.countFile(FileFailed)
+}
+
+// fanOut calls job(w, i) for every i in [0, n) on workers goroutines,
+// w being the calling goroutine's index in [0, workers). Indices are
+// handed out in ascending order, so a single worker runs them in order;
+// once ctx is cancelled no further job starts. It is the batch layer's
+// one worker pool: the census, the rewrite and the incremental jobs all
+// run on it.
+func fanOut(ctx context.Context, n, workers int, job func(w, i int)) {
+	work := make(chan int, n)
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range work {
+				if ctx.Err() != nil {
+					return
+				}
+				job(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// CorpusContext anonymizes a set of files as one network, fail-closed:
+// per-file panic recovery, strict leak-gating when Options.Strict is
+// set, and cancellation via ctx. It is ParallelCorpusContext at one
+// worker.
+func (a *Anonymizer) CorpusContext(ctx context.Context, files map[string]string) (*CorpusResult, error) {
+	return a.ParallelCorpusContext(ctx, files, 1)
+}
+
+// ParallelCorpusContext anonymizes a corpus across several workers,
+// fail-closed: one poisoned file yields one FileError instead of killing
+// the batch, Options.Strict gates every file's emission on its leak
+// report, and ctx cancels the run (workers finish their in-flight file,
+// unstarted files stay absent from the result). The convenience form of
+// the Anonymizer method: it compiles a fresh Program and runs one
+// Session over the corpus.
 func ParallelCorpusContext(ctx context.Context, opts Options, files map[string]string, workers int) (*CorpusResult, error) {
 	return Compile(opts).NewSession().ParallelCorpusContext(ctx, files, workers)
 }
@@ -303,38 +318,21 @@ type fileCensus struct {
 // workers goroutines and replays the recorded mapper-call traces into
 // the shared tree in the deterministic serial order (every file's
 // prescan pins in sorted-name order, then every surviving file's full
-// sequence). Files whose census failed are marked failed in res and
-// traced; their partial pin traces still replay — exactly what a
-// sequential run leaves behind before aborting. Returns ctx's error if
-// the census was cut short, in which case the replay is skipped (only
-// the failures are recorded). Shared by ParallelCorpusContext and
-// IncrementalCorpusContext; callers pass names already sorted.
-func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map[string]string, workers int, res *CorpusResult, sp *trace.Span) error {
+// sequence). Files whose census failed are marked failed and traced;
+// their partial pin traces still replay — exactly what a sequential run
+// leaves behind before aborting. Returns ctx's error if the census was
+// cut short, in which case the replay is skipped (only the failures are
+// recorded). Callers pass names already sorted.
+func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[string]string, workers int) error {
+	a := r.a
 	censuses := make([]fileCensus, len(names))
-	work := make(chan int, len(names))
-	for i := range names {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					break
-				}
-				pins, full, pinErr := a.sess.CensusFile(names[i], files[names[i]])
-				censuses[i] = fileCensus{pins: pins, full: full, pinErr: pinErr}
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(ctx, len(names), workers, func(_, i int) {
+		pins, full, pinErr := a.sess.CensusFile(names[i], files[names[i]])
+		censuses[i] = fileCensus{pins: pins, full: full, pinErr: pinErr}
+	})
 	markFailed := func(i int, ferr *FileError) {
-		res.Files[names[i]] = FileResult{Name: names[i], Status: FileFailed, Err: ferr}
-		a.batch.countFile(FileFailed)
-		a.traceCensusFailure(sp, ferr)
+		r.fail(names[i], ferr)
+		a.traceCensusFailure(r.sp, ferr)
 	}
 	if err := ctx.Err(); err != nil {
 		for i, c := range censuses {
@@ -357,120 +355,147 @@ func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map
 	return nil
 }
 
+// prescanInPlace is censusReplay's one-worker form: every file's prescan
+// pins the real tree in sorted-name order, and the single rewrite worker
+// that follows visits the surviving files in that same order — the
+// mapper-call sequence a census replay would feed the tree, without the
+// census's second engine pass. A file whose prescan fails is marked
+// failed (the real worker traced its span); its partial pins stay, as
+// they do in the census.
+func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files map[string]string) error {
+	wk := r.a.sess.Acquire()
+	defer r.a.sess.Release(wk)
+	wk.SetCorpusSpan(spanID(r.sp))
+	for _, n := range names {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
+			r.fail(n, ferr)
+		}
+	}
+	return nil
+}
+
+// rewriteAndGate is the phase every corpus driver ends with. job(wk, i)
+// produces file i's result on one of workers goroutines, each holding
+// its own Session worker nested under the run's span. After every
+// worker has published its recorder entries, each started file is
+// leak-gated (under Options.Strict) and counted in index order — callers
+// pass sorted names — so every file is gated against the values
+// recorded from the whole corpus and the quarantine set is the same at
+// every worker count. The gated results are recorded in res.Files and
+// returned by index; nil marks a file never started (ctx was cancelled
+// first).
+func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
+	a := r.a
+	wks := make([]*anonymizer.Anonymizer, workers)
+	for w := range wks {
+		wks[w] = a.sess.Acquire()
+		wks[w].SetCorpusSpan(spanID(r.sp))
+	}
+	out := make([]*FileResult, n)
+	fanOut(ctx, n, workers, func(w, i int) {
+		fr := job(wks[w], i)
+		out[i] = &fr
+	})
+	for _, wk := range wks {
+		a.sess.Release(wk)
+	}
+
+	gate := a.sess.Acquire()
+	defer a.sess.Release(gate)
+	gate.SetCorpusSpan(spanID(r.sp))
+	for _, fr := range out {
+		if fr == nil {
+			continue
+		}
+		if a.strict && fr.Status == FileOK {
+			if leaks := confirmedLeaks(gate.LeakReport(fr.Text)); len(leaks) > 0 {
+				*fr = FileResult{Name: fr.Name, Status: FileQuarantined, Leaks: leaks}
+			}
+		}
+		r.res.Files[fr.Name] = *fr
+		a.batch.countFile(fr.Status)
+	}
+	return out
+}
+
 // ParallelCorpusContext anonymizes a corpus across workers goroutines
-// sharing this Session, with CorpusContext's fail-closed semantics. The
-// output is byte-identical to CorpusContext on the same files at every
+// sharing this Session. It is the one corpus driver (CorpusContext is
+// its one-worker case), and its output is byte-identical at every
 // worker count, under both IP schemes.
 //
 // Under the default shaped-tree scheme the mapping depends on the order
 // addresses first reach the tree, so the run is split into three phases:
 // a parallel census records each file's exact mapper-call sequence
 // against throwaway state; the traces are then replayed into the shared
-// tree serially in CorpusContext's order (every file's prescan pins in
-// sorted-name order, then every surviving file's full sequence); finally
-// the files are rewritten in parallel, where every lookup hits the
-// now-resolved tree lock-free. Under Options.StatelessIP mappings are
-// pure functions of the salt and the census is skipped entirely.
+// tree serially (every file's prescan pins in sorted-name order, then
+// every surviving file's full sequence); finally the files are rewritten
+// in parallel, where every lookup hits the now-resolved tree lock-free.
+// At one worker the census is skipped: the prescans pin the tree in
+// place and the in-order rewrite is itself the replay. Under
+// Options.StatelessIP mappings are pure functions of the salt and
+// neither is needed.
 //
-// Strict leak-gating runs after all workers finish, so a file is gated
-// against the values recorded from the whole corpus — deterministic at
-// any worker count, and at least as conservative as CorpusContext's
-// progressive gating (a file CorpusContext quarantines is always
-// quarantined here; rarely, a file it publishes is additionally caught).
+// Strict leak-gating runs after the rewrite, against the values recorded
+// from the whole corpus, so the quarantine set does not depend on the
+// worker count.
 func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string]string, workers int) (*CorpusResult, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
+	names := sortedNames(files)
+	run := a.beginCorpus("parallel-corpus", len(files), workers)
+	var err error
+	switch {
+	case a.prog.opts.StatelessIP:
+	case workers == 1:
+		err = run.prescanInPlace(ctx, names, files)
+	default:
+		err = run.censusReplay(ctx, names, files, workers)
 	}
-	sort.Strings(names)
-	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
-	sp := a.traceCorpus("parallel-corpus", len(files), workers)
-	finish := func(err error) (*CorpusResult, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
-		return res, err
+	if err != nil {
+		return run.finish(err)
 	}
 
-	if !a.prog.opts.StatelessIP {
-		// Phases 1+2: parallel census, then serial replay in
-		// CorpusContext's insertion order (censusReplay).
-		if err := a.censusReplay(ctx, names, files, workers, res, sp); err != nil {
-			return finish(err)
-		}
-	}
-
-	// Phase 3: embarrassingly parallel rewrite. Under the shaped tree
-	// every mapper call was just replayed, so lookups are lock-free cache
-	// hits and the output no longer depends on scheduling.
+	// At two or more workers every mapper call was replayed above, so
+	// under the shaped tree the rewrite's lookups are lock-free cache hits
+	// and the output does not depend on scheduling.
 	rewrite := make([]string, 0, len(names))
 	for _, n := range names {
-		if _, failed := res.Files[n]; !failed {
+		if _, failed := run.res.Files[n]; !failed {
 			rewrite = append(rewrite, n)
 		}
 	}
-	results := make(chan FileResult, len(rewrite))
-	work := make(chan string, len(rewrite))
-	for _, n := range rewrite {
-		work <- n
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk := a.sess.Acquire()
-			defer a.sess.Release(wk)
-			wk.SetCorpusSpan(spanID(sp))
-			for name := range work {
-				if ctx.Err() != nil {
-					break
-				}
-				out, ferr := wk.SafeAnonymizeText(name, files[name])
-				if ferr != nil {
-					results <- FileResult{Name: name, Status: FileFailed, Err: ferr}
-					continue
-				}
-				results <- FileResult{Name: name, Status: FileOK, Text: out}
-			}
-		}()
-	}
-	wg.Wait()
-	close(results)
-	for r := range results {
-		res.Files[r.Name] = r
-	}
-
-	// Gate and count in sorted order, after every worker has published
-	// its recorder entries (deterministic quarantine set; see doc).
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for _, n := range rewrite {
-		r, started := res.Files[n]
-		if !started { // cancelled before a worker picked it up
-			continue
+	run.rewriteAndGate(ctx, len(rewrite), workers, func(wk *anonymizer.Anonymizer, i int) FileResult {
+		name := rewrite[i]
+		out, ferr := wk.SafeAnonymizeText(name, files[name])
+		if ferr != nil {
+			return FileResult{Name: name, Status: FileFailed, Err: ferr}
 		}
-		if a.strict && r.Status == FileOK {
-			if leaks := confirmedLeaks(wk.LeakReport(r.Text)); len(leaks) > 0 {
-				r = FileResult{Name: n, Status: FileQuarantined, Leaks: leaks, Text: ""}
-				res.Files[n] = r
-			}
-		}
-		a.batch.countFile(r.Status)
-	}
-	return finish(ctx.Err())
+		return FileResult{Name: name, Status: FileOK, Text: out}
+	})
+	return run.finish(ctx.Err())
 }
 
-// StreamCorpusContext anonymizes a sequence of files like StreamCorpus,
-// but with per-file fault isolation: a panic while rewriting, a failing
+// StreamCorpusContext anonymizes a sequence of files without ever
+// holding the corpus in memory. next is called repeatedly and returns
+// the name and content reader of each file in turn, or io.EOF when the
+// corpus is exhausted; sink maps each file name to its output writer
+// (closed after the file is written). Files are processed in arrival
+// order with Stream's memory behavior per file.
+//
+// All files route through the Session, so an address seen in two files
+// maps identically, and later calls on the same Session stay consistent
+// with the streamed output. Unlike CorpusContext, the subnet-shaping
+// prescan sees each file individually, in arrival order, rather than the
+// whole corpus up front — so which file first pins a shared subnet (and
+// therefore the shape chosen for it) depends on the order next yields
+// the files. Use CorpusContext when the mapping must be immune to file
+// ordering.
+//
+// Each file is fault-isolated: a panic while rewriting, a failing
 // reader, a sink that cannot be opened, and a writer that fails mid-file
 // or on close each produce one *FileError for that file, and the run
 // moves on to the next file instead of aborting. Under Options.Strict

@@ -149,15 +149,15 @@ func BenchmarkE10_JunOS(b *testing.B) {
 }
 
 // BenchmarkAnonymizeCorpus is the end-to-end pipeline microbenchmark: one
-// 40-router network through prescan + anonymize.
+// 40-router network through CorpusContext — the one-worker row of the
+// corpus driver (prescan in place, rewrite, gate).
 func BenchmarkAnonymizeCorpus(b *testing.B) {
 	n := netgen.Generate(netgen.Params{Seed: 4242, Kind: netgen.Backbone, Routers: 40})
 	files := n.RenderAll()
 	lines := n.TotalLines()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := New(Options{Salt: []byte("bench")})
-		a.Corpus(files)
+		mustCorpus(b, New(Options{Salt: []byte("bench")}), files)
 	}
 	b.ReportMetric(float64(lines), "lines/corpus")
 }

@@ -67,7 +67,7 @@ func TestParallelCorpusContextIsolatesPanic(t *testing.T) {
 			clean[n] = text
 		}
 	}
-	wantOut, wantStats := ParallelCorpus(opts, clean, 4)
+	wantOut, wantStats := mustParallel(t, opts, clean, 4)
 
 	armPoison(t, "poison", 2)
 	res, err := ParallelCorpusContext(context.Background(), opts, files, 4)
@@ -111,10 +111,17 @@ func TestParallelCorpusContextIsolatesPanic(t *testing.T) {
 }
 
 func TestParallelCorpusDropsOnlyPoisonedFile(t *testing.T) {
-	// The legacy fail-open API must now complete on a poisoned corpus,
-	// dropping exactly the poisoned file.
+	// The publishable outputs of a poisoned corpus drop exactly the
+	// poisoned file.
 	armPoison(t, "poison", 2)
-	out, _ := ParallelCorpus(Options{Salt: []byte("chaos")}, chaosCorpus(), 4)
+	res, err := ParallelCorpusContext(context.Background(), Options{Salt: []byte("chaos")}, chaosCorpus(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ok() {
+		t.Fatal("result claims clean despite poisoned file")
+	}
+	out := res.Outputs()
 	if _, ok := out["poison"]; ok {
 		t.Error("poisoned file was emitted")
 	}

@@ -10,8 +10,9 @@
 // configuration of a single network; all files are prescanned before any
 // is rewritten so the mapping is consistent and subnet-address
 // preservation holds across files. With -workers N the corpus is
-// anonymized on N parallel workers; the output is byte-identical to a
-// single-worker run under either IP scheme. With -leak-report the tool prints the
+// anonymized on N parallel workers; the output and, under -strict, the
+// quarantine set are identical to a single-worker run under either IP
+// scheme. With -leak-report the tool prints the
 // §6.1 leak-highlighting report to stderr after anonymizing; dangerous
 // tokens can then be added with repeated -sensitive flags and the tool
 // rerun, closing leaks iteratively. Repeated -rule-pack flags load
@@ -138,7 +139,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		traceOut   = fs.String("trace-out", "", "write the span + provenance trace (JSONL, schema "+confanon.TraceSchema+") to this file")
 		explain    = fs.String("explain", "", "query mode: print the trace decisions for FILE:LINE (sole argument is the trace file)")
 		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /metrics on this address while the run lasts (e.g. localhost:6060)")
-		workers    = fs.Int("workers", 1, "anonymize the corpus on this many parallel workers (output is byte-identical at any count)")
+		workers    = fs.Int("workers", 1, "anonymize the corpus on this many parallel workers (output and quarantine set are identical at any count)")
 	)
 	var sensitive multiFlag
 	fs.Var(&sensitive, "sensitive", "extra sensitive token to anonymize everywhere (repeatable)")
@@ -272,8 +273,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	var res *confanon.CorpusResult
 	var nextCache *confanon.CorpusCache
-	switch {
-	case *increment:
+	if *increment {
 		var prior *confanon.CorpusCache
 		cachePath := filepath.Join(*stateDir, cacheFileName)
 		var blob []byte
@@ -290,10 +290,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return fatal(stderr, rerr)
 		}
 		res, nextCache, err = a.IncrementalCorpusContext(ctx, files, prior, *workers)
-	case *workers > 1:
+	} else {
 		res, err = a.ParallelCorpusContext(ctx, files, *workers)
-	default:
-		res, err = a.CorpusContext(ctx, files)
 	}
 	if err != nil {
 		return fatal(stderr, fmt.Errorf("anonymization aborted: %w", err))

@@ -20,9 +20,12 @@
 //
 // Basic use:
 //
-//	a := confanon.New(confanon.Options{Salt: []byte("owner secret")})
-//	out := a.Corpus(map[string]string{"r1-confg": text})
-//	leaks := a.Leaks(out)
+//	a := confanon.New(confanon.Options{Salt: []byte("owner secret"), Strict: true})
+//	res, err := a.CorpusContext(ctx, map[string]string{"r1-confg": text})
+//	if err != nil {
+//		return err // cancelled; res holds the files finished so far
+//	}
+//	out := res.Outputs() // the clean files; res.Failed and res.Quarantined list the rest
 //
 // One Anonymizer = one owner secret = one consistent mapping: feed every
 // file of a network (or several networks from the same owner) through the
@@ -37,9 +40,7 @@
 package confanon
 
 import (
-	"context"
 	"io"
-	"sort"
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/config"
@@ -95,7 +96,7 @@ const (
 
 // Stats is the anonymizer's measurement record. It carries per-rule hit
 // counts and cumulative per-rule wall time alongside the aggregate
-// counters; Stats.Add merges two records (used by ParallelCorpus).
+// counters; a Session's Stats merge every worker's.
 type Stats = anonymizer.Stats
 
 // RuleID names one rule in the engine's registry.
@@ -182,10 +183,10 @@ type Options struct {
 	// direction (review the quarantine, never the leak).
 	Strict bool
 	// Metrics, when set, wires the pipeline into a shared observability
-	// registry: the engine flushes its counters at file boundaries, the
-	// batch layer counts outcomes, and CorpusResult.Report carries the
-	// flattened snapshot. Nil disables all metric plumbing (the engine
-	// hot path is untouched either way; see DESIGN.md §3d).
+	// registry: each Session's counters are read from its Stats at scrape
+	// time, the batch layer counts outcomes, and CorpusResult.Report
+	// carries the flattened snapshot. Nil disables all metric plumbing
+	// (the engine hot path is untouched either way; see DESIGN.md §3d).
 	Metrics *MetricsRegistry
 	// Tracer, when set, records the run's span hierarchy (corpus → file
 	// → stage → rule) and its provenance ledger — one entry per
@@ -288,32 +289,11 @@ func New(opts Options) *Anonymizer { return Compile(opts).NewSession() }
 // Report builds a RunReport from the accumulated statistics (and the
 // wired registry, if any). The batch APIs attach a richer report — with
 // per-status file counts — to their CorpusResult; this accessor covers
-// the single-file paths (File, Stream, Corpus).
+// the single-file paths (File, Stream).
 func (a *Anonymizer) Report() *RunReport {
 	rep := NewRunReport(a.Stats(), a.reg)
 	rep.Packs = a.prog.Packs()
 	return rep
-}
-
-// ParallelCorpus anonymizes a corpus across several workers sharing one
-// Session. Under the default shaped-tree IP scheme the corpus is first
-// censused in parallel, the census replayed into the shared tree in the
-// deterministic serial order, and the files then rewritten in parallel —
-// so the output is byte-identical to a sequential Corpus run at any
-// worker count. Under Options.StatelessIP every mapping is a pure
-// function of the salt (the parallelization the paper attributes to the
-// Xu scheme: "very little state must be shared to consistently map
-// addresses, making it amenable to parallelization") and the census is
-// skipped. The per-worker statistics are merged in the returned Stats.
-//
-// ParallelCorpus is the convenience form of ParallelCorpusContext: a
-// file whose processing fails (or, under Options.Strict, leaks) is
-// silently absent from the returned map. Callers that must account for
-// every input file — which fail-closed publication pipelines should —
-// want ParallelCorpusContext and its CorpusResult.
-func ParallelCorpus(opts Options, files map[string]string, workers int) (map[string]string, Stats) {
-	res, _ := ParallelCorpusContext(context.Background(), opts, files, workers)
-	return res.Outputs(), res.Stats
 }
 
 // File anonymizes a single configuration file.
@@ -335,87 +315,14 @@ func (a *Anonymizer) Stream(r io.Reader, w io.Writer) error {
 	return wk.StreamText(r, w)
 }
 
-// StreamCorpus anonymizes a sequence of files without ever holding the
-// corpus in memory. next is called repeatedly and returns the name and
-// content reader of each file in turn, or io.EOF when the corpus is
-// exhausted; sink maps each file name to its output writer (closed by
-// StreamCorpus after the file is written). Files are processed in
-// arrival order with Stream's memory behavior per file.
-//
-// All files route through the Session, so cross-file consistency is
-// exactly Corpus's: an address seen in two files maps identically, and a
-// later Corpus or File call under the same Session stays consistent with
-// the streamed output. The one remaining difference from Corpus is
-// prescan scope: the subnet-shaping prescan sees each file individually,
-// in arrival order, rather than the whole corpus up front — so which
-// file first pins a shared subnet (and therefore the shape chosen for
-// it) depends on the order next yields the files. Use Corpus when the
-// mapping must be immune to file ordering.
-func (a *Anonymizer) StreamCorpus(
-	next func() (name string, r io.Reader, err error),
-	sink func(name string) (io.WriteCloser, error),
-) error {
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	for {
-		name, r, err := next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		w, err := sink(name)
-		if err != nil {
-			return err
-		}
-		serr := wk.StreamText(r, w)
-		cerr := w.Close()
-		if serr != nil {
-			return serr
-		}
-		if cerr != nil {
-			return cerr
-		}
-	}
-}
-
-// Corpus anonymizes a set of files as one network: every file is
-// prescanned first so the subnet-address shaping of the IP mapping cannot
-// be broken by file ordering, then each file is rewritten. Keys are
-// preserved (file names are the caller's business; rename them if they
-// leak identity).
-func (a *Anonymizer) Corpus(files map[string]string) map[string]string {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	for _, n := range names {
-		wk.Prescan(files[n])
-	}
-	out := make(map[string]string, len(files))
-	for _, n := range names {
-		out[n] = wk.AnonymizeText(files[n])
-	}
-	return out
-}
-
 // Leaks scans anonymized files for sensitive values that survived,
 // supporting the iterative leak-closure methodology: review the report,
 // AddRule the dangerous tokens, re-anonymize, repeat until empty.
 func (a *Anonymizer) Leaks(files map[string]string) []Leak {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	wk := a.sess.Acquire()
 	defer a.sess.Release(wk)
 	var out []Leak
-	for _, n := range names {
+	for _, n := range sortedNames(files) {
 		out = append(out, wk.LeakReport(files[n])...)
 	}
 	return out

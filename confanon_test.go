@@ -1,18 +1,48 @@
 package confanon
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"confanon/internal/netgen"
 )
 
+// mustCorpus runs files through a.CorpusContext and fails the test unless
+// every file came out clean; it returns the outputs.
+func mustCorpus(t testing.TB, a *Anonymizer, files map[string]string) map[string]string {
+	t.Helper()
+	res, err := a.CorpusContext(context.Background(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Fatalf("corpus not clean: failed %v, quarantined %v", res.Failed(), res.Quarantined())
+	}
+	return res.Outputs()
+}
+
+// mustParallel runs files through ParallelCorpusContext on a fresh
+// Session and fails the test unless every file came out clean; it
+// returns the outputs and the merged Stats.
+func mustParallel(t testing.TB, opts Options, files map[string]string, workers int) (map[string]string, Stats) {
+	t.Helper()
+	res, err := ParallelCorpusContext(context.Background(), opts, files, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Fatalf("workers=%d: corpus not clean: failed %v, quarantined %v", workers, res.Failed(), res.Quarantined())
+	}
+	return res.Outputs(), res.Stats
+}
+
 func TestFacadeCorpusAndValidate(t *testing.T) {
 	n := netgen.Generate(netgen.Params{Seed: 900, Kind: netgen.Backbone, Routers: 20,
 		UseASPathAlternation: true, UseCommunityRegexps: true})
 	pre := n.RenderAll()
 	a := New(Options{Salt: []byte(n.Salt)})
-	post := a.Corpus(pre)
+	post := mustCorpus(t, a, pre)
 	if len(post) != len(pre) {
 		t.Fatalf("file count changed: %d -> %d", len(pre), len(post))
 	}
@@ -37,13 +67,13 @@ func TestFacadeLeaksAndAddRule(t *testing.T) {
 	files := map[string]string{
 		"r1": "router bgp 7018\nodd command with 7018 tail\n",
 	}
-	post := a.Corpus(files)
+	post := mustCorpus(t, a, files)
 	leaks := a.Leaks(post)
 	if len(leaks) == 0 {
 		t.Fatal("no leaks reported for a raw ASN")
 	}
 	a.AddRule(leaks[0].Tok)
-	post2 := a.Corpus(files)
+	post2 := mustCorpus(t, a, files)
 	if l2 := a.Leaks(post2); len(l2) != 0 {
 		t.Errorf("leak persisted after AddRule: %v", l2)
 	}
@@ -53,8 +83,8 @@ func TestFacadeFileEqualsCorpusSingle(t *testing.T) {
 	text := "interface Ethernet0\n ip address 12.1.2.3 255.255.255.0\n"
 	a1 := New(Options{Salt: []byte("k")})
 	a2 := New(Options{Salt: []byte("k")})
-	if a1.File(text) != a2.Corpus(map[string]string{"f": text})["f"] {
-		t.Error("File and single-file Corpus disagree")
+	if a1.File(text) != mustCorpus(t, a2, map[string]string{"f": text})["f"] {
+		t.Error("File and single-file CorpusContext disagree")
 	}
 }
 
@@ -159,7 +189,7 @@ func TestMappingPersistenceAcrossRuns(t *testing.T) {
 }
 
 func TestMixedDialectCorpus(t *testing.T) {
-	// One owner with both IOS and JunOS routers: a single Corpus call
+	// One owner with both IOS and JunOS routers: a single CorpusContext call
 	// anonymizes both dialects consistently, and validation handles the
 	// mixed parse automatically.
 	ios := netgen.Generate(netgen.Params{Seed: 1500, Kind: netgen.Backbone, Routers: 8})
@@ -172,7 +202,7 @@ func TestMixedDialectCorpus(t *testing.T) {
 		files[name] = text
 	}
 	a := New(Options{Salt: []byte("mixed")})
-	post := a.Corpus(files)
+	post := mustCorpus(t, a, files)
 	rep := Validate(files, post)
 	if !rep.OK() {
 		t.Errorf("mixed-dialect validation failed:\nsuite1: %v\nsuite2 pre: %s post: %s",

@@ -65,7 +65,7 @@ func TestEquivalenceSeed7001ClassfulCorner(t *testing.T) {
 	files := n.RenderAll()
 	pre := validate.ParseAll(files)
 	a := New(Options{Salt: []byte(n.Salt)})
-	post := validate.ParseAll(a.Corpus(files))
+	post := validate.ParseAll(mustCorpus(t, a, files))
 	if r2 := validate.Suite2(pre, post); !r2.OK() {
 		t.Errorf("seed-7001 design signature changed under anonymization:\npre:\n%s\npost:\n%s",
 			r2.PreSignature, r2.PostSignature)

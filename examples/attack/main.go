@@ -14,7 +14,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"confanon"
 	"confanon/internal/bench"
@@ -39,7 +41,11 @@ func main() {
 		})
 		pre := n.RenderAll()
 		a := confanon.New(confanon.Options{Salt: []byte(n.Salt)})
-		post := a.Corpus(pre)
+		res, err := a.CorpusContext(context.Background(), pre)
+		if err != nil || !res.Ok() {
+			log.Fatalf("anonymizing network %d: %v %v", i, err, res.Failed())
+		}
+		post := res.Outputs()
 
 		postCfg := validate.ParseAll(post)
 		art := bench.NetworkArtifacts{

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"confanon"
 	"confanon/internal/netgen"
@@ -42,7 +44,11 @@ func main() {
 		})
 		pre := n.RenderAll()
 		a := confanon.New(confanon.Options{Salt: []byte(n.Salt)})
-		post := a.Corpus(pre)
+		res, err := a.CorpusContext(context.Background(), pre)
+		if err != nil || !res.Ok() {
+			log.Fatalf("anonymizing network %d: %v %v", i, err, res.Failed())
+		}
+		post := res.Outputs()
 		rep := confanon.Validate(pre, post)
 		leaks := a.Leaks(post)
 		real, fps := 0, 0

@@ -9,8 +9,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 
@@ -42,7 +44,11 @@ func main() {
 
 	// Anonymize properly (hashed file names too), then upload.
 	a := confanon.New(confanon.Options{Salt: []byte(n.Salt)})
-	post1 := a.Corpus(raw)
+	res, err := a.CorpusContext(context.Background(), raw)
+	if err != nil || !res.Ok() {
+		log.Fatalf("anonymizing: %v %v", err, res.Failed())
+	}
+	post1 := res.Outputs()
 	anon := make(map[string]string, len(post1))
 	for name, text := range post1 {
 		anon[a.RenameFile(name)] = text

@@ -61,12 +61,12 @@ func diffGolden(t *testing.T, name, got, want string) {
 }
 
 // TestGoldenCorpus anonymizes the checked-in IOS+JunOS corpus under the
-// default (shaped-tree) scheme via Corpus and compares byte-for-byte.
+// default (shaped-tree) scheme via CorpusContext and compares byte-for-byte.
 func TestGoldenCorpus(t *testing.T) {
 	in := readGoldenDir(t, "testdata/golden/in")
 	want := readGoldenDir(t, "testdata/golden/want")
 	a := New(Options{Salt: []byte(goldenSalt)})
-	got := a.Corpus(in)
+	got := mustCorpus(t, a, in)
 	for name := range want {
 		diffGolden(t, name, got[name], want[name])
 	}
@@ -74,7 +74,7 @@ func TestGoldenCorpus(t *testing.T) {
 
 // TestGoldenStateless pins the stateless (Crypto-PAn) scheme with files
 // anonymized one at a time in name order — the exact contract the
-// streaming layer and ParallelCorpus promise to match.
+// streaming layer and the stateless ParallelCorpusContext promise to match.
 func TestGoldenStateless(t *testing.T) {
 	in := readGoldenDir(t, "testdata/golden/in")
 	want := readGoldenDir(t, "testdata/golden/want-stateless")

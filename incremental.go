@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/rulepack"
@@ -211,13 +209,42 @@ func (pl *incrPlan) needsEngine() bool {
 	return pl.mode == modeFull || (pl.mode == modePartial && pl.p < len(pl.lines))
 }
 
-// incrOut is one plan's outcome: the file result, its next-cache entry
-// (nil for failed files — a failed file is never half-cached), and the
-// line accounting for the summary.
+// incrOut is one plan's cache outcome: its next-cache entry and the
+// line accounting for the summary (unused for failed files — a failed
+// file is never half-cached).
 type incrOut struct {
-	res               FileResult
 	fc                *FileCache
 	reused, rewritten int
+}
+
+// run executes one plan on wk. Cache-served plans (a content-hash match,
+// or a new content that is a pure prefix of the cached file) assemble
+// their output from the cache without touching the engine; the rest run
+// the engine in full, or resume it at the first divergent line.
+func (pl *incrPlan) run(wk *anonymizer.Anonymizer, text string) (FileResult, incrOut) {
+	if !pl.needsEngine() {
+		fc := pl.fc
+		if pl.mode == modePartial { // pure-prefix shrink: trim the cache
+			fc = &FileCache{Sum: pl.sum, Lines: pl.fc.Lines[:pl.p]}
+		}
+		return FileResult{Name: pl.name, Status: FileOK, Text: fc.text()}, incrOut{fc: fc, reused: len(fc.Lines)}
+	}
+	if pl.mode == modeFull {
+		out, recs, ferr := wk.SafeAnonymizeRecorded(pl.name, text)
+		if ferr != nil {
+			return FileResult{Name: pl.name, Status: FileFailed, Err: ferr}, incrOut{}
+		}
+		return FileResult{Name: pl.name, Status: FileOK, Text: out},
+			incrOut{fc: &FileCache{Sum: pl.sum, Lines: toLineCaches(recs)}, rewritten: len(recs)}
+	}
+	tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
+	if ferr != nil {
+		return FileResult{Name: pl.name, Status: FileFailed, Err: ferr}, incrOut{}
+	}
+	lines := append(append([]LineCache(nil), pl.fc.Lines[:pl.p]...), toLineCaches(tailRecs)...)
+	out := anonymizer.JoinOutputs(append(pl.fc.prefixOutputs(pl.p), tailOuts...))
+	return FileResult{Name: pl.name, Status: FileOK, Text: out},
+		incrOut{fc: &FileCache{Sum: pl.sum, Lines: lines}, reused: pl.p, rewritten: len(tailRecs)}
 }
 
 // IncrementalCorpusContext anonymizes a corpus like
@@ -249,30 +276,18 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 	usable := prior != nil && prior.Schema == CorpusCacheSchema &&
 		prior.SaltFP == saltFP && prior.OptsFP == optsFP
 
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	res := &CorpusResult{
-		Files:       make(map[string]FileResult, len(files)),
-		Incremental: &IncrementalSummary{CacheInvalidated: prior != nil && !usable},
-	}
+	names := sortedNames(files)
+	run := a.beginCorpus("incremental-corpus", len(files), workers)
+	res := run.res
+	res.Incremental = &IncrementalSummary{CacheInvalidated: prior != nil && !usable}
 	next := &CorpusCache{
 		Schema: CorpusCacheSchema,
 		SaltFP: saltFP,
 		OptsFP: optsFP,
 		Files:  make(map[string]*FileCache, len(files)),
 	}
-	sp := a.traceCorpus("incremental-corpus", len(files), workers)
 	finish := func(err error) (*CorpusResult, *CorpusCache, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
+		res, err := run.finish(err)
 		return res, next, err
 	}
 
@@ -319,108 +334,36 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 		}
 	}
 	if !a.prog.opts.StatelessIP && len(engineNames) > 0 {
-		if err := a.censusReplay(ctx, engineNames, files, workers, res, sp); err != nil {
+		if err := run.censusReplay(ctx, engineNames, files, workers); err != nil {
 			return finish(err)
 		}
 	}
 
-	// Dispatch: cache-served plans are assembled inline (no engine, no
-	// worker); engine plans run on the worker pool. Each slot of outs is
-	// written by exactly one goroutine.
-	outs := make([]*incrOut, len(plans))
+	// Run every plan the census did not fail on the shared worker pool,
+	// then gate in sorted order (rewriteAndGate) — cache-served files are
+	// re-gated too, so quarantine decisions are never stale. Each slot
+	// of outs is written by exactly one goroutine.
 	var work []int
 	for i := range plans {
-		pl := &plans[i]
-		if _, failed := res.Files[pl.name]; failed { // census already failed it
-			continue
+		if _, failed := res.Files[plans[i].name]; !failed {
+			work = append(work, i)
 		}
-		if !pl.needsEngine() {
-			fc := pl.fc
-			if pl.mode == modePartial { // pure-prefix shrink: trim the cache, no engine work
-				fc = &FileCache{Sum: pl.sum, Lines: pl.fc.Lines[:pl.p]}
-			}
-			outs[i] = &incrOut{
-				res:    FileResult{Name: pl.name, Status: FileOK, Text: fc.text()},
-				fc:     fc,
-				reused: len(fc.Lines),
-			}
-			continue
-		}
-		work = append(work, i)
 	}
-	workCh := make(chan int, len(work))
-	for _, i := range work {
-		workCh <- i
-	}
-	close(workCh)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk := a.sess.Acquire()
-			defer a.sess.Release(wk)
-			wk.SetCorpusSpan(spanID(sp))
-			for i := range workCh {
-				if ctx.Err() != nil {
-					break
-				}
-				pl := &plans[i]
-				if pl.mode == modeFull {
-					out, recs, ferr := wk.SafeAnonymizeRecorded(pl.name, files[pl.name])
-					if ferr != nil {
-						outs[i] = &incrOut{res: FileResult{Name: pl.name, Status: FileFailed, Err: ferr}}
-						continue
-					}
-					outs[i] = &incrOut{
-						res:       FileResult{Name: pl.name, Status: FileOK, Text: out},
-						fc:        &FileCache{Sum: pl.sum, Lines: toLineCaches(recs)},
-						rewritten: len(recs),
-					}
-					continue
-				}
-				tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
-				if ferr != nil {
-					outs[i] = &incrOut{res: FileResult{Name: pl.name, Status: FileFailed, Err: ferr}}
-					continue
-				}
-				lines := append(append([]LineCache(nil), pl.fc.Lines[:pl.p]...), toLineCaches(tailRecs)...)
-				outs[i] = &incrOut{
-					res:       FileResult{Name: pl.name, Status: FileOK, Text: anonymizer.JoinOutputs(append(pl.fc.prefixOutputs(pl.p), tailOuts...))},
-					fc:        &FileCache{Sum: pl.sum, Lines: lines},
-					reused:    pl.p,
-					rewritten: len(tailRecs),
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	outs := make([]incrOut, len(work))
+	results := run.rewriteAndGate(ctx, len(work), workers, func(wk *anonymizer.Anonymizer, k int) FileResult {
+		pl := &plans[work[k]]
+		r, o := pl.run(wk, files[pl.name])
+		outs[k] = o
+		return r
+	})
 
-	// Gate and account in sorted order after every worker has published
-	// its recorder entries — the same deterministic-quarantine protocol
-	// as ParallelCorpusContext, applied to cache-served files too.
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for i := range plans {
-		o := outs[i]
-		if o == nil { // census-failed (already recorded) or cancelled before start
-			continue
-		}
-		pl := &plans[i]
-		r := o.res
-		if a.strict && r.Status == FileOK {
-			if leaks := confirmedLeaks(wk.LeakReport(r.Text)); len(leaks) > 0 {
-				r = FileResult{Name: pl.name, Status: FileQuarantined, Leaks: leaks}
-			}
-		}
-		res.Files[pl.name] = r
-		a.batch.countFile(r.Status)
-		if r.Status == FileFailed {
-			continue // a failed file is dropped from the next cache
+	for k, r := range results {
+		if r == nil || r.Status == FileFailed {
+			continue // cancelled before start, or dropped from the next cache
 		}
 		// Quarantined files keep their cache entry: the lines are valid,
 		// only emission was withheld.
+		pl, o := &plans[work[k]], outs[k]
 		next.Files[pl.name] = o.fc
 		switch pl.mode {
 		case modeReuse:

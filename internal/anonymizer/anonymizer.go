@@ -119,12 +119,12 @@ type Anonymizer struct {
 	sensitiveTokens map[string]bool
 }
 
-// New creates a single-worker Session for one owner salt and returns its
-// bound worker — the convenience constructor for serial use. Callers
-// that share one mapping across goroutines should Compile a Program,
-// derive a Session, and Acquire workers instead.
+// New creates a Session for one owner salt and returns a worker acquired
+// from it — the convenience constructor for serial use. Callers that
+// share one mapping across goroutines should Compile a Program, derive a
+// Session, and Acquire a worker per goroutine instead.
 func New(opts Options) *Anonymizer {
-	return Compile(opts).NewSession().Bind()
+	return Compile(opts).NewSession().Acquire()
 }
 
 // Session returns the Session this worker reconciles into.

@@ -151,11 +151,6 @@ func (s *Session) Release(a *Anonymizer) {
 	s.pool.Put(a)
 }
 
-// Bind returns a dedicated worker that is never pooled: the single-
-// goroutine convenience handle New() exposes. Its state still reconciles
-// into the Session at every file boundary.
-func (s *Session) Bind() *Anonymizer { return s.Acquire() }
-
 func (s *Session) newWorker() *Anonymizer {
 	a := &Anonymizer{
 		prog:            s.prog,
@@ -340,8 +335,7 @@ func (s *Session) RestoreState(st store.State) error {
 // SaveMapping serializes the complete mutable Session state — the IP
 // mapping in insertion order, the leak-recorder maps, the sensitive
 // tokens, the declared relations — as a versioned confanon.mapping/v1
-// blob. An empty session snapshots nil. (Earlier releases saved a
-// tree-only "ipa1" binary; LoadMapping still accepts those.)
+// blob. An empty session snapshots nil.
 func (s *Session) SaveMapping() []byte {
 	st := s.CaptureState()
 	if st.Empty() {
@@ -356,33 +350,24 @@ func (s *Session) SaveMapping() []byte {
 	return blob
 }
 
-// LoadMapping restores a SaveMapping snapshot — either the current
-// confanon.mapping/v1 state capture or a legacy tree-only "ipa1" blob.
-// Call before any anonymization, with the same salt: the replayed pairs
-// are verified against this Session's mapping, so a wrong-salt snapshot
-// is rejected, not silently diverged from.
+// LoadMapping restores a SaveMapping snapshot (a confanon.mapping/v1
+// state capture). Call before any anonymization, with the same salt: the
+// replayed pairs are verified against this Session's mapping, so a
+// wrong-salt snapshot is rejected, not silently diverged from. Any other
+// format — including the tree-only "ipa1" blobs of early releases — is
+// rejected with store.ErrSchema.
 func (s *Session) LoadMapping(snapshot []byte) error {
 	if len(snapshot) == 0 {
 		return nil
 	}
-	if store.IsStateBlob(snapshot) {
-		st, fp, err := store.DecodeState(snapshot)
-		if err != nil {
-			return err
-		}
-		if fp != "" && fp != s.saltFP() {
-			return fmt.Errorf("anonymizer: %w", store.ErrSaltMismatch)
-		}
-		return s.RestoreState(st)
-	}
-	t, err := ipanon.Load(snapshot)
+	st, fp, err := store.DecodeState(snapshot)
 	if err != nil {
 		return err
 	}
-	s.ipMu.Lock()
-	s.ip = t
-	s.ipMu.Unlock()
-	return nil
+	if fp != "" && fp != s.saltFP() {
+		return fmt.Errorf("anonymizer: %w", store.ErrSaltMismatch)
+	}
+	return s.RestoreState(st)
 }
 
 // SetLedger attaches a durable mapping ledger: from now on every clean

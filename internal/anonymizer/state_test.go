@@ -1,11 +1,11 @@
 package anonymizer
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
-	"confanon/internal/ipanon"
 	"confanon/internal/store"
 )
 
@@ -112,21 +112,22 @@ func TestSaveMappingRoundTripsLeakGating(t *testing.T) {
 	}
 }
 
-func TestLoadMappingAcceptsLegacyBlob(t *testing.T) {
+// TestLoadMappingRejectsLegacyBlob: the tree-only "ipa1" snapshot of
+// early releases keyed its tree by the salt stored in the blob (in
+// cleartext), so accepting one would install a mapping under whatever
+// salt it named. It must be rejected and leave the Session untouched.
+func TestLoadMappingRejectsLegacyBlob(t *testing.T) {
+	// The legacy layout: "ipa1", flags (class, subnet, special), salt
+	// length, the salt, and a zero pair count.
+	legacy := []byte("ipa1\x07\x0aother-salt\x00\x00\x00\x00")
 	salt := []byte("legacy-salt")
-	tree := ipanon.NewTree(ipanon.DefaultOptions(salt))
-	tree.MapV4(0x01010101)
-	tree.MapV4(0x02020202)
-	legacy := tree.Save()
-	if store.IsStateBlob(legacy) {
-		t.Fatalf("fixture: legacy blob sniffed as state blob")
-	}
 	a := New(Options{Salt: salt})
-	if err := a.LoadMapping(legacy); err != nil {
-		t.Fatalf("LoadMapping(legacy): %v", err)
+	err := a.LoadMapping(legacy)
+	if !errors.Is(err, store.ErrSchema) {
+		t.Fatalf("LoadMapping(ipa1 blob) err = %v, want store.ErrSchema", err)
 	}
-	if got, want := a.MapIP(0x01010101), tree.MapV4(0x01010101); got != want {
-		t.Errorf("legacy mapping not honored: got %08x want %08x", got, want)
+	if got, want := a.MapIP(0x01010101), New(Options{Salt: salt}).MapIP(0x01010101); got != want {
+		t.Errorf("rejected blob changed the mapping: got %08x want %08x", got, want)
 	}
 }
 
@@ -206,7 +207,7 @@ func TestSessionLedgerCommitsAtCleanBoundaries(t *testing.T) {
 	if err := replicaSess.RestoreState(led2.State()); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
-	replica := replicaSess.Bind() // bind after restore so the worker sees the replayed mapper
+	replica := replicaSess.Acquire() // acquire after restore so the worker sees the replayed mapper
 	next := strings.Replace(followup, "3.3.3.3", "4.4.4.4", 1)
 	want, ferr := a.SafeAnonymizeText("f3", next)
 	if ferr != nil {

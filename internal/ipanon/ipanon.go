@@ -28,7 +28,6 @@ import (
 	"crypto/cipher"
 	"crypto/sha1"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -141,7 +140,7 @@ type node struct {
 type Tree struct {
 	opts Options
 	// mu guards first-time resolution: the node walk (rawMap), the
-	// insertion log, the prf buffer, and Save. Resolved addresses are
+	// insertion log, and the prf buffer. Resolved addresses are
 	// answered from seen without taking it.
 	mu   sync.Mutex
 	root *node
@@ -443,79 +442,6 @@ type Pair struct{ In, Out uint32 }
 // String renders the pair in dotted-quad form.
 func (p Pair) String() string {
 	return fmt.Sprintf("%s -> %s", token.FormatIPv4(p.In), token.FormatIPv4(p.Out))
-}
-
-// Save serializes the tree's options and resolved mapping, in insertion
-// order, so a later run can anonymize additional configs consistently.
-func (t *Tree) Save() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	buf := make([]byte, 0, 16+8*len(t.order))
-	buf = append(buf, 'i', 'p', 'a', '1')
-	var flags byte
-	if t.opts.ClassPreserving {
-		flags |= 1
-	}
-	if t.opts.SubnetPreserving {
-		flags |= 2
-	}
-	if t.opts.PassSpecial {
-		flags |= 4
-	}
-	buf = append(buf, flags, byte(len(t.opts.Salt)))
-	buf = append(buf, t.opts.Salt...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(t.order)))
-	buf = append(buf, n[:]...)
-	for _, p := range t.order {
-		var rec [8]byte
-		binary.BigEndian.PutUint32(rec[:4], p.In)
-		binary.BigEndian.PutUint32(rec[4:], p.Out)
-		buf = append(buf, rec[:]...)
-	}
-	return buf
-}
-
-// ErrBadSnapshot is returned by Load for malformed snapshots.
-var ErrBadSnapshot = errors.New("ipanon: malformed snapshot")
-
-// Load reconstructs a tree from a Save snapshot. The resolved pairs are
-// replayed through a fresh tree in their original insertion order; because
-// the tree's random bits are a deterministic function of the salt and the
-// shaping rules of insertion order, the replayed tree reproduces the saved
-// mapping exactly (each replayed pair is verified) and new addresses
-// continue to map consistently with the old ones.
-func Load(snapshot []byte) (*Tree, error) {
-	if len(snapshot) < 10 || string(snapshot[:4]) != "ipa1" {
-		return nil, ErrBadSnapshot
-	}
-	flags := snapshot[4]
-	saltLen := int(snapshot[5])
-	if len(snapshot) < 10+saltLen {
-		return nil, ErrBadSnapshot
-	}
-	salt := append([]byte(nil), snapshot[6:6+saltLen]...)
-	rest := snapshot[6+saltLen:]
-	count := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if len(rest) != 8*count {
-		return nil, ErrBadSnapshot
-	}
-	t := NewTree(Options{
-		Salt:             salt,
-		ClassPreserving:  flags&1 != 0,
-		SubnetPreserving: flags&2 != 0,
-		PassSpecial:      flags&4 != 0,
-	})
-	for i := 0; i < count; i++ {
-		in := binary.BigEndian.Uint32(rest[8*i:])
-		out := binary.BigEndian.Uint32(rest[8*i+4:])
-		if got := t.MapV4(in); got != out {
-			return nil, fmt.Errorf("ipanon: snapshot replay mismatch for %s: got %s want %s",
-				token.FormatIPv4(in), token.FormatIPv4(got), token.FormatIPv4(out))
-		}
-	}
-	return t, nil
 }
 
 // CryptoPAn is the cryptography-based prefix-preserving scheme of Xu et

@@ -47,9 +47,9 @@ func TestPackParallelByteIdentity(t *testing.T) {
 	}
 	opts := Options{Salt: []byte(n.Salt), RulePacks: []*RulePack{mac, eos}}
 
-	serial := New(opts).Corpus(files)
+	serial := mustCorpus(t, New(opts), files)
 	for _, workers := range []int{1, 4, 8} {
-		par, _ := ParallelCorpus(opts, files, workers)
+		par, _ := mustParallel(t, opts, files, workers)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d files, want %d", workers, len(par), len(serial))
 		}

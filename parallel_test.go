@@ -3,7 +3,9 @@ package confanon
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"confanon/internal/netgen"
@@ -19,7 +21,7 @@ func TestParallelCorpusMatchesSequential(t *testing.T) {
 	for name, text := range files {
 		want[name] = seq.File(text)
 	}
-	got, stats := ParallelCorpus(opts, files, 4)
+	got, stats := mustParallel(t, opts, files, 4)
 	if len(got) != len(want) {
 		t.Fatalf("file count %d != %d", len(got), len(want))
 	}
@@ -40,7 +42,7 @@ func TestParallelCorpusCrossWorkerConsistency(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		files[string(rune('a'+i))] = "interface Ethernet0\n ip address 12.9.9.9 255.255.255.0\n"
 	}
-	out, _ := ParallelCorpus(Options{Salt: []byte("p")}, files, 8)
+	out, _ := mustParallel(t, Options{Salt: []byte("p")}, files, 8)
 	var first string
 	for _, text := range out {
 		if first == "" {
@@ -58,7 +60,7 @@ func TestParallelCorpusValidates(t *testing.T) {
 	files := n.RenderAll()
 	// Default options: the shaped tree, running through the parallel
 	// census/replay pipeline.
-	post, _ := ParallelCorpus(Options{Salt: []byte(n.Salt)}, files, runtime.NumCPU())
+	post, _ := mustParallel(t, Options{Salt: []byte(n.Salt)}, files, runtime.NumCPU())
 	rep := Validate(files, post)
 	if len(rep.Suite1) != 0 {
 		t.Errorf("suite 1 failed under parallel shaped run: %v", rep.Suite1)
@@ -155,7 +157,7 @@ func BenchmarkParallelCorpus(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ParallelCorpus(opts, files, workers)
+				mustParallel(b, opts, files, workers)
 			}
 			b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 		})
@@ -175,9 +177,54 @@ func BenchmarkParallelShapedTree(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ParallelCorpus(opts, files, workers)
+				mustParallel(b, opts, files, workers)
 			}
 			b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 		})
+	}
+}
+
+// TestParallelStrictGateSameAtAnyWorkerCount: -strict gates every file
+// against the values recorded from the whole corpus, so the quarantine
+// set cannot depend on the worker count or on which driver entry point
+// ran the corpus. The corpus is an ASN collision: b-confg peers with the
+// AS that 701 (a-confg's peer) anonymizes to, so a-confg's output carries
+// a value recorded from b-confg and must be quarantined — including when
+// a-confg is rewritten before b-confg has been seen.
+func TestParallelStrictGateSameAtAnyWorkerCount(t *testing.T) {
+	opts := Options{Salt: []byte("gate"), Strict: true}
+	probe, err := New(Options{Salt: opts.Salt}).CorpusContext(context.Background(),
+		map[string]string{"p": "router bgp 65001\n neighbor 12.1.1.1 remote-as 701\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := strings.Fields(strings.Split(probe.Files["p"].Text, "\n")[1])[3]
+	if image == "701" {
+		t.Fatalf("fixture: 701 maps to itself under this salt")
+	}
+	files := map[string]string{
+		"a-confg": "router bgp 65001\n neighbor 12.1.1.1 remote-as 701\n",
+		"b-confg": "router bgp 65002\n neighbor 12.2.2.2 remote-as " + image + "\n",
+	}
+
+	serial, err := New(opts).CorpusContext(context.Background(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Quarantined()
+	if len(want) != 1 || want[0] != "a-confg" {
+		t.Fatalf("CorpusContext quarantined %v, want [a-confg]", want)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		res, err := ParallelCorpusContext(context.Background(), opts, files, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Quarantined(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: quarantined %v, want %v", workers, got, want)
+		}
+		if got, wantText := res.Files["b-confg"].Text, serial.Files["b-confg"].Text; got != wantText {
+			t.Errorf("workers=%d: published b-confg differs from CorpusContext", workers)
+		}
 	}
 }

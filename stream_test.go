@@ -2,6 +2,7 @@ package confanon
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sort"
 	"strings"
@@ -80,7 +81,7 @@ func TestStreamCorpus(t *testing.T) {
 	outs := make(map[string]*closeBuffer)
 	i := 0
 	a := New(Options{Salt: []byte(goldenSalt), StatelessIP: true})
-	err := a.StreamCorpus(
+	ferrs, err := a.StreamCorpusContext(context.Background(),
 		func() (string, io.Reader, error) {
 			if i >= len(names) {
 				return "", nil, io.EOF
@@ -96,6 +97,9 @@ func TestStreamCorpus(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ferrs) != 0 {
+		t.Fatalf("per-file failures: %v", ferrs)
 	}
 	if len(outs) != len(in) {
 		t.Fatalf("visited %d files, want %d", len(outs), len(in))
@@ -116,7 +120,7 @@ func TestStreamCorpus(t *testing.T) {
 // counters were added.
 func TestParallelCorpusStatsMerged(t *testing.T) {
 	in := readGoldenDir(t, "testdata/golden/in")
-	out, stats := ParallelCorpus(Options{Salt: []byte(goldenSalt)}, in, 4)
+	out, stats := mustParallel(t, Options{Salt: []byte(goldenSalt)}, in, 4)
 	if len(out) != len(in) {
 		t.Fatalf("got %d outputs, want %d", len(out), len(in))
 	}

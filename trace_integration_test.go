@@ -23,7 +23,11 @@ import (
 // the output in any mode or at any worker count.
 func TestTracedRunOutputByteIdentical(t *testing.T) {
 	in := readGoldenDir(t, "testdata/golden/in")
-	want, _ := ParallelCorpus(Options{Salt: []byte(goldenSalt)}, in, 1)
+	ref, err := ParallelCorpusContext(context.Background(), Options{Salt: []byte(goldenSalt)}, in, 1)
+	if err != nil || !ref.Ok() {
+		t.Fatalf("untraced reference run: err %v, failed %v", err, ref.Failed())
+	}
+	want := ref.Outputs()
 
 	for _, workers := range []int{1, 4, 8} {
 		tr := NewTracer()
