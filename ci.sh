@@ -36,13 +36,14 @@ go test -race ./internal/metrics ./internal/trace ./internal/store ./internal/ru
 # the session worker pool and rewrite memo, the portal's per-salt
 # sessions, the mapping ledger's append/commit serialization, and the
 # job queue's worker pool — run twice under the race detector so
-# scheduling varies. The chaos pass includes the restart-mid-job test:
-# the portal is killed on both sides of a ledger commit and must resume
-# to byte-identical output.
+# scheduling varies. The first line runs every test in the jobs and
+# portal packages: the restart-mid-job chaos test (the portal is killed
+# on both sides of a ledger commit and must resume to byte-identical
+# output), the drain and readiness tests, and the strict-gate test that
+# pins a job's quarantine set to the synchronous upload's.
 echo "== concurrency gauntlet: go test -race -count=2 (ipanon, anonymizer, store, jobs, portal, bench, parallel batch)"
 go test -race -count=2 ./internal/ipanon ./internal/anonymizer ./internal/store ./internal/jobs ./internal/portal ./internal/bench
 go test -race -count=2 -run 'Parallel|Chaos|Session|Trace|Store|Incremental|Equivalence' .
-go test -race -count=2 -run 'Jobs|Queue|Chaos|Readyz|Drain' ./internal/jobs ./internal/portal
 
 echo "== go test -race -cover ./... $*"
 go test -race -coverprofile=coverage.out "$@" ./...

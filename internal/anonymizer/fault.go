@@ -132,10 +132,6 @@ func (a *Anonymizer) SafeStreamText(name string, r io.Reader, w io.Writer) (ferr
 	return nil
 }
 
-// CurrentLine reports the 1-based line the engine is processing (0
-// outside a file). Exposed for the confanon batch layer's own recovery.
-func (a *Anonymizer) CurrentLine() int { return a.curLine }
-
 // SnapshotStats returns a deep copy of the current statistics. Paired
 // with RestoreStats it lets the batch layer roll back a file whose
 // failure lies outside the engine (a sink that fails on close after a

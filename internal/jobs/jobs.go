@@ -95,7 +95,8 @@ type Spec struct {
 	RulePacks []string
 }
 
-// Progress is a job's live file accounting.
+// Progress is a job's file accounting: FilesTotal from submission, the
+// rest as the runner's Result reports them at completion.
 type Progress struct {
 	FilesTotal       int `json:"files_total"`
 	FilesDone        int `json:"files_done"`
@@ -107,17 +108,14 @@ type Progress struct {
 // non-empty means the corpus was processed but is unpublishable
 // (fail-closed: the job is marked failed and nothing was stored).
 type Result struct {
-	DatasetID   string
-	OwnerToken  string
-	Problems    []string
-	Progress    Progress
-	FileRetries int
+	DatasetID  string
+	OwnerToken string
+	Problems   []string
+	Progress   Progress
 }
 
 // Callbacks are the hooks a runner reports through while it works.
 type Callbacks struct {
-	// Progress publishes a progress snapshot (may be nil).
-	Progress func(Progress)
 	// Span is the job's root span, nil when no tracer is wired; runners
 	// hang per-file child spans off it via Tracer.
 	Span   *trace.Span
@@ -202,21 +200,20 @@ var ErrNotFound = errors.New("jobs: no such job")
 // state. Token authenticates status queries and cancellation; the portal
 // compares it in constant time and never serializes it back out.
 type Snapshot struct {
-	ID          string
-	Token       string
-	Owner       string
-	Label       string
-	State       State
-	Submitted   time.Time
-	Started     time.Time
-	Finished    time.Time
-	Progress    Progress
-	Attempts    int
-	FileRetries int
-	Err         string
-	Problems    []string
-	DatasetID   string
-	OwnerToken  string
+	ID         string
+	Token      string
+	Owner      string
+	Label      string
+	State      State
+	Submitted  time.Time
+	Started    time.Time
+	Finished   time.Time
+	Progress   Progress
+	Attempts   int
+	Err        string
+	Problems   []string
+	DatasetID  string
+	OwnerToken string
 }
 
 // job is the internal mutable record; every field is guarded by Queue.mu.
@@ -241,7 +238,6 @@ type queueMetrics struct {
 	running   *metrics.Gauge
 	wait      *metrics.Histogram
 	run       *metrics.Histogram
-	retries   *metrics.Counter
 	resumed   *metrics.Counter
 }
 
@@ -262,8 +258,6 @@ func newQueueMetrics(reg *metrics.Registry) *queueMetrics {
 			"queue wait from submission to start", buckets...),
 		run: reg.Histogram("confanon_jobs_run_seconds",
 			"job execution time", buckets...),
-		retries: reg.Counter("confanon_jobs_file_retries_total",
-			"per-file retry attempts across all jobs"),
 		resumed: reg.Counter("confanon_jobs_resumed_total",
 			"persisted jobs re-queued at startup"),
 	}
@@ -601,17 +595,8 @@ func (q *Queue) runOne(id string) {
 			sp.SetAttr("label", spec.Label)
 		}
 	}
-	cb := Callbacks{
-		Span:   sp,
-		Tracer: q.cfg.Tracer,
-		Progress: func(p Progress) {
-			q.mu.Lock()
-			j.Progress = p
-			q.mu.Unlock()
-		},
-	}
 	start := time.Now()
-	res, err := q.run(jctx, cb, spec)
+	res, err := q.run(jctx, Callbacks{Span: sp, Tracer: q.cfg.Tracer}, spec)
 	elapsed := time.Since(start)
 
 	q.mu.Lock()
@@ -638,10 +623,6 @@ func (q *Queue) runOne(id string) {
 	default:
 		q.observeRunLocked(elapsed)
 		j.Progress = res.Progress
-		j.FileRetries = res.FileRetries
-		if q.m != nil && res.FileRetries > 0 {
-			q.m.retries.Add(int64(res.FileRetries))
-		}
 		if len(res.Problems) > 0 {
 			q.finalizeLocked(j, StateFailed, "corpus not publishable", res.Problems)
 		} else {
@@ -777,25 +758,24 @@ func (q *Queue) stop() {
 // record is the on-disk job form. Live states keep the spec (salt and
 // files — the resume payload); terminal states shed it.
 type record struct {
-	Schema      string            `json:"schema"`
-	ID          string            `json:"id"`
-	Token       string            `json:"token"`
-	Owner       string            `json:"owner"`
-	Label       string            `json:"label,omitempty"`
-	State       State             `json:"state"`
-	Submitted   time.Time         `json:"submitted"`
-	Started     time.Time         `json:"started,omitempty"`
-	Finished    time.Time         `json:"finished,omitempty"`
-	Progress    Progress          `json:"progress"`
-	Attempts    int               `json:"attempts"`
-	FileRetries int               `json:"file_retries,omitempty"`
-	Err         string            `json:"err,omitempty"`
-	Problems    []string          `json:"problems,omitempty"`
-	DatasetID   string            `json:"dataset_id,omitempty"`
-	OwnerToken  string            `json:"owner_token,omitempty"`
-	Salt        []byte            `json:"salt,omitempty"`
-	Files       map[string]string `json:"files,omitempty"`
-	RulePacks   []string          `json:"rule_packs,omitempty"`
+	Schema     string            `json:"schema"`
+	ID         string            `json:"id"`
+	Token      string            `json:"token"`
+	Owner      string            `json:"owner"`
+	Label      string            `json:"label,omitempty"`
+	State      State             `json:"state"`
+	Submitted  time.Time         `json:"submitted"`
+	Started    time.Time         `json:"started,omitempty"`
+	Finished   time.Time         `json:"finished,omitempty"`
+	Progress   Progress          `json:"progress"`
+	Attempts   int               `json:"attempts"`
+	Err        string            `json:"err,omitempty"`
+	Problems   []string          `json:"problems,omitempty"`
+	DatasetID  string            `json:"dataset_id,omitempty"`
+	OwnerToken string            `json:"owner_token,omitempty"`
+	Salt       []byte            `json:"salt,omitempty"`
+	Files      map[string]string `json:"files,omitempty"`
+	RulePacks  []string          `json:"rule_packs,omitempty"`
 }
 
 func (q *Queue) recordPath(id string) string {
@@ -811,25 +791,24 @@ func (q *Queue) persistLocked(j *job) error {
 		return nil
 	}
 	rec := record{
-		Schema:      RecordSchema,
-		ID:          j.ID,
-		Token:       j.Token,
-		Owner:       j.Owner,
-		Label:       j.Label,
-		State:       j.State,
-		Submitted:   j.Submitted,
-		Started:     j.Started,
-		Finished:    j.Finished,
-		Progress:    j.Progress,
-		Attempts:    j.Attempts,
-		FileRetries: j.FileRetries,
-		Err:         j.Err,
-		Problems:    j.Problems,
-		DatasetID:   j.DatasetID,
-		OwnerToken:  j.OwnerToken,
-		Salt:        j.spec.Salt,
-		Files:       j.spec.Files,
-		RulePacks:   j.spec.RulePacks,
+		Schema:     RecordSchema,
+		ID:         j.ID,
+		Token:      j.Token,
+		Owner:      j.Owner,
+		Label:      j.Label,
+		State:      j.State,
+		Submitted:  j.Submitted,
+		Started:    j.Started,
+		Finished:   j.Finished,
+		Progress:   j.Progress,
+		Attempts:   j.Attempts,
+		Err:        j.Err,
+		Problems:   j.Problems,
+		DatasetID:  j.DatasetID,
+		OwnerToken: j.OwnerToken,
+		Salt:       j.spec.Salt,
+		Files:      j.spec.Files,
+		RulePacks:  j.spec.RulePacks,
 	}
 	blob, err := json.Marshal(rec)
 	if err != nil {
@@ -874,7 +853,7 @@ func (q *Queue) load() ([]*job, error) {
 				ID: rec.ID, Token: rec.Token, Owner: rec.Owner, Label: rec.Label,
 				State: rec.State, Submitted: rec.Submitted, Started: rec.Started,
 				Finished: rec.Finished, Progress: rec.Progress, Attempts: rec.Attempts,
-				FileRetries: rec.FileRetries, Err: rec.Err, Problems: rec.Problems,
+				Err: rec.Err, Problems: rec.Problems,
 				DatasetID: rec.DatasetID, OwnerToken: rec.OwnerToken,
 			},
 			spec: Spec{Owner: rec.Owner, Label: rec.Label, Salt: rec.Salt, Files: rec.Files, RulePacks: rec.RulePacks},

@@ -28,9 +28,6 @@ func testSpec(owner string) Spec {
 
 // okRunner completes instantly with a dataset id derived from the label.
 func okRunner(ctx context.Context, cb Callbacks, spec Spec) (*Result, error) {
-	if cb.Progress != nil {
-		cb.Progress(Progress{FilesTotal: len(spec.Files), FilesDone: len(spec.Files)})
-	}
 	return &Result{
 		DatasetID:  "ds-" + spec.Label,
 		OwnerToken: "tok-" + spec.Label,
@@ -473,9 +470,7 @@ func TestMetricsAndSpans(t *testing.T) {
 			t.Error("runner callbacks missing span/tracer")
 		}
 		cb.Tracer.RecordSpan(trace.KindFile, "r1.conf", cb.Span.ID, cb.Tracer.Now(), 1, trace.StatusOK)
-		r, _ := okRunner(ctx, cb, spec)
-		r.FileRetries = 3
-		return r, nil
+		return okRunner(ctx, cb, spec)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +488,6 @@ func TestMetricsAndSpans(t *testing.T) {
 	for _, want := range []string{
 		`confanon_jobs_submitted_total 1`,
 		`confanon_jobs_finished_total{state="done"} 1`,
-		`confanon_jobs_file_retries_total 3`,
 		`confanon_jobs_queue_depth 0`,
 		`confanon_jobs_running 0`,
 	} {

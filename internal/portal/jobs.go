@@ -5,25 +5,22 @@ package portal
 // job semantics the paper's §7 clearinghouse needs at carrier scale.
 // POST /jobs enqueues a raw corpus for server-side anonymization and
 // returns immediately with a job id and a secret job token;
-// GET /jobs/{id} reports status and per-file progress; DELETE /jobs/{id}
+// GET /jobs/{id} reports status and file counts; DELETE /jobs/{id}
 // cancels. The queue (internal/jobs) bounds workers and queue depth,
 // enforces per-owner quotas and rates, and persists every job durably
 // before acknowledging it — a killed portal resumes unfinished jobs at
 // the next start, and the per-owner mapping ledger guarantees the re-run
 // is byte-identical to an uninterrupted one.
 //
-// The job runner processes the corpus in fixed-size sorted chunks
-// through the owner's shared Session, so progress advances per chunk and
-// the Session's ledger commits land at clean file boundaries throughout
-// the run — the checkpoints a crash recovers to. Failed files are
-// retried with jittered backoff before they are declared problems; the
-// portal cannot distinguish a transient fault from a deterministic one,
-// so it retries optimistically within a small bounded budget.
+// The job runner is the synchronous publish path (publishRaw) run from a
+// queue worker: one whole-corpus run through the owner's shared Session,
+// so a job publishes — or withholds — exactly what POST /datasets/raw
+// would for the same salt and corpus, at any corpus size. The Session's
+// ledger commits land at every clean file boundary during the run — the
+// checkpoints a crash recovers to.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"net/http"
@@ -32,20 +29,10 @@ import (
 	"strconv"
 	"time"
 
+	"confanon"
 	"confanon/internal/jobs"
-	"confanon/internal/retry"
 	"confanon/internal/trace"
 )
-
-// jobChunkFiles is how many files one job processes per Session run: the
-// progress/checkpoint granularity. Small enough that a crash loses
-// little uncommitted work, large enough to keep the parallel workers fed.
-const jobChunkFiles = 8
-
-// fileRetryPolicy bounds the per-file re-attempts inside a job. Jittered
-// so a burst of simultaneous failures does not retry in lockstep.
-var fileRetryPolicy = retry.Policy{Attempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second,
-	Classify: func(error) bool { return true }}
 
 // SetTracer wires a span tracer into the job pipeline: one KindJob span
 // per job with retroactive per-file children (call before StartJobs).
@@ -121,14 +108,6 @@ func (s *Store) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// ownerKey derives the per-owner queue key from the salt — the same
-// digest that keys the owner's Session and ledger directory, never the
-// salt itself.
-func ownerKey(salt []byte) string {
-	sum := sha256.Sum256(salt)
-	return hex.EncodeToString(sum[:])
-}
-
 type jobSubmitResponse struct {
 	JobID    string `json:"job_id"`
 	JobToken string `json:"job_token"`
@@ -139,30 +118,28 @@ type jobSubmitResponse struct {
 // token authenticates the request and is never echoed back; the owner
 // token appears only once the dataset is published.
 type jobView struct {
-	JobID       string        `json:"job_id"`
-	Label       string        `json:"label,omitempty"`
-	State       string        `json:"state"`
-	Progress    jobs.Progress `json:"progress"`
-	Attempts    int           `json:"attempts,omitempty"`
-	FileRetries int           `json:"file_retries,omitempty"`
-	Error       string        `json:"error,omitempty"`
-	Problems    []string      `json:"problems,omitempty"`
-	DatasetID   string        `json:"dataset_id,omitempty"`
-	OwnerToken  string        `json:"owner_token,omitempty"`
+	JobID      string        `json:"job_id"`
+	Label      string        `json:"label,omitempty"`
+	State      string        `json:"state"`
+	Progress   jobs.Progress `json:"progress"`
+	Attempts   int           `json:"attempts,omitempty"`
+	Error      string        `json:"error,omitempty"`
+	Problems   []string      `json:"problems,omitempty"`
+	DatasetID  string        `json:"dataset_id,omitempty"`
+	OwnerToken string        `json:"owner_token,omitempty"`
 }
 
 func viewOf(snap jobs.Snapshot) jobView {
 	return jobView{
-		JobID:       snap.ID,
-		Label:       snap.Label,
-		State:       string(snap.State),
-		Progress:    snap.Progress,
-		Attempts:    snap.Attempts,
-		FileRetries: snap.FileRetries,
-		Error:       snap.Err,
-		Problems:    snap.Problems,
-		DatasetID:   snap.DatasetID,
-		OwnerToken:  snap.OwnerToken,
+		JobID:      snap.ID,
+		Label:      snap.Label,
+		State:      string(snap.State),
+		Progress:   snap.Progress,
+		Attempts:   snap.Attempts,
+		Error:      snap.Err,
+		Problems:   snap.Problems,
+		DatasetID:  snap.DatasetID,
+		OwnerToken: snap.OwnerToken,
 	}
 }
 
@@ -172,9 +149,9 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(int(math.Ceil(d.Seconds())))
 }
 
-// handleSubmitJob is POST /jobs: validate like the synchronous raw
-// upload, then enqueue and answer 202 with the job id and token. The
-// submission is durable before the 202 leaves. Overload answers carry
+// handleSubmitJob is POST /jobs: validate exactly like the synchronous
+// raw upload (decodeRawRequest), then enqueue and answer 202 with the
+// job id and token. The submission is durable before the 202 leaves. Overload answers carry
 // Retry-After computed from live queue state: 429 for quota and
 // capacity pressure, 503 while draining.
 func (s *Store) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -183,39 +160,11 @@ func (s *Store) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "job queue unavailable"})
 		return
 	}
-	if s.limits.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes)
-	}
-	var req rawUploadRequest
-	if err := decodeJSONBody(w, r, &req); err != nil {
+	spec, ok := s.decodeRawRequest(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Files) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "no files"})
-		return
-	}
-	if req.Salt == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "salt required (it keys your anonymization mapping)"})
-		return
-	}
-	if problems := s.checkLimits(req.Files); len(problems) > 0 {
-		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: problems})
-		return
-	}
-	// Pack references resolve against the allowlist before the job is
-	// accepted — a 202 must never be followed by a deterministic
-	// unknown-pack failure the client could have been told about now.
-	if _, _, err := s.resolveRulePacks(req.RulePacks); err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: []string{err.Error()}})
-		return
-	}
-	snap, err := s.jobs.Submit(jobs.Spec{
-		Owner:     ownerKey([]byte(req.Salt)),
-		Label:     req.Label,
-		Salt:      []byte(req.Salt),
-		Files:     req.Files,
-		RulePacks: req.RulePacks,
-	})
+	snap, err := s.jobs.Submit(spec)
 	if err != nil {
 		if ov, ok := err.(*jobs.OverloadError); ok {
 			status := http.StatusTooManyRequests
@@ -265,9 +214,10 @@ func (s *Store) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, viewOf(snap))
 }
 
-// handleJobCancel is DELETE /jobs/{id}: queued jobs cancel immediately,
-// running jobs stop at their next file boundary; either way the answer
-// is the post-cancel view.
+// handleJobCancel is DELETE /jobs/{id}: queued jobs cancel immediately;
+// a running job's corpus run stops before its next file, its clean
+// files' ledger commits stay durable, and nothing is published. Either
+// way the answer is the post-cancel view.
 func (s *Store) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authJob(w, r); !ok {
 		return
@@ -280,125 +230,42 @@ func (s *Store) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, viewOf(snap))
 }
 
-// runJob executes one queued job against the owner's shared Session.
-// Chunked: the sorted corpus runs jobChunkFiles at a time, so progress
-// is visible, cancellation lands at chunk boundaries, and the Session's
-// ledger commits (clean file boundaries) checkpoint the run throughout.
-// A failed file is retried under fileRetryPolicy before it becomes a
-// problem. Fail-closed like the synchronous path: any surviving failure
-// or quarantine withholds the whole dataset.
+// runJob executes one queued job through publishRaw — the synchronous
+// upload's run-and-publish, over the whole corpus at once — and maps its
+// outcome to the job result. Each file gets a retroactive child span
+// under the job span; the run's wall time is split evenly across them —
+// attribution, not profiling.
 func (s *Store) runJob(ctx context.Context, cb jobs.Callbacks, spec jobs.Spec) (*jobs.Result, error) {
-	// Re-resolve the job's pack references at execution time: a job
-	// resumed after a restart runs only if the packs it named are still
-	// registered (the queue persists names, never pack content).
-	packs, packKey, err := s.resolveRulePacks(spec.RulePacks)
-	if err != nil {
-		return nil, fmt.Errorf("rule packs unavailable: %w", err)
+	start := time.Now()
+	var startNs int64
+	if cb.Tracer != nil {
+		startNs = cb.Tracer.Now()
 	}
-	sess, err := s.anon.forSalt(spec.Salt, packs, packKey)
+	res, out, err := s.publishRaw(ctx, spec)
 	if err != nil {
-		return nil, fmt.Errorf("anonymization session unavailable: %w", err)
+		return nil, err
 	}
-	names := make([]string, 0, len(spec.Files))
-	for n := range spec.Files {
+	names := make([]string, 0, len(res.Files))
+	for n := range res.Files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-
-	prog := jobs.Progress{FilesTotal: len(names)}
-	outputs := make(map[string]string, len(names))
-	var problems []string
-	fileRetries := 0
-
-	for start := 0; start < len(names); start += jobChunkFiles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	per := time.Since(start).Nanoseconds() / int64(len(names))
+	prog := jobs.Progress{FilesTotal: len(spec.Files)}
+	for _, n := range names {
+		spanStatus := trace.StatusFailed
+		switch res.Files[n].Status {
+		case confanon.FileOK:
+			prog.FilesDone++
+			spanStatus = trace.StatusOK
+		case confanon.FileFailed:
+			prog.FilesFailed++
+		case confanon.FileQuarantined:
+			prog.FilesQuarantined++
 		}
-		end := start + jobChunkFiles
-		if end > len(names) {
-			end = len(names)
-		}
-		chunk := make(map[string]string, end-start)
-		for _, n := range names[start:end] {
-			chunk[n] = spec.Files[n]
-		}
-		chunkStart := time.Time{}
-		var startNs int64
-		if cb.Tracer != nil {
-			startNs = cb.Tracer.Now()
-			chunkStart = time.Now()
-		}
-		res, err := sess.ParallelCorpusContext(ctx, chunk, rawWorkers)
-		if err != nil {
-			return nil, err
-		}
-		// Retry each failed file individually before giving up on it.
-		for _, fe := range res.Failed() {
-			name := fe.Name
-			rp := fileRetryPolicy
-			rp.OnRetry = func(int, error) { fileRetries++ }
-			err := rp.Do(ctx, func() error {
-				one, rerr := sess.ParallelCorpusContext(ctx, map[string]string{name: spec.Files[name]}, 1)
-				if rerr != nil {
-					return rerr
-				}
-				fr := one.Files[name]
-				res.Files[name] = fr
-				if fr.Ok() {
-					return nil
-				}
-				if fr.Err != nil {
-					return fr.Err
-				}
-				return fmt.Errorf("%s: quarantined", name)
-			})
-			if err != nil && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-		}
-		for _, n := range names[start:end] {
-			fr := res.Files[n]
-			spanStatus := trace.StatusOK
-			switch {
-			case fr.Err != nil:
-				problems = append(problems, fmt.Sprintf("%s: processing failed: %v", n, fr.Err))
-				prog.FilesFailed++
-				spanStatus = trace.StatusFailed
-			case len(fr.Leaks) > 0:
-				problems = append(problems, fmt.Sprintf("%s: quarantined (%d confirmed leaks, first: %s)", n, len(fr.Leaks), fr.Leaks[0]))
-				prog.FilesQuarantined++
-				spanStatus = trace.StatusFailed
-			default:
-				outputs[n] = fr.Text
-				prog.FilesDone++
-			}
-			if cb.Tracer != nil && cb.Span != nil {
-				// Retroactive: the chunk's wall time is shared across its
-				// files — attribution, not profiling.
-				per := time.Since(chunkStart).Nanoseconds() / int64(end-start)
-				cb.Tracer.RecordSpan(trace.KindFile, n, cb.Span.ID, startNs, per, spanStatus)
-			}
-		}
-		if cb.Progress != nil {
-			cb.Progress(prog)
+		if cb.Tracer != nil && cb.Span != nil {
+			cb.Tracer.RecordSpan(trace.KindFile, n, cb.Span.ID, startNs, per, spanStatus)
 		}
 	}
-
-	// Durability before publication, exactly like the synchronous path.
-	if err := sess.SyncStore(); err != nil {
-		return nil, fmt.Errorf("mapping ledger commit failed: %w", err)
-	}
-	if len(problems) > 0 {
-		sort.Strings(problems)
-		return &jobs.Result{Problems: problems, Progress: prog, FileRetries: fileRetries}, nil
-	}
-	renamed := make(map[string]string, len(outputs))
-	for name, text := range outputs {
-		renamed[sess.RenameFile(name)] = text
-	}
-	id, tok, uploadProblems := s.Upload(spec.Label, renamed)
-	if len(uploadProblems) > 0 {
-		return &jobs.Result{Problems: uploadProblems, Progress: prog, FileRetries: fileRetries}, nil
-	}
-	return &jobs.Result{DatasetID: id, OwnerToken: tok, Progress: prog, FileRetries: fileRetries}, nil
+	return &jobs.Result{DatasetID: out.ID, OwnerToken: out.OwnerToken, Problems: out.Problems, Progress: prog}, nil
 }

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"confanon"
 	"confanon/internal/jobs"
 	"confanon/internal/metrics"
 	"confanon/internal/trace"
@@ -66,9 +68,11 @@ func pollJob(t *testing.T, url, id, token string) jobView {
 	return jobView{}
 }
 
-func jobTestCorpus(tag string) map[string]string {
+// jobTestCorpus builds n routers peering a shared neighbor, so mapping
+// consistency is observable across files.
+func jobTestCorpus(tag string, n int) map[string]string {
 	files := make(map[string]string)
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= n; i++ {
 		name := fmt.Sprintf("%s-r%d-confg", tag, i)
 		files[name] = fmt.Sprintf(
 			"hostname %s-r%d\ninterface Serial0\n ip address 12.1.%d.1 255.255.255.0\nrouter bgp 70%d\n neighbor 12.9.9.9 remote-as 702\n",
@@ -81,50 +85,114 @@ func jobTestCorpus(tag string) map[string]string {
 // done, then fetch the published dataset — and its contents must be
 // byte-identical to what the synchronous raw path produces for the same
 // salt and corpus (the async queue is a scheduling layer, never a
-// semantic one).
+// semantic one). The 17-file corpus runs past the 8- and 16-file
+// boundaries a chunked runner would cut at.
 func TestJobSubmitPollFetchFlow(t *testing.T) {
 	const salt = "owner-secret"
-	corpus := jobTestCorpus("alpha")
+	for _, n := range []int{3, 17} {
+		corpus := jobTestCorpus("alpha", n)
 
-	// Reference: the synchronous path in its own store.
-	refStore := NewStore()
-	refStore.AddResearcher("key-r1", "r1")
-	refSrv := httptest.NewServer(refStore.Handler())
-	defer refSrv.Close()
-	code, ref := rawUpload(t, refSrv.URL, "ref", salt, corpus)
-	if code != http.StatusCreated {
-		t.Fatalf("reference upload: status %d: %+v", code, ref)
+		// Reference: the synchronous path in its own store.
+		refStore := NewStore()
+		refStore.AddResearcher("key-r1", "r1")
+		refSrv := httptest.NewServer(refStore.Handler())
+		defer refSrv.Close()
+		code, ref := rawUpload(t, refSrv.URL, "ref", salt, corpus)
+		if code != http.StatusCreated {
+			t.Fatalf("%d files: reference upload: status %d: %+v", n, code, ref)
+		}
+		refText := datasetText(t, refSrv.URL, "key-r1", ref.ID)
+
+		store := NewStore()
+		store.AddResearcher("key-r1", "r1")
+		if err := store.StartJobs(jobs.Config{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		srv := httptest.NewServer(store.Handler())
+		defer srv.Close()
+
+		resp, sub := submitJob(t, srv.URL, "async", salt, corpus)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%d files: POST /jobs: status %d", n, resp.StatusCode)
+		}
+		if sub.JobID == "" || sub.JobToken == "" {
+			t.Fatalf("%d files: 202 without job id/token: %+v", n, sub)
+		}
+		v := pollJob(t, srv.URL, sub.JobID, sub.JobToken)
+		if v.State != string(jobs.StateDone) {
+			t.Fatalf("%d files: job finished %q (err %q, problems %v), want done", n, v.State, v.Error, v.Problems)
+		}
+		if v.DatasetID == "" || v.OwnerToken == "" {
+			t.Fatalf("%d files: done job missing dataset id / owner token: %+v", n, v)
+		}
+		if v.Progress.FilesDone != len(corpus) || v.Progress.FilesTotal != len(corpus) {
+			t.Fatalf("%d files: progress %+v, want %d done of %d", n, v.Progress, len(corpus), len(corpus))
+		}
+		if got := datasetText(t, srv.URL, "key-r1", v.DatasetID); got != refText {
+			t.Errorf("%d files: async output differs from synchronous run:\n--- sync ---\n%s\n--- async ---\n%s", n, refText, got)
+		}
 	}
-	refText := datasetText(t, refSrv.URL, "key-r1", ref.ID)
+}
+
+// TestJobStrictGateMatchesSyncAcrossChunks: a job gates its corpus
+// exactly like the synchronous upload — against the values recorded
+// from the whole corpus. The corpus is an ASN collision under salt
+// "gate": z-confg peers with the AS that 701 (a-confg's peer)
+// anonymizes to, so a-confg's output carries a value recorded from
+// z-confg and must be quarantined. Eight fillers sort between the two,
+// putting them on either side of the 8-file boundary a chunked runner
+// would gate at, before z-confg has been seen.
+func TestJobStrictGateMatchesSyncAcrossChunks(t *testing.T) {
+	const salt = "gate"
+	probe, err := confanon.New(confanon.Options{Salt: []byte(salt)}).CorpusContext(context.Background(),
+		map[string]string{"p": "router bgp 65001\n neighbor 12.1.1.1 remote-as 701\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := strings.Fields(strings.Split(probe.Files["p"].Text, "\n")[1])[3]
+	if image == "701" {
+		t.Fatal("fixture: 701 maps to itself under this salt")
+	}
+	corpus := map[string]string{
+		"a-confg": "router bgp 65001\n neighbor 12.1.1.1 remote-as 701\n",
+		"z-confg": "router bgp 65002\n neighbor 12.2.2.2 remote-as " + image + "\n",
+	}
+	for i := 1; i <= 8; i++ {
+		corpus[fmt.Sprintf("m%d-confg", i)] = fmt.Sprintf("hostname m%d\n", i)
+	}
+
+	syncStore := NewStore()
+	syncSrv := httptest.NewServer(syncStore.Handler())
+	defer syncSrv.Close()
+	code, ref := rawUpload(t, syncSrv.URL, "sync", salt, corpus)
+	if code != http.StatusUnprocessableEntity || ref.ID != "" {
+		t.Fatalf("sync upload: status %d %+v, want 422 and nothing stored", code, ref)
+	}
+	if len(ref.Problems) != 1 || !strings.HasPrefix(ref.Problems[0], "a-confg: quarantined") {
+		t.Fatalf("sync problems %v, want a-confg quarantined alone", ref.Problems)
+	}
 
 	store := NewStore()
-	store.AddResearcher("key-r1", "r1")
-	if err := store.StartJobs(jobs.Config{Workers: 2}); err != nil {
+	if err := store.StartJobs(jobs.Config{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	srv := httptest.NewServer(store.Handler())
 	defer srv.Close()
-
 	resp, sub := submitJob(t, srv.URL, "async", salt, corpus)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", resp.StatusCode)
 	}
-	if sub.JobID == "" || sub.JobToken == "" {
-		t.Fatalf("202 without job id/token: %+v", sub)
-	}
 	v := pollJob(t, srv.URL, sub.JobID, sub.JobToken)
-	if v.State != string(jobs.StateDone) {
-		t.Fatalf("job finished %q (err %q, problems %v), want done", v.State, v.Error, v.Problems)
+	if v.State != string(jobs.StateFailed) || v.DatasetID != "" {
+		t.Fatalf("job finished %q with dataset %q, want failed and nothing published", v.State, v.DatasetID)
 	}
-	if v.DatasetID == "" || v.OwnerToken == "" {
-		t.Fatalf("done job missing dataset id / owner token: %+v", v)
+	if !reflect.DeepEqual(v.Problems, ref.Problems) {
+		t.Errorf("job problems %v, want the sync upload's %v", v.Problems, ref.Problems)
 	}
-	if v.Progress.FilesDone != len(corpus) {
-		t.Fatalf("progress %+v, want %d done", v.Progress, len(corpus))
-	}
-	if got := datasetText(t, srv.URL, "key-r1", v.DatasetID); got != refText {
-		t.Errorf("async output differs from synchronous run:\n--- sync ---\n%s\n--- async ---\n%s", refText, got)
+	if v.Progress.FilesQuarantined != 1 || v.Progress.FilesDone != len(corpus)-1 {
+		t.Errorf("job progress %+v, want 1 quarantined and %d done", v.Progress, len(corpus)-1)
 	}
 }
 
@@ -140,7 +208,7 @@ func TestJobTokenAuth(t *testing.T) {
 	srv := httptest.NewServer(store.Handler())
 	defer srv.Close()
 
-	resp, sub := submitJob(t, srv.URL, "x", "owner-secret", jobTestCorpus("auth"))
+	resp, sub := submitJob(t, srv.URL, "x", "owner-secret", jobTestCorpus("auth", 3))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
@@ -186,8 +254,8 @@ func TestJobCancelEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	// First job occupies the worker; second stays queued.
-	_, _ = submitJob(t, srv.URL, "running", "s", jobTestCorpus("c1"))
-	resp, sub := submitJob(t, srv.URL, "queued", "s", jobTestCorpus("c2"))
+	_, _ = submitJob(t, srv.URL, "running", "s", jobTestCorpus("c1", 3))
+	resp, sub := submitJob(t, srv.URL, "queued", "s", jobTestCorpus("c2", 3))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
@@ -234,19 +302,19 @@ func TestJobSaturation429WithRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	// Owner A: one running, one queued (queue now full).
-	if resp, _ := submitJob(t, srv.URL, "j1", "salt-a", jobTestCorpus("a1")); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := submitJob(t, srv.URL, "j1", "salt-a", jobTestCorpus("a1", 3)); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for store.jobs.Depth() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond) // wait for the worker to pick job 1 up
 	}
-	if resp, _ := submitJob(t, srv.URL, "j2", "salt-a", jobTestCorpus("a2")); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := submitJob(t, srv.URL, "j2", "salt-a", jobTestCorpus("a2", 3)); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: status %d", resp.StatusCode)
 	}
 
 	// Owner A is now at its in-flight quota → 429 owner_quota.
-	resp, _ := submitJob(t, srv.URL, "j3", "salt-a", jobTestCorpus("a3"))
+	resp, _ := submitJob(t, srv.URL, "j3", "salt-a", jobTestCorpus("a3", 3))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d, want 429", resp.StatusCode)
 	}
@@ -256,7 +324,7 @@ func TestJobSaturation429WithRetryAfter(t *testing.T) {
 
 	// Owner B is under its own quota but the queue is full → 429
 	// queue_full, with Retry-After reflecting the 30s-per-job backlog.
-	resp, _ = submitJob(t, srv.URL, "j4", "salt-b", jobTestCorpus("b1"))
+	resp, _ = submitJob(t, srv.URL, "j4", "salt-b", jobTestCorpus("b1", 3))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("queue-full submit: status %d, want 429", resp.StatusCode)
 	}
@@ -315,7 +383,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Errorf("healthz during drain: %d, want 200", got)
 	}
 	// Submissions are refused with 503 + Retry-After during the drain.
-	resp, _ := submitJob(t, srv.URL, "late", "s", jobTestCorpus("late"))
+	resp, _ := submitJob(t, srv.URL, "late", "s", jobTestCorpus("late", 3))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit during drain: %d, want 503", resp.StatusCode)
 	}
@@ -341,9 +409,15 @@ func TestGracefulDrainLosesNoCommittedWork(t *testing.T) {
 	}
 	srv := httptest.NewServer(store.Handler())
 
-	resp, sub := submitJob(t, srv.URL, "drained", salt, jobTestCorpus("alpha"))
+	resp, sub := submitJob(t, srv.URL, "drained", salt, jobTestCorpus("alpha", 3))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	// Drain once the worker has picked the job up: a job still queued
+	// when the drain begins stays queued for the next process, by design.
+	deadline := time.Now().Add(5 * time.Second)
+	for store.jobs.Depth() > 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
 	}
 	store.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -377,7 +451,7 @@ func TestGracefulDrainLosesNoCommittedWork(t *testing.T) {
 	if code != http.StatusOK || v2.State != string(jobs.StateDone) {
 		t.Fatalf("restarted portal lost the finished job: status %d state %q", code, v2.State)
 	}
-	resp2, sub2 := submitJob(t, srv2.URL, "again", salt, jobTestCorpus("alpha"))
+	resp2, sub2 := submitJob(t, srv2.URL, "again", salt, jobTestCorpus("alpha", 3))
 	if resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: status %d", resp2.StatusCode)
 	}
@@ -403,7 +477,7 @@ func TestJobSpansRecorded(t *testing.T) {
 	srv := httptest.NewServer(store.Handler())
 	defer srv.Close()
 
-	corpus := jobTestCorpus("traced")
+	corpus := jobTestCorpus("traced", 3)
 	resp, sub := submitJob(t, srv.URL, "traced", "owner-secret", corpus)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)

@@ -2,8 +2,9 @@ package portal
 
 // This file is the portal's server-side anonymization layer: the §7
 // clearinghouse accepting RAW configurations from owners who trust the
-// portal operator to anonymize for them (POST /datasets/raw). The
-// security property the layer must keep is per-owner mapping
+// portal operator to anonymize for them (POST /datasets/raw, and POST
+// /jobs, whose queue worker runs the same publishRaw). The security
+// property the layer must keep is per-owner mapping
 // consistency: everything one owner ever uploads under one secret salt
 // must be anonymized under one mapping, so that a prefix shared between
 // two uploads — or two files of one upload arriving on different
@@ -16,6 +17,7 @@ package portal
 // here — they share the Session's worker pool and mapping directly.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,6 +29,7 @@ import (
 	"sync"
 
 	"confanon"
+	"confanon/internal/jobs"
 )
 
 // rawWorkers is the parallelism of one raw upload's anonymization run.
@@ -58,15 +61,14 @@ func newAnonSessions() *anonSessions {
 // forSalt returns the owner's Session, compiling its Program — and,
 // with a state directory configured, opening and replaying the owner's
 // mapping ledger — on first use. The map (and the ledger subdirectory)
-// is keyed by a digest of the salt, not the salt itself; when rule
+// is keyed by ownerKey(salt), never the salt itself; when rule
 // packs are selected (resolved by the Store's allowlist; packKey
 // canonically names the selection) the session and its ledger are
 // keyed by salt digest plus selection, so runs under different pack
 // sets never interleave one ledger. Anonymization is strict: a file
 // whose leak report is not clean is quarantined, never stored.
 func (p *anonSessions) forSalt(salt []byte, packs []*confanon.RulePack, packKey string) (*confanon.Anonymizer, error) {
-	key := sha256.Sum256(salt)
-	id := hex.EncodeToString(key[:])
+	id := ownerKey(salt)
 	if packKey != "" {
 		id += "-" + packKey
 	}
@@ -102,6 +104,14 @@ func (p *anonSessions) forSalt(salt []byte, packs []*confanon.RulePack, packKey 
 	return a, nil
 }
 
+// ownerKey is the one owner digest: it names the owner's Session and
+// ledger directory and keys the owner's job quotas — the salt's sha256,
+// never the salt itself.
+func ownerKey(salt []byte) string {
+	sum := sha256.Sum256(salt)
+	return hex.EncodeToString(sum[:])
+}
+
 // close closes every open mapping ledger (flushing buffered appends)
 // and forgets the sessions, returning the first close error.
 func (p *anonSessions) close() error {
@@ -128,82 +138,114 @@ type rawUploadRequest struct {
 	RulePacks []string `json:"rule_packs,omitempty"`
 }
 
-// handleUploadRaw accepts raw configurations plus the owner's salt,
-// anonymizes them server-side under the owner's persistent Session
-// (strict leak-gating, parallel workers), screens the anonymized output
-// like any other upload, and stores it. Fail-closed end to end: if any
-// file fails or is quarantined, nothing is stored and the response
-// names every withheld file.
-func (s *Store) handleUploadRaw(w http.ResponseWriter, r *http.Request) {
+// decodeRawRequest reads and validates a raw-corpus request — the one
+// intake contract POST /datasets/raw and POST /jobs share: body limit,
+// JSON decode, no files or no salt (400), shape limits and unknown or
+// conflicting rule packs (422). On failure the response is written and
+// ok is false.
+func (s *Store) decodeRawRequest(w http.ResponseWriter, r *http.Request) (spec jobs.Spec, ok bool) {
 	if s.limits.MaxBodyBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes)
 	}
 	var req rawUploadRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
-		return // decodeJSONBody wrote the response
+		return spec, false // decodeJSONBody wrote the response
 	}
 	if len(req.Files) == 0 {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "no files"})
-		return
+		return spec, false
 	}
 	if req.Salt == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "salt required (it keys your anonymization mapping)"})
-		return
+		return spec, false
 	}
 	if problems := s.checkLimits(req.Files); len(problems) > 0 {
 		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: problems})
-		return
+		return spec, false
 	}
-
-	packs, packKey, err := s.resolveRulePacks(req.RulePacks)
-	if err != nil {
+	// Pack references resolve against the allowlist at intake — a 202
+	// must never be followed by a deterministic unknown-pack failure the
+	// client could have been told about now.
+	if _, _, err := s.resolveRulePacks(req.RulePacks); err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: []string{err.Error()}})
-		return
+		return spec, false
 	}
-	sess, err := s.anon.forSalt([]byte(req.Salt), packs, packKey)
+	return jobs.Spec{
+		Owner:     ownerKey([]byte(req.Salt)),
+		Label:     req.Label,
+		Salt:      []byte(req.Salt),
+		Files:     req.Files,
+		RulePacks: req.RulePacks,
+	}, true
+}
+
+// publishRaw is the one publish path for raw corpora, synchronous or
+// queued: it anonymizes the whole corpus in a single run under the
+// owner's persistent Session (strict leak-gating, parallel workers),
+// commits the mapping ledger, and — only if every file is clean —
+// stores the output under anonymized file names after the usual upload
+// screening. Fail-closed end to end: any failed or quarantined file
+// withholds the whole dataset and out.Problems names each one. An error
+// means the run did not complete and nothing was published.
+func (s *Store) publishRaw(ctx context.Context, spec jobs.Spec) (res *confanon.CorpusResult, out uploadResponse, err error) {
+	// Packs resolve again at run time: a job resumed after a restart runs
+	// only if the packs it named are still registered (the queue persists
+	// names, never pack content).
+	packs, packKey, err := s.resolveRulePacks(spec.RulePacks)
 	if err != nil {
-		s.slog().Error("raw upload: session unavailable", "err", err)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "anonymization session unavailable: " + err.Error()})
-		return
+		return nil, out, fmt.Errorf("rule packs unavailable: %w", err)
 	}
-	res, err := sess.ParallelCorpusContext(r.Context(), req.Files, rawWorkers)
+	sess, err := s.anon.forSalt(spec.Salt, packs, packKey)
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "anonymization aborted: " + err.Error()})
-		return
+		return nil, out, fmt.Errorf("anonymization session unavailable: %w", err)
+	}
+	res, err = sess.ParallelCorpusContext(ctx, spec.Files, rawWorkers)
+	if err != nil {
+		return nil, out, fmt.Errorf("anonymization aborted: %w", err)
 	}
 	// Durability before publication: if the mapping delta cannot be
 	// committed, storing the outputs would orphan them from any future
-	// consistent run — fail the upload instead.
+	// consistent run — fail instead.
 	if err := sess.SyncStore(); err != nil {
-		s.slog().Error("raw upload: mapping ledger commit failed", "err", err)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "mapping ledger commit failed: " + err.Error()})
-		return
+		return nil, out, fmt.Errorf("mapping ledger commit failed: %w", err)
 	}
 	if !res.Ok() {
-		var problems []string
 		for _, fe := range res.Failed() {
-			problems = append(problems, fmt.Sprintf("%s: processing failed: %v", fe.Name, fe.Cause))
+			out.Problems = append(out.Problems, fmt.Sprintf("%s: processing failed: %v", fe.Name, fe.Cause))
 		}
 		for _, name := range res.Quarantined() {
 			fr := res.Files[name]
-			problems = append(problems, fmt.Sprintf("%s: quarantined (%d confirmed leaks, first: %s)", name, len(fr.Leaks), fr.Leaks[0]))
+			out.Problems = append(out.Problems, fmt.Sprintf("%s: quarantined (%d confirmed leaks, first: %s)", name, len(fr.Leaks), fr.Leaks[0]))
 		}
-		sort.Strings(problems)
-		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: problems})
-		return
+		sort.Strings(out.Problems)
+		return res, out, nil
 	}
-
 	// File names are usually hostname-derived; store them anonymized too.
 	renamed := make(map[string]string, len(res.Files))
 	for name, text := range res.Outputs() {
 		renamed[sess.RenameFile(name)] = text
 	}
-	id, tok, problems := s.Upload(req.Label, renamed)
-	if len(problems) > 0 {
-		writeJSON(w, http.StatusUnprocessableEntity, uploadResponse{Problems: problems})
+	out.ID, out.OwnerToken, out.Problems = s.Upload(spec.Label, renamed)
+	return res, out, nil
+}
+
+// handleUploadRaw is POST /datasets/raw: raw configurations plus the
+// owner's salt, anonymized and published synchronously by publishRaw.
+func (s *Store) handleUploadRaw(w http.ResponseWriter, r *http.Request) {
+	spec, ok := s.decodeRawRequest(w, r)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusCreated, uploadResponse{ID: id, OwnerToken: tok})
+	_, out, err := s.publishRaw(r.Context(), spec)
+	switch {
+	case err != nil:
+		s.slog().Error("raw upload failed", "err", err)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+	case len(out.Problems) > 0:
+		writeJSON(w, http.StatusUnprocessableEntity, out)
+	default:
+		writeJSON(w, http.StatusCreated, out)
+	}
 }
 
 // decodeJSONBody decodes a JSON request body with the shared too-large /

@@ -4,7 +4,7 @@
 // (transient-I/O retries around file reads and writes) and was extracted
 // so the same policy protects every layer that touches the outside
 // world: CLI file I/O, the mapping ledger's fsync/remove calls, and the
-// job queue's per-file re-attempts.
+// job queue's record reads and writes.
 //
 // The default classifier is deliberately narrow. Retrying is only sound
 // for failures a short wait can outlive — interrupted syscalls,
