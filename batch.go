@@ -1,7 +1,6 @@
 package confanon
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -83,7 +82,7 @@ func (r FileResult) Ok() bool { return r.Status == FileOK }
 
 // CorpusResult is the error-carrying outcome of a batch run: one
 // FileResult per input file plus the merged statistics of the files that
-// completed (failed files are rolled back out of the totals). Files
+// completed (a failed file's counts never reach the totals). Files
 // missing from Files were never started (the context was cancelled
 // first). Report is the machine-readable run summary: always present on
 // a finished result, with the full metric snapshot when Options.Metrics
@@ -541,60 +540,25 @@ func (a *Anonymizer) StreamCorpusContext(
 }
 
 // streamOne pushes one file of a stream corpus through the fail-closed
-// pipeline. In strict mode the output is buffered and gated before the
-// sink is opened, so a quarantined file never touches the destination;
+// pipeline as one engine unit: the sink is opened, written and closed
+// inside it, so a file whose sink fails never reaches the Session's
+// Stats. In strict mode the output is buffered and gated before the sink
+// is opened, so a quarantined file never touches the destination;
 // otherwise the file streams straight through with Stream's memory
-// behavior (a mid-file failure can leave an output prefix at the sink —
-// every emitted line was fully anonymized, and the FileError tells the
-// caller to discard the remnant).
+// behavior (see SafeStreamText).
 func (a *Anonymizer) streamOne(
 	wk *anonymizer.Anonymizer,
 	name string, r io.Reader,
 	sink func(name string) (io.WriteCloser, error),
 ) *FileError {
+	var gate func([]Leak) error
 	if a.strict {
-		var buf bytes.Buffer
-		if ferr := wk.SafeStreamText(name, r, &buf); ferr != nil {
-			return ferr
-		}
-		snap := wk.SnapshotStats()
-		if leaks := confirmedLeaks(wk.LeakReport(buf.String())); len(leaks) > 0 {
-			return &FileError{
-				Name:  name,
-				Cause: fmt.Errorf("%w (%d confirmed leaks, first: %s)", ErrQuarantined, len(leaks), leaks[0]),
+		gate = func(report []Leak) error {
+			if leaks := confirmedLeaks(report); len(leaks) > 0 {
+				return fmt.Errorf("%w (%d confirmed leaks, first: %s)", ErrQuarantined, len(leaks), leaks[0])
 			}
+			return nil
 		}
-		w, err := sink(name)
-		if err != nil {
-			wk.RestoreStats(snap)
-			return &FileError{Name: name, Cause: fmt.Errorf("opening sink: %w", err)}
-		}
-		_, werr := w.Write(buf.Bytes())
-		cerr := w.Close()
-		if werr != nil {
-			wk.RestoreStats(snap)
-			return &FileError{Name: name, Cause: werr}
-		}
-		if cerr != nil {
-			wk.RestoreStats(snap)
-			return &FileError{Name: name, Cause: cerr}
-		}
-		return nil
 	}
-
-	w, err := sink(name)
-	if err != nil {
-		return &FileError{Name: name, Cause: fmt.Errorf("opening sink: %w", err)}
-	}
-	snap := wk.SnapshotStats()
-	ferr := wk.SafeStreamText(name, r, w)
-	cerr := w.Close()
-	if ferr != nil {
-		return ferr
-	}
-	if cerr != nil {
-		wk.RestoreStats(snap)
-		return &FileError{Name: name, Cause: cerr}
-	}
-	return nil
+	return wk.SafeStreamText(name, r, func() (io.WriteCloser, error) { return sink(name) }, gate)
 }

@@ -1,4 +1,4 @@
-package confanon
+package confanon_test
 
 // The benchmark harness: one benchmark per experiment in DESIGN.md's
 // per-experiment index (E1–E9 reproduce the paper's quantitative claims;
@@ -12,10 +12,12 @@ package confanon
 // cmd/confexp -full for the full-scale report).
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
 
+	"confanon"
 	"confanon/internal/experiments"
 	"confanon/internal/netgen"
 )
@@ -157,7 +159,13 @@ func BenchmarkAnonymizeCorpus(b *testing.B) {
 	lines := n.TotalLines()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustCorpus(b, New(Options{Salt: []byte("bench")}), files)
+		res, err := confanon.New(confanon.Options{Salt: []byte("bench")}).CorpusContext(context.Background(), files)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Ok() {
+			b.Fatalf("corpus not clean: failed %v, quarantined %v", res.Failed(), res.Quarantined())
+		}
 	}
 	b.ReportMetric(float64(lines), "lines/corpus")
 }
@@ -182,7 +190,7 @@ func BenchmarkStream(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			for i := 0; i < b.N; i++ {
-				a := New(Options{Salt: []byte("bench"), StatelessIP: cfg.stateless})
+				a := confanon.New(confanon.Options{Salt: []byte("bench"), StatelessIP: cfg.stateless})
 				if err := a.Stream(strings.NewReader(input), io.Discard); err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package confanon
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -101,7 +102,7 @@ func TestParallelCorpusContextIsolatesPanic(t *testing.T) {
 		}
 	}
 	// Merged stats describe exactly the surviving files: the poisoned
-	// file's partial counts were rolled back.
+	// file's partial counts were dropped.
 	if res.Stats.Files != wantStats.Files || res.Stats.Lines != wantStats.Lines ||
 		res.Stats.WordsTotal != wantStats.WordsTotal {
 		t.Errorf("merged stats (files=%d lines=%d words=%d) != clean run (files=%d lines=%d words=%d)",
@@ -218,14 +219,21 @@ func (r *brokenReader) Read(p []byte) (int, error) {
 	return 0, errors.New("read: medium vanished")
 }
 
-// chaosSink is an in-memory WriteCloser with injectable failures.
+// chaosSink is an in-memory WriteCloser with injectable failures. When
+// scrape is set it is called inside every Write and Close, before the
+// injected failure, with the sink's file name.
 type chaosSink struct {
+	name      string
 	buf       strings.Builder
 	failWrite bool
 	failClose bool
+	scrape    func(where string)
 }
 
 func (s *chaosSink) Write(p []byte) (int, error) {
+	if s.scrape != nil {
+		s.scrape(s.name + " Write")
+	}
 	if s.failWrite {
 		return 0, errors.New("write: quota exceeded")
 	}
@@ -233,74 +241,111 @@ func (s *chaosSink) Write(p []byte) (int, error) {
 }
 
 func (s *chaosSink) Close() error {
+	if s.scrape != nil {
+		s.scrape(s.name + " Close")
+	}
 	if s.failClose {
 		return errors.New("close: fsync failed")
 	}
 	return nil
 }
 
+// TestStreamCorpusContextIsolatesFileFaults: a panic, a failing reader, a
+// sink that cannot be opened, and a sink that fails mid-write or on close
+// each cost exactly their own file, in both stream modes. A failed file
+// never reaches the Session: a registry scraped inside every sink Write
+// and Close, and once after the run, never reads a files or lines count
+// lower than the scrape before it, and ends at the survivors' counts.
+// "closefails" — a 3-line file whose sink fails on close — comes first,
+// so a driver that merged its counts and then took them back would read
+// 3 lines inside its Close and 0 at the next scrape.
 func TestStreamCorpusContextIsolatesFileFaults(t *testing.T) {
 	armPoison(t, "panics", 1)
-	order := []string{"good1", "badread", "badwrite", "badclose", "nosink", "panics", "good2"}
+	order := []string{"closefails", "badread", "good1", "badwrite", "badclose", "nosink", "panics", "good2"}
 	texts := map[string]string{
-		"good1":    "hostname g1\ninterface Ethernet0\n ip address 12.1.2.3 255.255.255.0\n",
-		"badwrite": "hostname bw\n",
-		"badclose": "hostname bc\n",
-		"nosink":   "hostname ns\n",
-		"panics":   "hostname pp\n",
-		"good2":    "hostname g2\nrouter bgp 701\n",
+		"closefails": "hostname cf\ninterface Ethernet1\n ip address 12.7.7.7 255.255.255.0\n",
+		"good1":      "hostname g1\ninterface Ethernet0\n ip address 12.1.2.3 255.255.255.0\n",
+		"badwrite":   "hostname bw\n",
+		"badclose":   "hostname bc\n",
+		"nosink":     "hostname ns\n",
+		"panics":     "hostname pp\n",
+		"good2":      "hostname g2\nrouter bgp 701\n",
 	}
-	sinks := map[string]*chaosSink{}
-	i := 0
-	next := func() (string, io.Reader, error) {
-		if i >= len(order) {
-			return "", nil, io.EOF
-		}
-		name := order[i]
-		i++
-		if name == "badread" {
-			return name, &brokenReader{}, nil
-		}
-		return name, strings.NewReader(texts[name]), nil
-	}
-	sink := func(name string) (io.WriteCloser, error) {
-		if name == "nosink" {
-			return nil, errors.New("mkdir: permission denied")
-		}
-		s := &chaosSink{failWrite: name == "badwrite", failClose: name == "badclose"}
-		sinks[name] = s
-		return s, nil
-	}
+	failed := []string{"closefails", "badread", "badwrite", "badclose", "nosink", "panics"}
+	for _, strict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("strict=%t", strict), func(t *testing.T) {
+			reg := NewMetricsRegistry()
+			var last [2]float64
+			scrape := func(where string) {
+				c := reg.Counters()
+				now := [2]float64{c["confanon_files_processed_total"], c["confanon_lines_total"]}
+				for k, what := range []string{"files", "lines"} {
+					if now[k] < last[k] {
+						t.Errorf("%s: %s counter fell from %v to %v", where, what, last[k], now[k])
+					}
+				}
+				last = now
+			}
+			sinks := map[string]*chaosSink{}
+			i := 0
+			next := func() (string, io.Reader, error) {
+				if i >= len(order) {
+					return "", nil, io.EOF
+				}
+				name := order[i]
+				i++
+				if name == "badread" {
+					return name, &brokenReader{}, nil
+				}
+				return name, strings.NewReader(texts[name]), nil
+			}
+			sink := func(name string) (io.WriteCloser, error) {
+				if name == "nosink" {
+					return nil, errors.New("mkdir: permission denied")
+				}
+				s := &chaosSink{name: name, scrape: scrape,
+					failWrite: name == "badwrite", failClose: name == "badclose" || name == "closefails"}
+				sinks[name] = s
+				return s, nil
+			}
 
-	a := New(Options{Salt: []byte("sc"), StatelessIP: true})
-	ferrs, err := a.StreamCorpusContext(context.Background(), next, sink)
-	if err != nil {
-		t.Fatalf("run-fatal error: %v", err)
-	}
-	got := map[string]bool{}
-	for _, fe := range ferrs {
-		got[fe.Name] = true
-	}
-	for _, want := range []string{"badread", "badwrite", "badclose", "nosink", "panics"} {
-		if !got[want] {
-			t.Errorf("no FileError for %s (have %v)", want, ferrs)
-		}
-	}
-	if len(ferrs) != 5 {
-		t.Errorf("%d FileErrors, want 5: %v", len(ferrs), ferrs)
-	}
+			a := New(Options{Salt: []byte("sc"), StatelessIP: true, Strict: strict, Metrics: reg})
+			ferrs, err := a.StreamCorpusContext(context.Background(), next, sink)
+			if err != nil {
+				t.Fatalf("run-fatal error: %v", err)
+			}
+			got := map[string]bool{}
+			for _, fe := range ferrs {
+				got[fe.Name] = true
+			}
+			for _, want := range failed {
+				if !got[want] {
+					t.Errorf("no FileError for %s (have %v)", want, ferrs)
+				}
+			}
+			if len(ferrs) != len(failed) {
+				t.Errorf("%d FileErrors, want %d: %v", len(ferrs), len(failed), ferrs)
+			}
 
-	// The surviving files streamed byte-identically to a clean run.
-	ref := New(Options{Salt: []byte("sc"), StatelessIP: true})
-	for _, name := range []string{"good1", "good2"} {
-		if want := ref.File(texts[name]); sinks[name].buf.String() != want {
-			t.Errorf("surviving stream %s differs from clean run", name)
-		}
-	}
-	// Stats cover the files that completed (2 good ones; the failed
-	// files rolled back — the half-read and half-written ones too).
-	if s := a.Stats(); s.Files != 2 {
-		t.Errorf("stats.Files = %d, want 2 survivors", s.Files)
+			// The surviving files streamed byte-identically to a clean run.
+			ref := New(Options{Salt: []byte("sc"), StatelessIP: true})
+			for _, name := range []string{"good1", "good2"} {
+				if want := ref.File(texts[name]); sinks[name].buf.String() != want {
+					t.Errorf("surviving stream %s differs from clean run", name)
+				}
+			}
+			// Stats cover only the files that completed: the 2 good ones,
+			// none of the failed ones — the half-read and half-written
+			// ones and those whose sink failed after a clean rewrite too.
+			s := a.Stats()
+			if s.Files != 2 {
+				t.Errorf("stats.Files = %d, want 2 survivors", s.Files)
+			}
+			scrape("after the run")
+			if want := [2]float64{2, 5}; last != want || s.Lines != 5 {
+				t.Errorf("final files/lines counters = %v (Stats.Lines %d), want %v", last, s.Lines, want)
+			}
+		})
 	}
 }
 
@@ -333,8 +378,8 @@ func TestStreamCorpusContextStrictQuarantine(t *testing.T) {
 }
 
 // TestChaosRollbackLeavesNoLedgerEntries: a file that dies mid-way must
-// leave zero provenance records — the ledger mirrors the statistics
-// rollback — while its span survives, marked failed. Checked on both
+// leave zero provenance records — its decisions are dropped with its
+// counts — while its span survives, marked failed. Checked on both
 // batch paths, which fail the file in different phases (the parallel
 // census vs the serial rewrite).
 func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {

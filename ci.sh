@@ -60,6 +60,15 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 	exit 1
 }
 
+# Allocation ratchet: allocations per input line of the engine (both IP
+# schemes) and the leak report on a fixed corpus must not exceed
+# allocs_baseline.txt by more than 0.01. The test skips under -race,
+# where allocation counts differ, so it runs here without it. Lower a
+# baseline when a change removes allocations; never raise one to make a
+# red run green.
+echo "== allocation ratchet: go test -run '^TestAllocsPerLine$' ."
+go test -run '^TestAllocsPerLine$' .
+
 # Observability drift gate (warn-only): re-run the golden corpus, emit a
 # run report, and diff it against the checked-in baseline with conftrace.
 # Rule-hit or outcome drift means the (salt, input) → decision contract

@@ -160,7 +160,8 @@ func (fc *FileCache) text() string {
 	return anonymizer.JoinOutputs(fc.prefixOutputs(len(fc.Lines)))
 }
 
-// stateAt returns the resume checkpoint after the first p lines.
+// stateAt returns the resume checkpoint after the first p lines (the
+// zero state at p 0, also on a nil cache).
 func (fc *FileCache) stateAt(p int) ResumeState {
 	if p == 0 {
 		return ResumeState{}
@@ -168,10 +169,12 @@ func (fc *FileCache) stateAt(p int) ResumeState {
 	return fc.Lines[p-1].S
 }
 
-func toLineCaches(recs []anonymizer.LineRecord) []LineCache {
-	out := make([]LineCache, len(recs))
-	for i, r := range recs {
-		out[i] = LineCache{H: r.Hash, O: r.Out, D: r.Drop, S: r.Next}
+// toLineCaches returns prefix followed by the cache entries of recs.
+func toLineCaches(prefix []LineCache, recs []anonymizer.LineRecord) []LineCache {
+	out := make([]LineCache, len(prefix), len(prefix)+len(recs))
+	copy(out, prefix)
+	for _, r := range recs {
+		out = append(out, LineCache{H: r.Hash, O: r.Out, D: r.Drop, S: r.Next})
 	}
 	return out
 }
@@ -221,7 +224,7 @@ type incrOut struct {
 // or a new content that is a pure prefix of the cached file) assemble
 // their output from the cache without touching the engine; the rest run
 // the engine in full, or resume it at the first divergent line.
-func (pl *incrPlan) run(wk *anonymizer.Anonymizer, text string) (FileResult, incrOut) {
+func (pl *incrPlan) run(wk *anonymizer.Anonymizer) (FileResult, incrOut) {
 	if !pl.needsEngine() {
 		fc := pl.fc
 		if pl.mode == modePartial { // pure-prefix shrink: trim the cache
@@ -229,20 +232,19 @@ func (pl *incrPlan) run(wk *anonymizer.Anonymizer, text string) (FileResult, inc
 		}
 		return FileResult{Name: pl.name, Status: FileOK, Text: fc.text()}, incrOut{fc: fc, reused: len(fc.Lines)}
 	}
-	if pl.mode == modeFull {
-		out, recs, ferr := wk.SafeAnonymizeRecorded(pl.name, text)
-		if ferr != nil {
-			return FileResult{Name: pl.name, Status: FileFailed, Err: ferr}, incrOut{}
-		}
-		return FileResult{Name: pl.name, Status: FileOK, Text: out},
-			incrOut{fc: &FileCache{Sum: pl.sum, Lines: toLineCaches(recs)}, rewritten: len(recs)}
-	}
+	// A full plan is the tail from line 0: prescanned, no cached prefix.
 	tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
 	if ferr != nil {
 		return FileResult{Name: pl.name, Status: FileFailed, Err: ferr}, incrOut{}
 	}
-	lines := append(append([]LineCache(nil), pl.fc.Lines[:pl.p]...), toLineCaches(tailRecs)...)
-	out := anonymizer.JoinOutputs(append(pl.fc.prefixOutputs(pl.p), tailOuts...))
+	var prefix []LineCache
+	outs := tailOuts
+	if pl.p > 0 {
+		prefix = pl.fc.Lines[:pl.p]
+		outs = append(pl.fc.prefixOutputs(pl.p), tailOuts...)
+	}
+	lines := toLineCaches(prefix, tailRecs)
+	out := anonymizer.JoinOutputs(outs)
 	return FileResult{Name: pl.name, Status: FileOK, Text: out},
 		incrOut{fc: &FileCache{Sum: pl.sum, Lines: lines}, reused: pl.p, rewritten: len(tailRecs)}
 }
@@ -352,7 +354,7 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 	outs := make([]incrOut, len(work))
 	results := run.rewriteAndGate(ctx, len(work), workers, func(wk *anonymizer.Anonymizer, k int) FileResult {
 		pl := &plans[work[k]]
-		r, o := pl.run(wk, files[pl.name])
+		r, o := pl.run(wk)
 		outs[k] = o
 		return r
 	})

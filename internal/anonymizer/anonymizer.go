@@ -49,8 +49,8 @@ type Options struct {
 // Anonymizer is one single-goroutine worker of a Session: it rewrites
 // configuration text through the Session's shared state (the IP mapping,
 // the leak recorder) while keeping its hot-path scratch — statistics,
-// pending recorder entries, dispatch context — private, reconciling into
-// the Session at file boundaries (flush). One worker is not safe for
+// pending recorder entries, dispatch context — private, committing into
+// the Session once per file (unit, fault.go). One worker is not safe for
 // concurrent use, but any number of workers of the same Session may run
 // concurrently (Session.Acquire/Release); New returns a Session-bound
 // worker for the common single-goroutine case.
@@ -71,11 +71,9 @@ type Anonymizer struct {
 	// a pack rule first fires — the no-pack hot path never touches it.
 	lineShield map[string]bool
 
-	// stats is the worker-local cumulative record; synced is its state at
-	// the last flush, so flush applies only the signed delta to the
-	// Session.
-	stats  Stats
-	synced Stats
+	// stats counts the file in flight only: unit adds it to the Session
+	// when the file commits and drops it when the file fails (fault.go).
+	stats Stats
 
 	// Engine scratch: the per-line rule-hit record (registry indices,
 	// for wall-time attribution) and the reusable dispatch context.
@@ -94,20 +92,18 @@ type Anonymizer struct {
 
 	// Tracing state (trace.go): the Session's tracer (nil = untraced),
 	// the batch-level corpus span this worker's file spans nest under,
-	// the open file span with its rule-counter baselines, the buffered
-	// provenance decisions of the file in flight, and the last rule that
-	// fired on the current line (ledger attribution).
+	// the open file span, the buffered provenance decisions of the file
+	// in flight, and the last rule that fired on the current line
+	// (ledger attribution).
 	tracer     *trace.Tracer
 	corpusSpan trace.SpanID
 	fileSpan   *trace.Span
-	fileHits   [maxRules]int64
-	fileTime   [maxRules]int64
 	pending    []trace.Decision
 	curRule    RuleID
 
 	// Leak recorder (§6.1), pending half: every public ASN, hashed word,
-	// and mapped original address this worker has seen since its last
-	// flush. Published into the Session's recorder at file boundaries;
+	// and mapped original address the file in flight has seen. Published
+	// into the Session's recorder at every file boundary, failed or not;
 	// never retracted (an aborted file can only widen later leak reports,
 	// matching the fail-closed direction).
 	seenASNs  map[string]bool
@@ -130,12 +126,9 @@ func New(opts Options) *Anonymizer {
 // Session returns the Session this worker reconciles into.
 func (a *Anonymizer) Session() *Session { return a.sess }
 
-// Stats returns the accumulated counters: the Session's merged record,
-// with this worker's unflushed partials reconciled first.
-func (a *Anonymizer) Stats() Stats {
-	a.flush()
-	return a.sess.Stats()
-}
+// Stats returns the accumulated counters: the Session's merged record
+// (a worker keeps nothing between files; see unit).
+func (a *Anonymizer) Stats() Stats { return a.sess.Stats() }
 
 // IPMapping exposes the resolved IP pairs (for validation tooling).
 func (a *Anonymizer) IPMapping() []ipanon.Pair { return a.ip.Mapping() }
@@ -193,26 +186,14 @@ func (a *Anonymizer) hit(r RuleID) {
 
 // AnonymizeText anonymizes one configuration file. The input is prescanned
 // first so subnet addresses resolve shortest-prefix-first (see Prescan).
-func (a *Anonymizer) AnonymizeText(text string) string {
-	a.Prescan(text)
-	lines := strings.Split(text, "\n")
-	if n := len(lines); n > 0 && lines[n-1] == "" {
-		lines = lines[:n-1] // trailing newline artifact
-	}
-	out := make([]string, 0, len(lines))
-	i := 0
-	a.runFile(
-		func() (string, bool) {
-			if i >= len(lines) {
-				return "", false
-			}
-			line := lines[i]
-			i++
-			return line, true
-		},
-		func(res string) { out = append(out, res) },
-	)
-	return strings.Join(out, "\n") + "\n"
+// It is fail-open: a panic propagates to the caller (SafeAnonymizeText is
+// the fail-closed form).
+func (a *Anonymizer) AnonymizeText(text string) (out string) {
+	failOpen(a.unit("", "", 0, func() error {
+		out = a.rewrite(text)
+		return nil
+	}))
+	return out
 }
 
 func (a *Anonymizer) stripComments() bool { return !a.opts.KeepComments }

@@ -9,7 +9,7 @@ import (
 )
 
 // The engine owns line iteration, token segmentation, and per-rule
-// instrumentation. One file flows through runFile; each line flows
+// instrumentation. One file flows through runLines; each line flows
 // through runLine, which times the line and attributes the elapsed wall
 // time to the rules that fired on it (proportionally to their hits on
 // the line, so the per-rule times in Stats sum to the total rewriting
@@ -29,27 +29,72 @@ type fileState struct {
 	block          string // current top-level block: "interface", "router bgp", ...
 }
 
-// runFile drives every line of one file through the pipeline, handing
-// kept output lines to emit. next returns the file's lines in order
-// (without terminators) and reports false when the file is exhausted.
-func (a *Anonymizer) runFile(next func() (string, bool), emit func(string)) {
+// runLines is the engine's one line loop. It drives a file's lines,
+// read through next (which reports false when the file is exhausted),
+// from line number start — the count of lines already handled, so fault
+// locations stay file-absolute — with the cross-line state st, and hands
+// every line's outcome to emit: the input line, its rewrite, and whether
+// the rewrite is kept. It counts the file and times the rewrite stage.
+func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, bool), emit func(line, res string, keep bool)) {
 	a.stats.Files++
-	a.curLine = 0
-	start := time.Now()
-	st := &fileState{}
+	a.curLine = start
+	t0 := time.Now()
 	for {
 		line, ok := next()
 		if !ok {
-			a.curLine = 0
-			a.observeStage(stageRewrite, time.Since(start))
-			a.flush()
-			return
+			break
 		}
 		res, keep := a.runLine(line, st)
-		if keep {
-			emit(res)
-		}
+		emit(line, res, keep)
 	}
+	a.curLine = 0
+	a.observeStage(stageRewrite, time.Since(t0))
+}
+
+// rewrite anonymizes one whole file's text: prescan, then every line
+// through the line loop (the body of AnonymizeText and of the tree
+// scheme's StreamText).
+func (a *Anonymizer) rewrite(text string) string {
+	outs, _ := a.rewriteLines(SplitLines(text), 0, &fileState{}, false)
+	return JoinOutputs(outs)
+}
+
+// rewriteLines runs lines through the line loop from line number start
+// with state st and returns the kept outputs, plus, when record is set,
+// every line's LineRecord. At start 0 — a whole file — the lines are
+// prescanned first; a resumed tail relies on the caller's census/replay
+// (shaped tree) or the salt-pure mapping (stateless) having resolved
+// every address it can reference.
+func (a *Anonymizer) rewriteLines(lines []string, start int, st *fileState, record bool) (outs []string, recs []LineRecord) {
+	if start == 0 {
+		a.prescan(lines)
+	}
+	outs = make([]string, 0, len(lines))
+	if record {
+		recs = make([]LineRecord, 0, len(lines))
+	}
+	i := 0
+	a.runLines(start, st,
+		func() (string, bool) {
+			if i == len(lines) {
+				return "", false
+			}
+			i++
+			return lines[i-1], true
+		},
+		func(line, res string, keep bool) {
+			if keep {
+				outs = append(outs, res)
+			}
+			if record {
+				rec := LineRecord{Hash: LineHash(line), Drop: !keep, Next: exportState(st)}
+				if keep {
+					rec.Out = res
+				}
+				recs = append(recs, rec)
+			}
+		})
+	return outs, recs
 }
 
 // runLine processes one line under the per-rule timer.

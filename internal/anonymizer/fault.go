@@ -1,9 +1,6 @@
 package anonymizer
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // FileError describes the failure of one file inside a batch. The paper's
 // threat model makes anonymization failures catastrophic, so the batch
@@ -39,11 +36,10 @@ type PanicError struct {
 // Error formats the recovered panic value.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// faultHook, when set, is invoked before each line of a Safe* method's
-// processing with the file name and 1-based line number. It exists so
-// chaos tests can inject panics at a precise point; production code never
-// sets it. Guarded by no lock: set it only from tests that own the
-// process.
+// faultHook, when set, is invoked before each line the engine rewrites,
+// with the file name and 1-based line number. It exists so chaos tests
+// can inject panics at a precise point; production code never sets it.
+// Guarded by no lock: set it only from tests that own the process.
 var faultHook func(name string, line int)
 
 // SetFaultHook installs (or, with nil, removes) the chaos-testing hook.
@@ -51,92 +47,90 @@ var faultHook func(name string, line int)
 // reach it.
 func SetFaultHook(h func(name string, line int)) { faultHook = h }
 
-// recoverFile converts a panic into a *FileError carrying the file name
-// and the line the engine was on, and rolls the statistics back to the
-// pre-file snapshot so merged batch Stats describe only files that
-// completed. Use in a defer around per-file processing.
-func (a *Anonymizer) recoverFile(name string, snap Stats, ferr **FileError) {
-	if v := recover(); v != nil {
-		*ferr = &FileError{Name: name, Line: a.curLine, Cause: &PanicError{Value: v}}
-		a.failFileSpan(*ferr)
-		a.rollback(snap)
+// unit runs one per-file entry — a rewrite, prescan, stream, tail
+// rewrite or leak report — as the engine's single unit of commit. The
+// worker's Stats hold only the file in flight: body counts into them,
+// and when it returns the unit either commits the file or drops it.
+//
+// On success the file's Stats are added to the Session (a positive add,
+// so every counter a registry reads from the Session only ever grows),
+// its buffered provenance decisions are published, and the mapping
+// ledger commits. On failure — body's error, or a panic recovered into a
+// *PanicError carrying the 1-based line the engine was on — the file's
+// Stats and decisions are dropped and nothing is committed, so batch
+// Stats describe only files that completed and a failed file leaves no
+// partial ledger records. Either way the leak recorder flushes: the
+// mapping state an aborted file touched only ever adds recorder entries,
+// so it can widen later leak reports, never narrow them.
+//
+// op names the file span ("prescan", "rewrite", "rewrite-tail",
+// "stream"); the fail-open entries pass "" and open none.
+func (a *Anonymizer) unit(name, op string, start int, body func() error) (ferr *FileError) {
+	a.curFile, a.curLine = name, start
+	a.beginFileSpan(name, op)
+	defer func() {
+		if v := recover(); v != nil {
+			ferr = &FileError{Name: name, Line: a.curLine, Cause: &PanicError{Value: v}}
+		}
+		if ferr != nil {
+			a.flushRecorder()
+			a.endFile(ferr)
+		}
+	}()
+	if err := body(); err != nil {
+		return &FileError{Name: name, Line: a.curLine, Cause: err}
 	}
+	// The ledger commit runs inside the recovered region: a crash there
+	// fails the file like any other fault.
+	a.flushRecorder()
+	a.sess.commitLedger()
+	a.endFile(nil)
+	return nil
 }
 
-// rollback restores a pre-file statistics snapshot and clears the
-// engine's per-line scratch, so an aborted file leaves the batch totals
-// describing only files that completed. The Session is reconciled
-// immediately: the flush after a restore merges a negative delta,
-// backing the aborted file's partial counts out of the Session's Stats
-// (which a wired registry reads at scrape time).
-// The buffered provenance decisions are discarded with the counters —
-// they publish only at a file span's clean end, so a rolled-back file
-// leaves no partial ledger records.
-func (a *Anonymizer) rollback(snap Stats) {
-	a.stats = snap
+// endFile closes a unit: the file's Stats reach the Session only when it
+// committed (ferr nil), and the worker's Stats and per-line scratch are
+// cleared for the next file either way.
+func (a *Anonymizer) endFile(ferr *FileError) {
+	if ferr == nil {
+		a.sess.stats.Add(a.stats)
+	}
+	a.stats = Stats{}
 	a.lineHits = a.lineHits[:0]
-	a.pending = a.pending[:0]
-	a.flush()
+	a.endFileSpan(ferr)
+}
+
+// failOpen turns the result of a fail-open entry's unit (AnonymizeText,
+// Prescan, StreamText, LeakReport) back into that entry's contract: a
+// recovered panic panics again — the file's counts are already dropped —
+// and an I/O error is returned as is.
+func failOpen(ferr *FileError) error {
+	if ferr == nil {
+		return nil
+	}
+	if pe, ok := ferr.Cause.(*PanicError); ok {
+		panic(pe.Value)
+	}
+	return ferr.Cause
 }
 
 // SafeAnonymizeText anonymizes one file like AnonymizeText but fails
 // closed instead of failing open: a panic anywhere in the prescan or the
-// rewrite is recovered into a *FileError (with the 1-based line the
-// engine was processing) and the file's partial statistics are rolled
-// back, so a batch caller can report the file and carry on. The mapping
-// state an aborted file may have touched only ever adds entries to the
-// leak recorder and the IP tree — it can widen later leak reports, never
-// narrow them.
+// rewrite becomes a *FileError and the file is dropped (see unit), so a
+// batch caller can report the file and carry on.
 func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "rewrite")
-	out = a.AnonymizeText(text)
-	a.endFileSpan()
-	a.sess.commitLedger()
-	return out, nil
+	ferr = a.unit(name, "rewrite", 0, func() error {
+		out = a.rewrite(text)
+		return nil
+	})
+	return out, ferr
 }
 
-// SafePrescan runs Prescan with the same panic recovery as
-// SafeAnonymizeText (prescan walks attacker-controlled text too).
-func (a *Anonymizer) SafePrescan(name, text string) (ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "prescan")
-	a.Prescan(text)
-	a.endFileSpan()
-	a.sess.commitLedger()
-	return nil
+// SafePrescan runs Prescan as a fail-closed unit like SafeAnonymizeText
+// (prescan walks attacker-controlled text too).
+func (a *Anonymizer) SafePrescan(name, text string) *FileError {
+	return a.unit(name, "prescan", 0, func() error {
+		a.prescan(SplitLines(text))
+		return nil
+	})
 }
-
-// SafeStreamText streams one file like StreamText but recovers panics
-// into a *FileError and wraps I/O errors (failing readers and writers)
-// the same way, so stream-corpus callers get one uniform per-file error
-// channel. Either way the failed file's partial statistics are rolled
-// back: batch Stats describe only files that completed.
-func (a *Anonymizer) SafeStreamText(name string, r io.Reader, w io.Writer) (ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "stream")
-	if err := a.StreamText(r, w); err != nil {
-		fe := &FileError{Name: name, Line: a.curLine, Cause: err}
-		a.failFileSpan(fe)
-		a.rollback(snap)
-		return fe
-	}
-	a.endFileSpan()
-	a.sess.commitLedger()
-	return nil
-}
-
-// SnapshotStats returns a deep copy of the current statistics. Paired
-// with RestoreStats it lets the batch layer roll back a file whose
-// failure lies outside the engine (a sink that fails on close after a
-// clean stream), keeping batch totals scoped to surviving files.
-func (a *Anonymizer) SnapshotStats() Stats { return a.stats.Clone() }
-
-// RestoreStats reinstates a SnapshotStats copy (see SnapshotStats).
-func (a *Anonymizer) RestoreStats(s Stats) { a.rollback(s) }

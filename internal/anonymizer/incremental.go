@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Incremental re-anonymization support: the engine can record, per input
@@ -80,65 +79,27 @@ func JoinOutputs(outs []string) string {
 	return strings.Join(outs, "\n") + "\n"
 }
 
-// runLinesRecorded drives lines through the per-line pipeline starting
-// at line number startLine (the count of lines already handled) with the
-// given cross-line state, recording each line's outcome. It carries
-// runFile's per-file bookkeeping: the file counter, stage timing, and
-// the boundary flush.
-func (a *Anonymizer) runLinesRecorded(lines []string, startLine int, st *fileState) (outs []string, recs []LineRecord) {
-	a.stats.Files++
-	a.curLine = startLine
-	start := time.Now()
-	outs = make([]string, 0, len(lines))
-	recs = make([]LineRecord, 0, len(lines))
-	for _, line := range lines {
-		res, keep := a.runLine(line, st)
-		rec := LineRecord{Hash: LineHash(line), Drop: !keep, Next: exportState(st)}
-		if keep {
-			rec.Out = res
-			outs = append(outs, res)
-		}
-		recs = append(recs, rec)
+// SafeAnonymizeTail rewrites a file's lines from line number start as
+// one fail-closed unit (see unit) and returns the kept outputs together
+// with every line's LineRecord, which an incremental re-run diffs
+// against. tail is the file's lines from start on and rs the checkpoint
+// recorded after line start. At start 0 tail is the whole file: it is
+// prescanned first, like SafeAnonymizeText, whose output JoinOutputs of
+// the returned outs equals, and its span op is "rewrite". Past 0 it
+// resumes the file at its first divergent line ("rewrite-tail"): no
+// prescan runs — the caller's census/replay (shaped tree) or the
+// salt-pure mapping (stateless) has already resolved every address the
+// tail can reference — fault line numbers stay file-absolute, and the
+// outs are only the tail's contributions, which the caller appends to
+// the cached prefix outputs.
+func (a *Anonymizer) SafeAnonymizeTail(name string, tail []string, start int, rs ResumeState) (outs []string, recs []LineRecord, ferr *FileError) {
+	op := "rewrite-tail"
+	if start == 0 {
+		op = "rewrite"
 	}
-	a.curLine = 0
-	a.observeStage(stageRewrite, time.Since(start))
-	a.flush()
-	return outs, recs
-}
-
-// SafeAnonymizeRecorded anonymizes one whole file like SafeAnonymizeText
-// — same prescan, fault recovery, tracing, and ledger commit — and
-// additionally returns the per-line records an incremental re-run diffs
-// against. The output equals SafeAnonymizeText's on the same text.
-func (a *Anonymizer) SafeAnonymizeRecorded(name, text string) (out string, recs []LineRecord, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "rewrite")
-	a.Prescan(text)
-	var outs []string
-	outs, recs = a.runLinesRecorded(SplitLines(text), 0, &fileState{})
-	out = JoinOutputs(outs)
-	a.endFileSpan()
-	a.sess.commitLedger()
-	return out, recs, nil
-}
-
-// SafeAnonymizeTail resumes a file at the first divergent line: tail is
-// the un-reused suffix of the file's lines, startLine the count of reused
-// prefix lines (so fault line numbers stay file-absolute), and rs the
-// checkpoint recorded after the last reused line. No prescan runs — the
-// caller's census/replay (shaped tree) or the salt-pure mapping
-// (stateless) has already resolved every address the tail can reference.
-// The returned outs are only the tail's contributions; the caller
-// prepends the cached prefix outputs.
-func (a *Anonymizer) SafeAnonymizeTail(name string, tail []string, startLine int, rs ResumeState) (outs []string, recs []LineRecord, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, startLine
-	a.beginFileSpan(name, "rewrite-tail")
-	outs, recs = a.runLinesRecorded(tail, startLine, importState(rs))
-	a.endFileSpan()
-	a.sess.commitLedger()
-	return outs, recs, nil
+	ferr = a.unit(name, op, start, func() error {
+		outs, recs = a.rewriteLines(tail, start, importState(rs), true)
+		return nil
+	})
+	return outs, recs, ferr
 }

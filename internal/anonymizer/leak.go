@@ -52,18 +52,32 @@ var innocuousIntContext = map[string]bool{
 // LeakReport scans anonymized output for recorded sensitive values that
 // survived: public ASNs the permutation mapped, words the hash replaced,
 // and original (pre-anonymization) IP addresses. The scan reads the
-// Session's recorder (with this worker's pending entries published
-// first), so it sees everything every worker of the Session has
+// Session's recorder, which every worker publishes into at each file
+// boundary, so it sees everything every worker of the Session has
 // processed. False positives are possible — an anonymized value may
 // coincide with some other original value (the paper notes the same
 // weakness: grepping for AS 1 flags many unrelated lines) — which is
 // exactly why the report is reviewed by a human rather than acted on
-// automatically.
-func (a *Anonymizer) LeakReport(post string) []Leak {
+// automatically. The report runs as one unit, fail-open: a panic
+// propagates, so a gate never reads a crashed scan as a clean one.
+func (a *Anonymizer) LeakReport(post string) (leaks []Leak) {
+	failOpen(a.unit("", "", 0, func() error {
+		leaks = a.leakReport(post)
+		return nil
+	}))
+	return leaks
+}
+
+// leakReport is LeakReport's body. It publishes the unit's own pending
+// recorder entries first, so a report inside a stream's unit sees what
+// that file recorded (entries are never retracted, so publishing early
+// is safe).
+func (a *Anonymizer) leakReport(post string) []Leak {
 	reportStart := time.Now()
 	a.flushRecorder()
 	s := a.sess
 	s.recMu.RLock()
+	defer s.recMu.RUnlock()
 	var leaks []Leak
 	for i, line := range strings.Split(post, "\n") {
 		start := time.Now()
@@ -107,9 +121,7 @@ func (a *Anonymizer) LeakReport(post string) []Leak {
 		// clear the engine's per-line hit scratch).
 		a.attribute(time.Since(start))
 	}
-	s.recMu.RUnlock()
 	a.countLeaks(leaks)
 	a.observeStage(stageLeakReport, time.Since(reportStart))
-	a.flush()
 	return leaks
 }

@@ -9,13 +9,15 @@ import (
 )
 
 // The metrics bridge. The engine keeps its counts in the plain Stats
-// value (one non-atomic increment per event, unchanged hot path), and
-// workers merge their Stats into the Session at file boundaries
-// (flush); a fault rollback merges the negative difference, so the
-// Session's Stats describe only files that completed. That merged
+// value (one non-atomic increment per event, unchanged hot path). A
+// worker's Stats hold only the file in flight, and reach the Session
+// once, when the file commits (unit, fault.go); a failed file's counts
+// are dropped, never merged and taken back, so the Session's Stats
+// describe only files that completed and only ever grow. That merged
 // Stats is the only copy: a wired metrics.Registry reads it through a
-// collector when it is scraped (Session.SetMetrics), and so equals what
-// the batch API reports by construction. The Program's own sources —
+// collector when it is scraped (Session.SetMetrics), so it equals what
+// the batch API reports by construction and every counter it exposes
+// is monotonic. The Program's own sources —
 // the rewrite memo and the ASN permutation — are read the same way,
 // once per Program (Program.collectInto).
 //
@@ -28,7 +30,7 @@ var statScalars = []struct {
 	name, help string
 	get        func(*Stats) int64
 }{
-	{"confanon_files_processed_total", "files processed to completion by the engine (failed files are rolled back)",
+	{"confanon_files_processed_total", "files processed to completion by the engine (failed files are never counted)",
 		func(s *Stats) int64 { return s.Files }},
 	{"confanon_lines_total", "configuration lines processed",
 		func(s *Stats) int64 { return s.Lines }},
@@ -140,15 +142,6 @@ func (p *Program) collectInto(reg *metrics.Registry) {
 		add(hits, p.CacheHits())
 		add(misses, p.CacheMisses())
 	})
-}
-
-// flush merges the worker into the Session: the signed Stats delta since
-// the last flush (negative after a rollback) and the pending
-// leak-recorder entries.
-func (a *Anonymizer) flush() {
-	a.sess.stats.Add(a.stats.diff(a.synced))
-	a.synced = a.stats
-	a.flushRecorder()
 }
 
 // flushRecorder publishes the worker's pending leak-recorder entries

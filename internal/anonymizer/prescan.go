@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"confanon/internal/config"
@@ -20,13 +19,19 @@ import (
 // regardless of the order addresses happen to appear in the files.
 // AnonymizeText prescans its own input automatically; callers anonymizing
 // a multi-file network should Prescan every file first so cross-file
-// orderings cannot break the shaping either.
+// orderings cannot break the shaping either. Like AnonymizeText it is
+// fail-open; SafePrescan is the fail-closed form.
 func (a *Anonymizer) Prescan(text string) {
+	failOpen(a.unit("", "", 0, func() error {
+		a.prescan(SplitLines(text))
+		return nil
+	}))
+}
+
+// prescan is Prescan's body over a file's lines.
+func (a *Anonymizer) prescan(lines []string) {
 	start := time.Now()
-	defer func() {
-		a.observeStage(stagePrescan, time.Since(start))
-		a.flush()
-	}()
+	defer func() { a.observeStage(stagePrescan, time.Since(start)) }()
 	type pin struct {
 		net uint32
 		len int
@@ -37,7 +42,7 @@ func (a *Anonymizer) Prescan(text string) {
 		pins = append(pins, pin{net, length})
 	}
 	block := ""
-	for _, line := range strings.Split(text, "\n") {
+	for _, line := range lines {
 		words, gaps := token.Fields(line)
 		if len(words) == 0 {
 			continue

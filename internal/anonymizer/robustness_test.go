@@ -27,24 +27,36 @@ func TestAnonymizeNeverPanicsOnRandomText(t *testing.T) {
 }
 
 // TestAnonymizeHandlesPathologicalLines: very long lines, deep banners,
-// unterminated banners, binary garbage, huge numbers.
+// unterminated and one-line banners, binary garbage, huge numbers. No
+// banner text may survive, and a case's output must contain each of its
+// keep strings (a one-line banner must not swallow the lines after it).
 func TestAnonymizeHandlesPathologicalLines(t *testing.T) {
 	a := New(Options{Salt: []byte("p")})
-	cases := []string{
-		strings.Repeat("x", 1<<16),
-		"banner motd ^C\n" + strings.Repeat("secret corp name\n", 1000), // unterminated
-		"router bgp 99999999999999999999\n",
-		"neighbor 999.999.999.999 remote-as abc\n",
-		"ip as-path access-list 1 permit " + strings.Repeat("(", 100) + "\n",
-		"set community " + strings.Repeat("701:1 ", 500) + "\n",
-		"\x00\x01\x02 binary \xff\xfe\n",
-		"ip address 1.2.3.4\n", // missing mask
-		strings.Repeat("! c\n", 10000),
+	cases := []struct {
+		in   string
+		keep []string
+	}{
+		{in: strings.Repeat("x", 1<<16)},
+		{in: "banner motd ^C\n" + strings.Repeat("secret corp name\n", 1000)}, // unterminated
+		{in: "banner login #Authorized secret staff only#\nsnmp-server community public RO\nline vty 0 4\n",
+			keep: []string{"banner login ##\n", "snmp-server community ", "line vty 0 4\n"}},
+		{in: "router bgp 99999999999999999999\n"},
+		{in: "neighbor 999.999.999.999 remote-as abc\n"},
+		{in: "ip as-path access-list 1 permit " + strings.Repeat("(", 100) + "\n"},
+		{in: "set community " + strings.Repeat("701:1 ", 500) + "\n"},
+		{in: "\x00\x01\x02 binary \xff\xfe\n"},
+		{in: "ip address 1.2.3.4\n"}, // missing mask
+		{in: strings.Repeat("! c\n", 10000)},
 	}
-	for _, in := range cases {
-		out := a.AnonymizeText(in)
+	for _, c := range cases {
+		out := a.AnonymizeText(c.in)
 		if strings.Contains(out, "secret") {
-			t.Error("unterminated banner content leaked")
+			t.Error("banner content leaked")
+		}
+		for _, k := range c.keep {
+			if !strings.Contains(out, k) {
+				t.Errorf("output lacks %q:\n%s", k, out)
+			}
 		}
 	}
 }

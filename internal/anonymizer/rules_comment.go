@@ -31,14 +31,28 @@ var commentLineRules = []*lineRule{
 	}},
 
 	// C1: banner header. Keep the skeleton, strip the body that follows
-	// (the body lines are handled structurally by the engine).
+	// (the body lines are handled structurally by the engine). A banner
+	// whose delimiter closes on the header line itself ("banner login
+	// #text#") has its body there: it is stripped and counted like any
+	// banner text, the "banner <kind>" skeleton and both delimiters are
+	// kept, and no banner state is entered.
 	{id: RuleBanner, name: "banner-header", apply: func(a *Anonymizer, c *lineCtx) (string, bool, bool) {
 		a.hit(RuleBanner)
-		c.st.inBanner = true
-		c.st.bannerDelim = '^'
-		if len(c.words) >= 3 && len(c.words[2]) > 0 {
-			c.st.bannerDelim = c.words[2][0]
+		delim := byte('^')
+		if len(c.words) >= 3 {
+			delim = c.words[2][0]
+			open := len(c.gaps[0]) + len(c.words[0]) + len(c.gaps[1]) + len(c.words[1]) + len(c.gaps[2])
+			if body, _, closed := strings.Cut(c.raw[open+1:], string(delim)); closed {
+				a.stats.CommentLinesRemoved++
+				a.stats.CommentWordsRemoved += int64(len(strings.Fields(body)))
+				if a.stripComments() {
+					return c.raw[:open+1] + string(delim), true, true
+				}
+				return c.raw, true, true
+			}
 		}
+		c.st.inBanner = true
+		c.st.bannerDelim = delim
 		return c.raw, true, true
 	}},
 

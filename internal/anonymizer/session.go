@@ -21,7 +21,7 @@ import (
 // corpus mode and the portal's concurrent uploads build on.
 //
 // Workers keep their hot-path state (statistics, recorder entries)
-// private and reconcile it into the Session at file boundaries, so the
+// private and commit it into the Session once per file, so the
 // per-token cost of sharing is zero; the shared IP mapper is internally
 // concurrency-safe (lock-free on resolved addresses).
 type Session struct {
@@ -34,8 +34,8 @@ type Session struct {
 
 	// stats is the merged record of every completed file, and the only
 	// one: a wired registry reads it at scrape time (SetMetrics). Workers
-	// apply signed deltas with atomic adds, so reads must go through
-	// Stats().
+	// add each committed file's Stats with atomic adds, so reads must go
+	// through Stats().
 	stats Stats
 
 	// The leak recorder: every public ASN, hashed word, and mapped
@@ -131,7 +131,7 @@ func (s *Session) mapper() ipanon.Mapper {
 
 // Acquire returns a worker bound to this Session, creating one if the
 // pool is empty. Workers are single-goroutine engines; acquire one per
-// goroutine and Release it when done so its final partial state flushes.
+// goroutine and Release it when done.
 func (s *Session) Acquire() *Anonymizer {
 	a, _ := s.pool.Get().(*Anonymizer)
 	if a == nil {
@@ -144,12 +144,9 @@ func (s *Session) Acquire() *Anonymizer {
 	return a
 }
 
-// Release flushes the worker's unreconciled state into the Session and
-// returns it to the pool.
-func (s *Session) Release(a *Anonymizer) {
-	a.flush()
-	s.pool.Put(a)
-}
+// Release returns the worker to the pool. A worker holds nothing
+// uncommitted between files, so there is nothing to flush.
+func (s *Session) Release(a *Anonymizer) { s.pool.Put(a) }
 
 func (s *Session) newWorker() *Anonymizer {
 	a := &Anonymizer{
@@ -160,7 +157,6 @@ func (s *Session) newWorker() *Anonymizer {
 		perms:           s.prog.perms,
 		rules:           s.prog.rules,
 		ip:              s.mapper(),
-		stats:           newStats(),
 		seenASNs:        make(map[string]bool),
 		seenWords:       make(map[string]bool),
 		seenIPs:         make(map[uint32]bool),
@@ -411,10 +407,10 @@ func (s *Session) appendLedgerRecords(recs []store.Record) {
 
 // commitLedger persists the state delta since the last commit: the IP
 // pairs the shared mapper resolved past the persisted baseline, plus the
-// queued recorder/token/relation records. Called from the Safe* methods
-// at clean file boundaries — the same points the provenance ledger
-// publishes at — and never from a rollback path, so a mid-file failure
-// persists nothing. Note the delta is session-wide, not per-file: pairs
+// queued recorder/token/relation records. Called when a file commits
+// (unit, fault.go) — the same point the provenance ledger publishes at
+// — and never for a failed file, so a mid-file failure persists
+// nothing. Note the delta is session-wide, not per-file: pairs
 // resolved by a file that later aborts are live shared state (subsequent
 // mappings depend on them), so they are swept into the next clean
 // commit, which is exactly what replica consistency requires.

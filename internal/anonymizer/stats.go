@@ -10,12 +10,12 @@ import (
 //
 // The scalar counters are exported int64 fields; the per-rule counters
 // live in dense arrays indexed by registry position (ruleReg, rule.go),
-// read through Hits/Time/RuleHits/RuleTime. The dense layout
-// replaces the old map-backed, reflection-merged representation: Clone
-// is a plain value copy (the fault layer snapshots statistics before
-// every file, so this is on the batch hot path) and Add is an explicit
-// field list of atomic adds, safe to call concurrently on a shared
-// destination from parallel corpus workers.
+// read through Hits/Time/RuleHits/RuleTime. A worker's Stats count one
+// file in flight; when the file commits, Add merges them into the
+// Session's Stats — an explicit field list of atomic adds, safe to call
+// concurrently on a shared destination from parallel corpus workers —
+// and a failed file's Stats are simply dropped. Every merge is a
+// positive add, so the Session's counters never decrease.
 //
 // A reflection-driven test (stats_test.go) asserts that every field of
 // Stats is one Add knows how to merge, so a counter added later still
@@ -48,15 +48,6 @@ type Stats struct {
 	// sum to the total line-rewriting time (prescan excluded).
 	ruleTimeNs [maxRules]int64
 }
-
-// newStats returns a zero Stats (kept for construction symmetry; the
-// dense representation needs no map initialization).
-func newStats() Stats { return Stats{} }
-
-// Clone returns a copy of s. Arrays copy by value, so this is a single
-// struct assignment; the name survives from the map era because the
-// fault layer and snapshot API are written against it.
-func (s Stats) Clone() Stats { return s }
 
 // Hits returns how many times the rule fired.
 func (s Stats) Hits(id RuleID) int64 {
@@ -141,32 +132,6 @@ func (s *Stats) Add(other Stats) {
 			atomic.AddInt64(&s.ruleTimeNs[i], other.ruleTimeNs[i])
 		}
 	}
-}
-
-// diff returns s minus base, field by field — the signed delta a worker
-// flush applies to its Session and registry. The field list mirrors Add
-// (and is covered by the same reflection completeness test).
-func (s Stats) diff(base Stats) Stats {
-	d := Stats{
-		Files:               s.Files - base.Files,
-		Lines:               s.Lines - base.Lines,
-		WordsTotal:          s.WordsTotal - base.WordsTotal,
-		CommentWordsRemoved: s.CommentWordsRemoved - base.CommentWordsRemoved,
-		CommentLinesRemoved: s.CommentLinesRemoved - base.CommentLinesRemoved,
-		TokensHashed:        s.TokensHashed - base.TokensHashed,
-		TokensPassed:        s.TokensPassed - base.TokensPassed,
-		IPsMapped:           s.IPsMapped - base.IPsMapped,
-		ASNsMapped:          s.ASNsMapped - base.ASNsMapped,
-		CommunitiesMapped:   s.CommunitiesMapped - base.CommunitiesMapped,
-		RegexpsRewritten:    s.RegexpsRewritten - base.RegexpsRewritten,
-		RegexpsUnchanged:    s.RegexpsUnchanged - base.RegexpsUnchanged,
-		RegexpFallbacks:     s.RegexpFallbacks - base.RegexpFallbacks,
-	}
-	for i := range s.ruleHits {
-		d.ruleHits[i] = s.ruleHits[i] - base.ruleHits[i]
-		d.ruleTimeNs[i] = s.ruleTimeNs[i] - base.ruleTimeNs[i]
-	}
-	return d
 }
 
 // snapshotAtomic reads a Stats that other goroutines are Add-ing into,

@@ -11,19 +11,18 @@ import (
 // every call site guards on the worker's tracer pointer, so a nil tracer
 // costs one predictable branch per decision site and nothing else. When
 // wired, the worker buffers its provenance decisions privately (pending)
-// and publishes them at the successful end of each file span — the
-// ledger-side mirror of the worker's Stats merge into the Session, with
-// the same rollback contract: a file that fails mid-way discards its
-// buffered decisions, so failed and quarantined files leave no partial
-// provenance records. The file's span is still
+// and publishes them when its file commits — together with the file's
+// Stats, under the same contract (unit, fault.go): a file that fails
+// mid-way drops its buffered decisions with its counts, so failed files
+// leave no partial provenance records. The file's span is still
 // published, marked failed; failures are traced, never dropped.
 //
 // Span nesting: batch layers open one corpus span and hand its ID to
 // every worker they Acquire (SetCorpusSpan); the engine opens a file
-// span per Safe* call, parents the retroactive stage spans under it
-// (or under the corpus span when no file is open — standalone prescans,
+// span per fail-closed unit, parents the retroactive stage spans under
+// it (or under the corpus span when no file is open — fail-open calls,
 // leak-report passes), and synthesizes per-rule spans under each
-// rewrite stage from the per-file rule-hit deltas.
+// rewrite stage from the file's own Stats.
 
 // Pseudo-rule ids for ledger attribution of decisions no registry rule
 // dispatches: the §4.1 basic method (segmentation + pass-list + hash)
@@ -69,47 +68,42 @@ func (a *Anonymizer) decide(class, out string) {
 	a.decideAs(rule, class, out)
 }
 
-// beginFileSpan opens the span covering one Safe* call on one file and
-// snapshots the per-rule counters, so the rewrite stage can synthesize
-// rule spans from this file's deltas alone. op names the operation
-// ("prescan", "rewrite", "stream") — in a serial corpus a file is
-// prescanned and rewritten in separate calls and gets one span per.
+// beginFileSpan opens the span covering one unit on one file. op names
+// the operation ("prescan", "rewrite", "rewrite-tail", "stream") — in a
+// serial corpus a file is prescanned and rewritten in separate units and
+// gets one span per; the fail-open entries pass "" and open none.
 func (a *Anonymizer) beginFileSpan(name, op string) {
-	if a.tracer == nil {
+	if a.tracer == nil || op == "" {
 		return
 	}
 	a.fileSpan = a.tracer.StartSpan(trace.KindFile, name, a.corpusSpan)
 	a.fileSpan.SetAttr("op", op)
-	a.fileHits = a.stats.ruleHits
-	a.fileTime = a.stats.ruleTimeNs
 }
 
-// endFileSpan closes the current file span cleanly and publishes the
-// file's buffered ledger entries.
-func (a *Anonymizer) endFileSpan() {
-	if a.tracer == nil || a.fileSpan == nil {
+// endFileSpan ends a unit's tracing: on success (ferr nil) the file's
+// buffered ledger entries are published and its span closes cleanly; on
+// failure the entries are discarded and the span closes failed,
+// annotated with the failing line and cause — a failed file's spans are
+// marked, never dropped.
+func (a *Anonymizer) endFileSpan(ferr *FileError) {
+	if a.tracer == nil {
 		return
 	}
-	sp := a.fileSpan
-	a.fileSpan = nil
-	a.tracer.Publish(a.pending)
+	if ferr == nil {
+		a.tracer.Publish(a.pending)
+	}
 	a.pending = a.pending[:0]
-	a.tracer.End(sp, trace.StatusOK)
-}
-
-// failFileSpan closes the current file span as failed — annotated with
-// the failing line and cause — and discards the file's buffered ledger
-// entries (rollback also discards them; this keeps the two paths
-// independent). A failed file's spans are marked, never dropped.
-func (a *Anonymizer) failFileSpan(ferr *FileError) {
-	if a.tracer == nil || a.fileSpan == nil {
+	sp := a.fileSpan
+	if sp == nil {
 		return
 	}
-	sp := a.fileSpan
 	a.fileSpan = nil
+	if ferr == nil {
+		a.tracer.End(sp, trace.StatusOK)
+		return
+	}
 	sp.SetAttr("line", strconv.Itoa(ferr.Line))
 	sp.AddEvent(a.tracer.Now(), ferr.Cause.Error())
-	a.pending = a.pending[:0]
 	a.tracer.End(sp, trace.StatusFailed)
 }
 
@@ -136,16 +130,16 @@ func (a *Anonymizer) traceStage(stage string, d time.Duration) {
 // traceRuleSpans synthesizes one span per rule that fired during the
 // file, under the rewrite stage span: its duration is the wall time the
 // engine attributed to the rule within this file, its "hits" attribute
-// the per-file firing count.
+// the per-file firing count — both read straight from the worker's
+// Stats, which hold only the file in flight.
 func (a *Anonymizer) traceRuleSpans(parent trace.SpanID, startNs int64) {
 	reg := ruleReg.Load()
 	for i := range reg.infos {
-		hits := a.stats.ruleHits[i] - a.fileHits[i]
+		hits := a.stats.ruleHits[i]
 		if hits == 0 {
 			continue
 		}
-		dur := a.stats.ruleTimeNs[i] - a.fileTime[i]
-		a.tracer.RecordSpan(trace.KindRule, string(reg.infos[i].ID), parent, startNs, dur, trace.StatusOK,
+		a.tracer.RecordSpan(trace.KindRule, string(reg.infos[i].ID), parent, startNs, a.stats.ruleTimeNs[i], trace.StatusOK,
 			trace.Attr{Key: "hits", Value: strconv.FormatInt(hits, 10)})
 	}
 }

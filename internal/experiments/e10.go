@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
-	"confanon/internal/anonymizer"
 	"confanon/internal/fingerprint"
 	"confanon/internal/junos"
 	"confanon/internal/netgen"
@@ -58,7 +56,8 @@ func E10JunOS(networks int) E10Result {
 		}
 
 		// Anonymize the JunOS corpus and run the suites.
-		post := anonymizeFiles(n.Salt, junosFiles)
+		_, run := anonymizeCorpus(n.Salt, junosFiles)
+		post := run.Outputs()
 		pre := validate.ParseAll(junosFiles)
 		anon := validate.ParseAll(post)
 		if len(validate.Suite1(pre, anon)) == 0 {
@@ -78,22 +77,4 @@ func E10JunOS(networks int) E10Result {
 		}
 	}
 	return res
-}
-
-// anonymizeFiles anonymizes a named file set with prescan.
-func anonymizeFiles(salt string, files map[string]string) map[string]string {
-	a := anonymizer.New(anonymizer.Options{Salt: []byte(salt)})
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a.Prescan(files[name])
-	}
-	post := make(map[string]string, len(files))
-	for _, name := range names {
-		post[name] = a.AnonymizeText(files[name])
-	}
-	return post
 }

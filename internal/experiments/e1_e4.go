@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"confanon/internal/asn"
 	"confanon/internal/cregex"
 	"confanon/internal/netgen"
 )
@@ -127,13 +128,12 @@ func E3Comments(networks int, routersPer int) E3Result {
 			kind = netgen.Enterprise
 		}
 		n := netgen.Generate(netgen.Params{Seed: int64(3000 + i), Kind: kind, Routers: routersPer})
-		a, post := anonymizeNetwork(n)
-		s := a.Stats()
-		if s.WordsTotal > 0 {
+		_, run := anonymizeNetwork(n)
+		if s := run.Stats; s.WordsTotal > 0 {
 			fracs = append(fracs, float64(s.CommentWordsRemoved)/float64(s.WordsTotal))
 		}
 		// Verify stripping: no "! text" comment lines survive.
-		for _, text := range post {
+		for _, text := range run.Outputs() {
 			for _, line := range strings.Split(text, "\n") {
 				trimmed := strings.TrimSpace(line)
 				if strings.HasPrefix(trimmed, "! ") {
@@ -233,9 +233,10 @@ func E4Regexps(scale float64) E4Result {
 		}
 
 		// Rewrite verification.
-		a, post := anonymizeNetwork(n)
-		res.RegexpsRewritten += int(a.Stats().RegexpsRewritten)
-		postCfgs := parseFiles(post)
+		_, run := anonymizeNetwork(n)
+		res.RegexpsRewritten += int(run.Stats.RegexpsRewritten)
+		postCfgs := parseFiles(run.Outputs())
+		mapASN := asn.NewSalted([]byte(n.Salt)).ASN.Map
 		for ci, c := range preCfgs {
 			pc := postCfgs[ci]
 			for li, al := range c.ASPathLists {
@@ -249,7 +250,7 @@ func E4Regexps(scale float64) E4Result {
 						res.RewriteMismatches++
 						continue
 					}
-					if verifyRewrite(e.Regex, pal.Entries[ei].Regex, a.MapASN) {
+					if verifyRewrite(e.Regex, pal.Entries[ei].Regex, mapASN) {
 						res.RewritesVerified++
 					} else {
 						res.RewriteMismatches++

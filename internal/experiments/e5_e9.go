@@ -33,8 +33,8 @@ func E5Suite1(scale float64) E5Result {
 	res := E5Result{Networks: len(nets)}
 	for _, n := range nets {
 		pre := parseNetwork(n)
-		_, postFiles := anonymizeNetwork(n)
-		post := parseFiles(postFiles)
+		_, run := anonymizeNetwork(n)
+		post := parseFiles(run.Outputs())
 		diffs := validate.Suite1(pre, post)
 		if len(diffs) == 0 {
 			res.Passed++
@@ -63,8 +63,8 @@ func E6Suite2(scale float64) E6Result {
 	res := E6Result{Networks: len(nets)}
 	for _, n := range nets {
 		pre := parseNetwork(n)
-		_, postFiles := anonymizeNetwork(n)
-		post := parseFiles(postFiles)
+		_, run := anonymizeNetwork(n)
+		post := parseFiles(run.Outputs())
 		if validate.Suite2(pre, post).OK() {
 			res.Passed++
 		}
@@ -170,8 +170,8 @@ func E8Fingerprint(scale float64) E8Result {
 	var subnetKeys, peeringKeys []string
 	for _, n := range nets {
 		pre := parseNetwork(n)
-		_, postFiles := anonymizeNetwork(n)
-		post := parseFiles(postFiles)
+		_, run := anonymizeNetwork(n)
+		post := parseFiles(run.Outputs())
 		sPre, sPost := fingerprint.SubnetOf(pre).Key(), fingerprint.SubnetOf(post).Key()
 		pPre, pPost := fingerprint.PeeringOf(pre).Key(), fingerprint.PeeringOf(post).Key()
 		if sPre == sPost && pPre == pPost {
@@ -216,11 +216,10 @@ func E9Throughput(targetLines int) E9Result {
 	for res.Lines < targetLines {
 		n := netgen.Generate(netgen.Params{Seed: seed, Routers: 60})
 		seed++
-		a, post := anonymizeNetwork(n)
-		s := a.Stats()
-		res.Lines += int(s.Lines)
-		res.Routers += int(s.Files)
-		for _, l := range a.LeakReport(postToSlice(post)) {
+		a, run := anonymizeNetwork(n)
+		res.Lines += int(run.Stats.Lines)
+		res.Routers += int(run.Stats.Files)
+		for _, l := range a.Leaks(run.Outputs()) {
 			if !l.LikelyFalsePositive {
 				res.LeaksFound++
 			}
@@ -229,12 +228,4 @@ func E9Throughput(targetLines int) E9Result {
 	res.Elapsed = time.Since(start)
 	res.LinesPerSec = float64(res.Lines) / res.Elapsed.Seconds()
 	return res
-}
-
-func postToSlice(files map[string]string) string {
-	var b []byte
-	for _, text := range files {
-		b = append(b, text...)
-	}
-	return string(b)
 }

@@ -7,11 +7,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"confanon/internal/anonymizer"
+	"confanon"
 	"confanon/internal/config"
 	"confanon/internal/netgen"
 )
@@ -75,24 +76,27 @@ func parseNetwork(n *netgen.Network) []*config.Config {
 	return out
 }
 
-// anonymizeNetwork runs the full prescan+anonymize pipeline over a
-// network with its own salt, returning the anonymizer and the output.
-func anonymizeNetwork(n *netgen.Network) (*anonymizer.Anonymizer, map[string]string) {
-	a := anonymizer.New(anonymizer.Options{Salt: []byte(n.Salt)})
-	files := n.RenderAll()
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
+// anonymizeNetwork anonymizes a network's rendered configs with the
+// network's own salt (see anonymizeCorpus).
+func anonymizeNetwork(n *netgen.Network) (*confanon.Anonymizer, *confanon.CorpusResult) {
+	return anonymizeCorpus(n.Salt, n.RenderAll())
+}
+
+// anonymizeCorpus runs a file set through the corpus driver
+// (CorpusContext): every file prescanned, then every file rewritten, in
+// sorted-name order. It returns the Session, whose recorder backs Leaks,
+// and the result, whose Stats and Outputs the experiments measure. Every
+// experiment measures whole corpora, so a failed file panics.
+func anonymizeCorpus(salt string, files map[string]string) (*confanon.Anonymizer, *confanon.CorpusResult) {
+	a := confanon.New(confanon.Options{Salt: []byte(salt)})
+	res, err := a.CorpusContext(context.Background(), files)
+	if err != nil {
+		panic(err)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		a.Prescan(files[name])
+	if !res.Ok() {
+		panic(fmt.Sprintf("experiments: corpus failed: %v", res.Failed()))
 	}
-	post := make(map[string]string, len(files))
-	for _, name := range names {
-		post[name] = a.AnonymizeText(files[name])
-	}
-	return a, post
+	return a, res
 }
 
 func parseFiles(files map[string]string) []*config.Config {

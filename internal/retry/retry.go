@@ -1,12 +1,12 @@
 // Package retry is the repository's one backoff implementation: capped
-// exponential backoff with jitter, context-aware, with a pluggable
-// transient-error classifier. It began life inline in cmd/confanon
+// exponential backoff with jitter, context-aware, retrying only errors
+// the Transient classifier accepts. It began life inline in cmd/confanon
 // (transient-I/O retries around file reads and writes) and was extracted
 // so the same policy protects every layer that touches the outside
 // world: CLI file I/O, the mapping ledger's fsync/remove calls, and the
 // job queue's record reads and writes.
 //
-// The default classifier is deliberately narrow. Retrying is only sound
+// The classifier is deliberately narrow. Retrying is only sound
 // for failures a short wait can outlive — interrupted syscalls,
 // exhausted descriptors, busy devices. Errors that retrying cannot fix
 // (missing files, permissions, corrupt data, full disks) surface
@@ -38,12 +38,6 @@ type Policy struct {
 	// added on top, decorrelating retry storms across callers (<0 means
 	// 0.5; 0 is honored as no jitter when set explicitly via NoJitter).
 	Jitter float64
-	// Classify reports whether an error is worth retrying (nil means
-	// Transient). A non-retryable error returns immediately.
-	Classify func(error) bool
-	// OnRetry, when set, observes each scheduled retry: the attempt
-	// number just failed (1-based) and its error. Metrics hooks go here.
-	OnRetry func(attempt int, err error)
 }
 
 // Default is the policy cmd/confanon has always used for transient file
@@ -93,13 +87,6 @@ func (p Policy) jitter() float64 {
 	}
 }
 
-func (p Policy) classify(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Transient(err)
-}
-
 // Delay returns the wait scheduled after the given 1-based failed
 // attempt: BaseDelay doubled per prior failure, capped at MaxDelay, plus
 // the jitter fraction drawn uniformly. Exposed so callers can compute a
@@ -119,8 +106,8 @@ func (p Policy) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Do runs op, retrying per the policy while the error classifies as
-// retryable and attempts remain. The wait between tries is context-aware:
+// Do runs op, retrying per the policy while the error is Transient and
+// attempts remain; any other error returns immediately. The wait between tries is context-aware:
 // a cancelled ctx aborts the backoff immediately and returns ctx's error
 // joined with the last op error, so callers see both why the op failed
 // and why retrying stopped.
@@ -128,14 +115,11 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 	attempts := p.attempts()
 	var err error
 	for attempt := 1; ; attempt++ {
-		if err = op(); err == nil || !p.classify(err) {
+		if err = op(); err == nil || !Transient(err) {
 			return err
 		}
 		if attempt >= attempts {
 			return err
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err)
 		}
 		t := time.NewTimer(p.Delay(attempt))
 		select {

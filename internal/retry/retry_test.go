@@ -91,33 +91,6 @@ func TestDelayJitterBounded(t *testing.T) {
 	}
 }
 
-func TestOnRetryObservesEachBackoff(t *testing.T) {
-	var attempts []int
-	p := Policy{
-		Attempts:  3,
-		BaseDelay: time.Microsecond,
-		OnRetry:   func(attempt int, err error) { attempts = append(attempts, attempt) },
-	}.NoJitter()
-	_ = p.Do(context.Background(), func() error { return syscall.EMFILE })
-	if len(attempts) != 2 || attempts[0] != 1 || attempts[1] != 2 {
-		t.Fatalf("OnRetry saw %v, want [1 2]", attempts)
-	}
-}
-
-func TestCustomClassifier(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("try me again")
-	p := Policy{
-		Attempts:  2,
-		BaseDelay: time.Microsecond,
-		Classify:  func(err error) bool { return errors.Is(err, sentinel) },
-	}.NoJitter()
-	_ = p.Do(context.Background(), func() error { calls++; return sentinel })
-	if calls != 2 {
-		t.Fatalf("custom-classified error ran %d times, want 2", calls)
-	}
-}
-
 func TestTransientClassification(t *testing.T) {
 	for _, e := range []error{syscall.EINTR, syscall.EAGAIN, syscall.EBUSY, syscall.ENFILE, syscall.EMFILE, syscall.ETIMEDOUT} {
 		if !Transient(fmt.Errorf("wrapped: %w", e)) {

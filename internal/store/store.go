@@ -782,19 +782,6 @@ func EncodeState(s *State, saltFP string) ([]byte, error) {
 	return buf, nil
 }
 
-// IsStateBlob sniffs whether a snapshot was written by EncodeState.
-func IsStateBlob(blob []byte) bool {
-	if len(blob) == 0 || blob[0] != '{' {
-		return false
-	}
-	i := 0
-	for i < len(blob) && blob[i] != '\n' {
-		i++
-	}
-	rec, err := decodeLine(blob[:i])
-	return err == nil && rec.T == TOpen && rec.Schema == Schema
-}
-
 // DecodeState parses an EncodeState blob, returning the state and the
 // salt fingerprint it was written under. The same commit-gating as
 // segment replay applies: a blob without a valid commit is empty, and

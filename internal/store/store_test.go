@@ -301,9 +301,6 @@ func TestEncodeDecodeState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeState: %v", err)
 	}
-	if !IsStateBlob(blob) {
-		t.Fatalf("IsStateBlob rejected an EncodeState blob")
-	}
 	got, fp, err := DecodeState(blob)
 	if err != nil {
 		t.Fatalf("DecodeState: %v", err)
@@ -331,9 +328,6 @@ func TestEncodeDecodeState(t *testing.T) {
 	// Foreign bytes are rejected.
 	if _, _, err := DecodeState([]byte("ipa1\x00legacy")); !errors.Is(err, ErrSchema) {
 		t.Fatalf("DecodeState(foreign) err = %v, want ErrSchema", err)
-	}
-	if IsStateBlob([]byte("ipa1\x00legacy")) {
-		t.Fatalf("IsStateBlob accepted a legacy blob")
 	}
 }
 

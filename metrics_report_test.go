@@ -248,12 +248,12 @@ func TestProgramCountersNotDoubledAcrossSessions(t *testing.T) {
 	checkStatsCounters(t, counters, sum)
 }
 
-// TestMetricsMatchStatsAfterRollback: a file that fails mid-rewrite is
-// rolled back out of Stats, and the registry — which reads Stats at
-// scrape time — must agree with the result series for series, in the
-// serial and parallel batch modes. The stream case fails the sink on
-// close after a clean rewrite, so the rollback takes back counts the
-// Session had already merged.
+// TestMetricsMatchStatsAfterRollback: a file that fails mid-rewrite
+// never reaches Stats, and the registry — which reads Stats at scrape
+// time — must agree with the result series for series, in the serial
+// and parallel batch modes. The stream case fails the sink on close
+// after a clean rewrite: the close runs inside the file's unit, so the
+// file is dropped before its counts reach the Session.
 func TestMetricsMatchStatsAfterRollback(t *testing.T) {
 	in := readGoldenDir(t, "testdata/golden/in")
 	const poison = "cr2-sfo-confg"
@@ -262,7 +262,7 @@ func TestMetricsMatchStatsAfterRollback(t *testing.T) {
 		a := New(Options{Salt: []byte(goldenSalt), Metrics: reg})
 		st := body(a)
 		if st.Files != int64(len(in)-1) {
-			t.Fatalf("Stats count %d files, want %d (the poisoned file rolled back)", st.Files, len(in)-1)
+			t.Fatalf("Stats count %d files, want %d (the poisoned file dropped)", st.Files, len(in)-1)
 		}
 		checkStatsCounters(t, reg.Counters(), st)
 	}
