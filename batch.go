@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"confanon/internal/anonymizer"
-	"confanon/internal/ipanon"
 	"confanon/internal/trace"
 )
 
@@ -196,9 +195,9 @@ func spanID(sp *trace.Span) trace.SpanID {
 }
 
 // traceCensusFailure publishes a failed file span for a file whose
-// parallel census failed. The census runs against muted throwaway
-// sessions that never trace, so without this the file would vanish from
-// the span tree — and failures are traced, never dropped.
+// parallel census failed in its prescan. Such a file never reaches a
+// fill, and the census opens no span, so without this the file would
+// vanish from the span tree — and failures are traced, never dropped.
 func (a *Anonymizer) traceCensusFailure(sp *trace.Span, ferr *FileError) {
 	if sp == nil {
 		return
@@ -259,12 +258,28 @@ func (r *corpusRun) fail(name string, ferr *FileError) {
 	r.a.batch.countFile(FileFailed)
 }
 
+// phase runs one phase of the run and, when the run is traced, records
+// it as a stage span under the corpus span, beside the file spans. The
+// phases are "pin" (the one-worker prescan), "census", "replay", "fill"
+// (or "engine" when files run through the engine instead of filling a
+// census template) and "gate".
+func (r *corpusRun) phase(name string, f func()) {
+	if r.sp == nil {
+		f()
+		return
+	}
+	tr := r.a.prog.opts.Tracer
+	start := tr.Now()
+	f()
+	tr.RecordSpan(trace.KindStage, name, r.sp.ID, start, tr.Now()-start, trace.StatusOK)
+}
+
 // fanOut calls job(w, i) for every i in [0, n) on workers goroutines,
 // w being the calling goroutine's index in [0, workers). Indices are
 // handed out in ascending order, so a single worker runs them in order;
 // once ctx is cancelled no further job starts. It is the batch layer's
-// one worker pool: the census, the rewrite and the incremental jobs all
-// run on it.
+// one worker pool: the census, the fill, the gate and the incremental
+// jobs all run on it.
 func fanOut(ctx context.Context, n, workers int, job func(w, i int)) {
 	work := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -306,113 +321,124 @@ func ParallelCorpusContext(ctx context.Context, opts Options, files map[string]s
 	return Compile(opts).NewSession().ParallelCorpusContext(ctx, files, workers)
 }
 
-// fileCensus is one file's census record: the mapper-call traces of its
-// prescan and its full rewrite, captured against a throwaway mapper.
-type fileCensus struct {
-	pins, full *ipanon.Trace
-	pinErr     *FileError
-}
-
 // censusReplay runs the shaped-tree census over the named files on
-// workers goroutines and replays the recorded mapper-call traces into
-// the shared tree in the deterministic serial order (every file's
-// prescan pins in sorted-name order, then every surviving file's full
-// sequence). Files whose census failed are marked failed and traced;
-// their partial pin traces still replay — exactly what a sequential run
-// leaves behind before aborting. Returns ctx's error if the census was
-// cut short, in which case the replay is skipped (only the failures are
-// recorded). Callers pass names already sorted.
-func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[string]string, workers int) error {
+// workers goroutines — each file's one engine pass, kept as a Template
+// (internal/anonymizer/template.go) — and replays the recorded
+// mapper-call logs into the shared tree in the deterministic serial
+// order: every file's prescan pins in sorted-name order, then every
+// surviving file's full log. Files whose prescan failed are marked
+// failed and traced; their partial pins still replay — exactly what a
+// sequential run leaves behind before aborting. A file that failed past
+// its prescan replays its truncated log and fails in its fill. Returns
+// the templates by index, or ctx's error if the census was cut short, in
+// which case the replay is skipped (only the failures are recorded).
+// Callers pass names already sorted.
+func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[string]string, workers int) ([]*anonymizer.Template, error) {
 	a := r.a
-	censuses := make([]fileCensus, len(names))
-	fanOut(ctx, len(names), workers, func(_, i int) {
-		pins, full, pinErr := a.sess.CensusFile(names[i], files[names[i]])
-		censuses[i] = fileCensus{pins: pins, full: full, pinErr: pinErr}
+	tmpls := make([]*anonymizer.Template, len(names))
+	r.phase("census", func() {
+		fanOut(ctx, len(names), workers, func(_, i int) {
+			tmpls[i] = a.sess.Census(names[i], files[names[i]])
+		})
 	})
 	markFailed := func(i int, ferr *FileError) {
 		r.fail(names[i], ferr)
 		a.traceCensusFailure(r.sp, ferr)
 	}
 	if err := ctx.Err(); err != nil {
-		for i, c := range censuses {
-			if c.pinErr != nil {
-				markFailed(i, c.pinErr)
+		for i, t := range tmpls {
+			if t != nil && t.PinErr() != nil {
+				markFailed(i, t.PinErr())
 			}
 		}
-		return err
+		return nil, err
 	}
-	for _, c := range censuses {
-		a.sess.Replay(c.pins)
-	}
-	for i, c := range censuses {
-		if c.pinErr != nil {
-			markFailed(i, c.pinErr)
-			continue
+	r.phase("replay", func() {
+		for _, t := range tmpls {
+			a.sess.Replay(t.Pins())
 		}
-		a.sess.Replay(c.full)
-	}
-	return nil
+		for i, t := range tmpls {
+			if ferr := t.PinErr(); ferr != nil {
+				markFailed(i, ferr)
+				continue
+			}
+			a.sess.Replay(t.Calls())
+		}
+	})
+	return tmpls, nil
 }
 
 // prescanInPlace is censusReplay's one-worker form: every file's prescan
 // pins the real tree in sorted-name order, and the single rewrite worker
 // that follows visits the surviving files in that same order — the
-// mapper-call sequence a census replay would feed the tree, without the
-// census's second engine pass. A file whose prescan fails is marked
+// mapper-call sequence a census replay would feed the tree, without a
+// census. A file whose prescan fails is marked
 // failed (the real worker traced its span); its partial pins stay, as
 // they do in the census.
-func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files map[string]string) error {
+func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files map[string]string) (err error) {
 	wk := r.a.sess.Acquire()
 	defer r.a.sess.Release(wk)
 	wk.SetCorpusSpan(spanID(r.sp))
-	for _, n := range names {
-		if err := ctx.Err(); err != nil {
-			return err
+	r.phase("pin", func() {
+		for _, n := range names {
+			if err = ctx.Err(); err != nil {
+				return
+			}
+			if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
+				r.fail(n, ferr)
+			}
 		}
-		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
-			r.fail(n, ferr)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // rewriteAndGate is the phase every corpus driver ends with. job(wk, i)
 // produces file i's result on one of workers goroutines, each holding
-// its own Session worker nested under the run's span. After every
-// worker has published its recorder entries, each started file is
-// leak-gated (under Options.Strict) and counted in index order — callers
-// pass sorted names — so every file is gated against the values
-// recorded from the whole corpus and the quarantine set is the same at
-// every worker count. The gated results are recorded in res.Files and
-// returned by index; nil marks a file never started (ctx was cancelled
-// first).
-func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
+// its own Session worker nested under the run's span; phase names the
+// job phase's span. Once every job has published its recorder entries
+// the recorder is frozen, and under Options.Strict each started file is
+// leak-gated on the same pool — every file against the values recorded
+// from the whole corpus, so the quarantine set is the same at every
+// worker count. The gate ignores ctx: a started file is never published
+// ungated. The results are then recorded in res.Files and counted in
+// index order — callers pass sorted names — and returned by index; nil
+// marks a file never started (ctx was cancelled first).
+func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase string, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
 	a := r.a
 	wks := make([]*anonymizer.Anonymizer, workers)
 	for w := range wks {
 		wks[w] = a.sess.Acquire()
 		wks[w].SetCorpusSpan(spanID(r.sp))
 	}
+	defer func() {
+		for _, wk := range wks {
+			a.sess.Release(wk)
+		}
+	}()
 	out := make([]*FileResult, n)
-	fanOut(ctx, n, workers, func(w, i int) {
-		fr := job(wks[w], i)
-		out[i] = &fr
+	r.phase(phase, func() {
+		fanOut(ctx, n, workers, func(w, i int) {
+			fr := job(wks[w], i)
+			out[i] = &fr
+		})
 	})
-	for _, wk := range wks {
-		a.sess.Release(wk)
-	}
 
-	gate := a.sess.Acquire()
-	defer a.sess.Release(gate)
-	gate.SetCorpusSpan(spanID(r.sp))
-	for _, fr := range out {
+	leaks := make([][]Leak, n)
+	if a.strict {
+		r.phase("gate", func() {
+			fanOut(context.WithoutCancel(ctx), n, workers, func(w, i int) {
+				if fr := out[i]; fr != nil && fr.Status == FileOK {
+					leaks[i] = confirmedLeaks(wks[w].LeakReport(fr.Text))
+				}
+			})
+		})
+	}
+	for i, fr := range out {
 		if fr == nil {
 			continue
 		}
-		if a.strict && fr.Status == FileOK {
-			if leaks := confirmedLeaks(gate.LeakReport(fr.Text)); len(leaks) > 0 {
-				*fr = FileResult{Name: fr.Name, Status: FileQuarantined, Leaks: leaks}
-			}
+		if len(leaks[i]) > 0 {
+			*fr = FileResult{Name: fr.Name, Status: FileQuarantined, Leaks: leaks[i]}
 		}
 		r.res.Files[fr.Name] = *fr
 		a.batch.countFile(fr.Status)
@@ -427,14 +453,15 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, job func
 //
 // Under the default shaped-tree scheme the mapping depends on the order
 // addresses first reach the tree, so the run is split into three phases:
-// a parallel census records each file's exact mapper-call sequence
-// against throwaway state; the traces are then replayed into the shared
-// tree serially (every file's prescan pins in sorted-name order, then
-// every surviving file's full sequence); finally the files are rewritten
-// in parallel, where every lookup hits the now-resolved tree lock-free.
-// At one worker the census is skipped: the prescans pin the tree in
-// place and the in-order rewrite is itself the replay. Under
-// Options.StatelessIP mappings are pure functions of the salt and
+// a parallel census runs each file's one engine pass against throwaway
+// state, keeping its output with every address left as a hole and its
+// exact mapper-call sequence; the call logs are then replayed into the
+// shared tree serially (every file's prescan pins in sorted-name order,
+// then every surviving file's full sequence); finally each file's holes
+// are filled in parallel, every lookup a lock-free hit on the
+// now-resolved tree. At one worker the census is skipped: the prescans
+// pin the tree in place and the in-order rewrite is itself the replay.
+// Under Options.StatelessIP mappings are pure functions of the salt and
 // neither is needed.
 //
 // Strict leak-gating runs after the rewrite, against the values recorded
@@ -446,30 +473,43 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 	}
 	names := sortedNames(files)
 	run := a.beginCorpus("parallel-corpus", len(files), workers)
+	var tmpls []*anonymizer.Template
 	var err error
 	switch {
 	case a.prog.opts.StatelessIP:
 	case workers == 1:
 		err = run.prescanInPlace(ctx, names, files)
 	default:
-		err = run.censusReplay(ctx, names, files, workers)
+		tmpls, err = run.censusReplay(ctx, names, files, workers)
 	}
 	if err != nil {
 		return run.finish(err)
 	}
 
-	// At two or more workers every mapper call was replayed above, so
-	// under the shaped tree the rewrite's lookups are lock-free cache hits
-	// and the output does not depend on scheduling.
-	rewrite := make([]string, 0, len(names))
-	for _, n := range names {
+	// With templates every mapper call was replayed above, so the fill's
+	// lookups are lock-free cache hits and the output does not depend on
+	// scheduling.
+	rewrite := make([]int, 0, len(names))
+	for i, n := range names {
 		if _, failed := run.res.Files[n]; !failed {
-			rewrite = append(rewrite, n)
+			rewrite = append(rewrite, i)
 		}
 	}
-	run.rewriteAndGate(ctx, len(rewrite), workers, func(wk *anonymizer.Anonymizer, i int) FileResult {
-		name := rewrite[i]
-		out, ferr := wk.SafeAnonymizeText(name, files[name])
+	phase := "engine"
+	if tmpls != nil {
+		phase = "fill"
+	}
+	run.rewriteAndGate(ctx, len(rewrite), workers, phase, func(wk *anonymizer.Anonymizer, k int) FileResult {
+		i := rewrite[k]
+		name := names[i]
+		var out string
+		var ferr *FileError
+		if tmpls != nil {
+			out, ferr = wk.SafeFill(tmpls[i], files[name])
+			tmpls[i] = nil // the template is spent; let it go before the run ends
+		} else {
+			out, ferr = wk.SafeAnonymizeText(name, files[name])
+		}
 		if ferr != nil {
 			return FileResult{Name: name, Status: FileFailed, Err: ferr}
 		}

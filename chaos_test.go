@@ -380,8 +380,8 @@ func TestStreamCorpusContextStrictQuarantine(t *testing.T) {
 // TestChaosRollbackLeavesNoLedgerEntries: a file that dies mid-way must
 // leave zero provenance records — its decisions are dropped with its
 // counts — while its span survives, marked failed. Checked on both
-// batch paths, which fail the file in different phases (the parallel
-// census vs the serial rewrite).
+// batch paths: the parallel census records the panic and the fill fails
+// the file; the serial rewrite fails it directly.
 func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 	armPoison(t, "poison", 2)
 	files := chaosCorpus()
@@ -426,9 +426,8 @@ func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The muted census rehearsal swallows the rewrite panic (the file
-		// is retried on the real state), so the traced phase-3 worker is
-		// the one that fails it, inside the engine.
+		// The census keeps the panic in the file's template; the traced
+		// fill fails the file as a "rewrite" unit at the census's line.
 		check(t, tr, "rewrite")
 	})
 	t.Run("serial", func(t *testing.T) {
@@ -444,9 +443,9 @@ func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 	})
 }
 
-// TestCensusFailureSpanSynthesized: when a file dies in the muted
-// parallel census itself (a prescan panic — the rehearsal sessions never
-// trace), the batch layer must synthesize its failed span so the file
+// TestCensusFailureSpanSynthesized: when a file dies in the parallel
+// census's prescan (the census opens no span, and the file reaches no
+// fill), the batch layer must synthesize its failed span so the file
 // does not vanish from the span tree.
 func TestCensusFailureSpanSynthesized(t *testing.T) {
 	tr := NewTracer()

@@ -117,14 +117,18 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer. Crashers are persisted under testdata/fuzz/ and then
-# replayed by the ordinary test step above, so a find here becomes a
-# permanent regression test.
+# the anonymizer, and over the parallel driver's census → replay → fill
+# against the serial driver (byte-identical outputs, same quarantine
+# set). Crashers are persisted under testdata/fuzz/ and then replayed by
+# the ordinary test step above, so a find here becomes a permanent
+# regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	echo "== fuzz smoke: internal/config FuzzParse (10s)"
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
 	echo "== fuzz smoke: internal/cregex FuzzParsePattern (10s)"
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"
+	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
 fi
 
 echo "== ok"

@@ -336,7 +336,7 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 		}
 	}
 	if !a.prog.opts.StatelessIP && len(engineNames) > 0 {
-		if err := run.censusReplay(ctx, engineNames, files, workers); err != nil {
+		if _, err := run.censusReplay(ctx, engineNames, files, workers); err != nil {
 			return finish(err)
 		}
 	}
@@ -352,7 +352,7 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 		}
 	}
 	outs := make([]incrOut, len(work))
-	results := run.rewriteAndGate(ctx, len(work), workers, func(wk *anonymizer.Anonymizer, k int) FileResult {
+	results := run.rewriteAndGate(ctx, len(work), workers, "engine", func(wk *anonymizer.Anonymizer, k int) FileResult {
 		pl := &plans[work[k]]
 		r, o := pl.run(wk)
 		outs[k] = o

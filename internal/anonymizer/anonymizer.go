@@ -101,6 +101,10 @@ type Anonymizer struct {
 	pending    []trace.Decision
 	curRule    RuleID
 
+	// tmpl is the Template a census worker fills in place of committing
+	// (template.go); nil on every worker that maps for real.
+	tmpl *Template
+
 	// Leak recorder (§6.1), pending half: every public ASN, hashed word,
 	// and mapped original address the file in flight has seen. Published
 	// into the Session's recorder at every file boundary, failed or not;

@@ -108,6 +108,9 @@ func (a *Anonymizer) runLine(line string, st *fileState) (string, bool) {
 	start := time.Now()
 	res, keep := a.processLine(line, st)
 	a.attribute(time.Since(start))
+	if a.tmpl != nil {
+		a.tmpl.endLine(res, keep, &a.ctx)
+	}
 	if !keep && a.tracer != nil {
 		// A dropped line is one decision: the comment/banner rule that
 		// removed it, with no replacement to record.

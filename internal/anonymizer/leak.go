@@ -2,6 +2,7 @@ package anonymizer
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"time"
 
@@ -19,7 +20,7 @@ type Leak struct {
 	Line int    // 1-based line number in the post-anonymization text
 	Text string // the full line
 	Tok  string // the suspicious token
-	Kind string // "asn", "word", or "ip"
+	Kind string // "asn", "word", "ip", "ip6", or "pack"
 	// LikelyFalsePositive marks ASN hits in positions where small
 	// integers are ubiquitous (OSPF process ids, areas, sequence
 	// numbers). The paper hits the same wall: grepping for Genuity's
@@ -51,7 +52,11 @@ var innocuousIntContext = map[string]bool{
 
 // LeakReport scans anonymized output for recorded sensitive values that
 // survived: public ASNs the permutation mapped, words the hash replaced,
-// and original (pre-anonymization) IP addresses. The scan reads the
+// and original (pre-anonymization) IP addresses. The engine does not map
+// IPv6 yet, so every IPv6 address or prefix that is not special
+// (isPublicIPv6) is reported as a confirmed leak, whether or not the
+// recorder saw it: under Options.Strict such a file is quarantined
+// rather than published in cleartext. The scan reads the
 // Session's recorder, which every worker publishes into at each file
 // boundary, so it sees everything every worker of the Session has
 // processed. False positives are possible — an anonymized value may
@@ -105,6 +110,11 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 						LikelyFalsePositive: fp})
 					continue
 				}
+				if strings.Count(w, ":") >= 2 && isPublicIPv6(w) {
+					a.hit(RuleLeakHighlight)
+					leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "ip6"})
+					continue
+				}
 				// Pack report rules: extra leak patterns a loaded pack
 				// flags. They can only add findings, never suppress the
 				// recorder-driven checks above.
@@ -124,4 +134,28 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 	a.countLeaks(leaks)
 	a.observeStage(stageLeakReport, time.Since(reportStart))
 	return leaks
+}
+
+// ipv6Doc is the IPv6 documentation prefix (RFC 3849).
+var ipv6Doc = netip.MustParsePrefix("2001:db8::/32")
+
+// isPublicIPv6 reports whether a token, stripped of structural
+// punctuation, is an IPv6 address or prefix outside the special scopes
+// that identify no network: loopback, unspecified, link-local,
+// multicast and the documentation prefix.
+func isPublicIPv6(w string) bool {
+	_, core, _ := token.TrimPunct(w)
+	addr, err := netip.ParseAddr(core)
+	if err != nil {
+		p, perr := netip.ParsePrefix(core)
+		if perr != nil {
+			return false
+		}
+		addr = p.Addr()
+	}
+	if !addr.Is6() {
+		return false
+	}
+	return !(addr.IsLoopback() || addr.IsUnspecified() || addr.IsLinkLocalUnicast() ||
+		addr.IsMulticast() || ipv6Doc.Contains(addr))
 }

@@ -184,8 +184,13 @@ func (a *Anonymizer) flushRecorder() {
 }
 
 // observeStage records one stage latency when a registry is wired, and
-// the matching retroactive stage span when a tracer is.
+// the matching retroactive stage span when a tracer is. A census keeps
+// it in the Template for the fill to observe.
 func (a *Anonymizer) observeStage(stage string, d time.Duration) {
+	if a.tmpl != nil {
+		a.tmpl.stages = append(a.tmpl.stages, stageTime{stage, d})
+		return
+	}
 	if a.metrics != nil {
 		a.metrics.stageSeconds.With(stage).ObserveDuration(d)
 	}

@@ -50,7 +50,7 @@ var nameLineRules = []*lineRule{
 	nameEntry("neighbor-route-map",
 		func(w []string) bool { return len(w) >= 4 && w[2] == "route-map" },
 		func(a *Anonymizer, w []string) {
-			w[1] = a.mapNeighborToken(w[1])
+			a.mapNeighborToken(&w[1])
 			w[3] = a.forceHashName(w[3])
 		}),
 
@@ -58,7 +58,7 @@ var nameLineRules = []*lineRule{
 	nameEntry("neighbor-peer-group-ref",
 		func(w []string) bool { return len(w) >= 4 && w[2] == "peer-group" },
 		func(a *Anonymizer, w []string) {
-			w[1] = a.mapNeighborToken(w[1])
+			a.mapNeighborToken(&w[1])
 			w[3] = a.forceHashName(w[3])
 		}),
 
@@ -74,7 +74,7 @@ var nameLineRules = []*lineRule{
 			return len(w) >= 4 && (w[2] == "prefix-list" || w[2] == "filter-list" || w[2] == "distribute-list")
 		},
 		func(a *Anonymizer, w []string) {
-			w[1] = a.mapNeighborToken(w[1])
+			a.mapNeighborToken(&w[1])
 			w[3] = a.forceHashName(w[3])
 		}),
 
@@ -136,11 +136,12 @@ var nameLineRules = []*lineRule{
 		func(a *Anonymizer, w []string) { w[len(w)-1] = a.forceHashName(w[len(w)-1]) }),
 }
 
-// mapNeighborToken maps a neighbor reference: an address maps through the
-// IP tree; a peer-group name hashes.
-func (a *Anonymizer) mapNeighborToken(w string) string {
-	if _, ok := token.ParseIPv4(w); ok {
-		return a.mapAddrToken(w)
+// mapNeighborToken maps the neighbor reference in the word slot w: an
+// address maps through the IP tree; a peer-group name hashes.
+func (a *Anonymizer) mapNeighborToken(w *string) {
+	if _, ok := token.ParseIPv4(*w); ok {
+		a.mapAddrToken(w)
+		return
 	}
-	return a.forceHashName(w)
+	*w = a.forceHashName(*w)
 }

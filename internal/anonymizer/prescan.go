@@ -100,4 +100,7 @@ func (a *Anonymizer) prescan(lines []string) {
 	for _, p := range pins {
 		a.ip.MapPrefix(p.net, p.len)
 	}
+	if a.tmpl != nil {
+		a.tmpl.pins = a.tmpl.calls.Len()
+	}
 }

@@ -40,7 +40,7 @@ var asnLineRules = []*lineRule{
 			return "", false, false
 		}
 		a.hit(RuleNeighborRemoteAS)
-		c.words[1] = a.mapNeighborToken(c.words[1])
+		a.mapNeighborToken(&c.words[1])
 		c.words[3] = a.mapASNToken(c.words[3])
 		return token.Join(c.words, c.gaps), true, true
 	}},
@@ -51,7 +51,7 @@ var asnLineRules = []*lineRule{
 			return "", false, false
 		}
 		a.hit(RuleNeighborLocalAS)
-		c.words[1] = a.mapNeighborToken(c.words[1])
+		a.mapNeighborToken(&c.words[1])
 		c.words[3] = a.mapASNToken(c.words[3])
 		return token.Join(c.words, c.gaps), true, true
 	}},
@@ -275,23 +275,17 @@ func (a *Anonymizer) mapASNToken(w string) string {
 	return res
 }
 
-// mapAddrToken maps a dotted-quad token, preserving non-addresses.
-func (a *Anonymizer) mapAddrToken(w string) string {
-	v, ok := token.ParseIPv4(w)
+// mapAddrToken maps the dotted-quad token in the word slot w, hashing
+// non-addresses.
+func (a *Anonymizer) mapAddrToken(w *string) {
+	v, ok := token.ParseIPv4(*w)
 	if !ok {
-		return a.forceHash(w)
+		*w = a.forceHash(*w)
+		return
 	}
 	a.hit(RuleBareAddr)
 	a.stats.IPsMapped++
-	out := a.ip.MapV4(v)
-	if out != v {
-		a.seenIPs[v] = true
-	}
-	res := token.FormatIPv4(out)
-	if a.tracer != nil {
-		a.decide(trace.ClassIP, res)
-	}
-	return res
+	a.renderIP(w, a.mapHost(v), -1)
 }
 
 func (a *Anonymizer) recordASN(v uint32) {

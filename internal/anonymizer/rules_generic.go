@@ -31,6 +31,9 @@ func (a *Anonymizer) genericWords(words []string, st *fileState) {
 	for i := range words {
 		words[i] = leads[i] + cores[i] + trails[i]
 	}
+	if a.tmpl != nil {
+		a.tmpl.moveHoles(cores, words, leads)
+	}
 }
 
 // genericCores runs the word-level rules over punctuation-stripped cores.
@@ -62,7 +65,7 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 				if m, mok := token.ParseIPv4(words[i+2]); mok {
 					if length, isMask := config.MaskToLen(m); isMask {
 						a.hit(RuleAddrNetmask)
-						words[i] = a.mapWithPrefix(addr, length)
+						a.mapWithPrefix(&words[i], addr, length)
 						i += 2 // "mask" keyword and the mask itself pass through
 						continue
 					}
@@ -74,13 +77,13 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 				if second, ok2 := token.ParseIPv4(words[i+1]); ok2 {
 					if length, isMask := config.MaskToLen(second); isMask && second != 0 {
 						a.hit(RuleAddrNetmask)
-						words[i] = a.mapWithPrefix(addr, length)
+						a.mapWithPrefix(&words[i], addr, length)
 						i++ // mask itself passes through unchanged
 						continue
 					}
 					if length, isWild := config.MaskToLen(^second); isWild {
 						a.hit(RuleAddrWildcard)
-						words[i] = a.mapWithPrefix(addr, length)
+						a.mapWithPrefix(&words[i], addr, length)
 						i++ // wildcard passes through unchanged
 						continue
 					}
@@ -91,25 +94,17 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 				i > 0 && words[i-1] == "network" {
 				a.hit(RuleClassfulNet)
 				length, _ := config.MaskToLen(config.ClassfulMask(addr))
-				words[i] = a.mapWithPrefix(addr, length)
+				a.mapWithPrefix(&words[i], addr, length)
 				continue
 			}
 			// I3: bare address.
-			words[i] = a.mapAddrToken(w)
+			a.mapAddrToken(&words[i])
 			continue
 		}
 		if addr, length, ok := token.ParseIPv4Prefix(w); ok {
 			a.hit(RuleSlashPrefix)
 			a.stats.IPsMapped++
-			mapped := a.ip.MapPrefix(addr, length)
-			net := addr & config.LenToMask(length)
-			if mapped != net {
-				a.seenIPs[net] = true
-			}
-			words[i] = token.FormatIPv4(mapped) + "/" + strconv.Itoa(length)
-			if a.tracer != nil {
-				a.decide(trace.ClassIP, words[i])
-			}
+			a.renderIP(&words[i], a.mapNet(addr, length), length)
 			continue
 		}
 		if _, _, ok := token.ParseCommunity(w); ok {
@@ -135,30 +130,66 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 
 // mapWithPrefix pins the subnet address first (so subnet-address
 // preservation holds regardless of the order hosts appear in the file),
-// then maps the full address.
-func (a *Anonymizer) mapWithPrefix(addr uint32, length int) string {
+// then maps the full address into the word slot w.
+func (a *Anonymizer) mapWithPrefix(w *string, addr uint32, length int) {
 	a.stats.IPsMapped++
 	net := addr & config.LenToMask(length)
-	mappedNet := a.ip.MapPrefix(net, length)
-	if mappedNet != net {
-		a.seenIPs[net] = true
+	out := a.mapNet(net, length)
+	if addr != net {
+		out = a.mapHost(addr)
 	}
-	if addr == net {
-		res := token.FormatIPv4(mappedNet)
-		if a.tracer != nil {
-			a.decide(trace.ClassIP, res)
-		}
-		return res
+	a.renderIP(w, out, -1)
+}
+
+// mapHost maps one address through the mapper (see noteIP).
+func (a *Anonymizer) mapHost(v uint32) uint32 {
+	out := a.ip.MapV4(v)
+	a.noteIP(v, out)
+	return out
+}
+
+// mapNet maps the network address of a prefix through the mapper (see
+// noteIP).
+func (a *Anonymizer) mapNet(addr uint32, length int) uint32 {
+	out := a.ip.MapPrefix(addr, length)
+	a.noteIP(addr&config.LenToMask(length), out)
+	return out
+}
+
+// noteIP records an original address in the leak recorder when its
+// image differs from it. This is the one place a mapper output feeds
+// back into the engine. A census does not know the image yet, so it
+// notes the call instead and the fill makes the check (template.go).
+func (a *Anonymizer) noteIP(in, out uint32) {
+	if a.tmpl != nil {
+		a.tmpl.noteIP(in)
+		return
 	}
-	out := a.ip.MapV4(addr)
-	if out != addr {
-		a.seenIPs[addr] = true
+	if out != in {
+		a.seenIPs[in] = true
 	}
+}
+
+// renderIP writes the image of the mapper call just made into the word
+// slot w, followed by "/length" for a slash prefix (length >= 0), and
+// buffers its IP decision. In a census the image is a stand-in and the
+// slot becomes a hole the fill writes (template.go).
+func (a *Anonymizer) renderIP(w *string, out uint32, length int) {
 	res := token.FormatIPv4(out)
+	n := len(res)
+	if length >= 0 {
+		res += "/" + strconv.Itoa(length)
+	}
+	*w = res
+	if a.tmpl != nil {
+		a.tmpl.hole(w, n, res)
+	}
 	if a.tracer != nil {
 		a.decide(trace.ClassIP, res)
+		if a.tmpl != nil {
+			a.tmpl.decisionHole(len(a.pending)-1, res[n:])
+		}
 	}
-	return res
 }
 
 // hashIfPrivileged applies the basic method to one word: segment (S1/S2),

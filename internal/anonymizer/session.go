@@ -64,9 +64,8 @@ type Session struct {
 
 	// tracer is the span/ledger recorder every worker of this Session
 	// writes into (copied from Options.Tracer at NewSession; nil =
-	// untraced). Census sessions (NewCensus) always run untraced: their
-	// files are throwaway rehearsals whose spans and decisions would
-	// duplicate the real rewrite's.
+	// untraced). A census (template.go) buffers its file's decisions
+	// through it for the fill to publish, and never opens a span.
 	tracer *trace.Tracer
 
 	// The durable mapping ledger (SetLedger). ledgerOn is the hot-path
@@ -454,41 +453,21 @@ func (s *Session) SyncLedger() error {
 // IPMapping exposes the resolved IP pairs (for validation tooling).
 func (s *Session) IPMapping() []ipanon.Pair { return s.mapper().Mapping() }
 
-// NewCensus returns a recording worker for the deterministic parallel
-// corpus mode, plus the trace it records into. The worker shares this
-// Session's Program and sensitive tokens but maps addresses through an
-// identity Trace and discards its statistics and recorder entries into a
-// throwaway session — running a file through it produces no output
-// anyone keeps, only the ordered log of mapper calls the file would
-// perform. Replaying those logs serially (Replay) reproduces the serial
-// run's insertion order exactly.
-func (s *Session) NewCensus() (*Anonymizer, *ipanon.Trace) {
-	tr := &ipanon.Trace{}
-	mute := s.prog.newSession(tr)
-	mute.sensTok.Store(s.sensTok.Load())
-	mute.tracer = nil // census rehearsals must not emit spans or ledger entries
-	return mute.Acquire(), tr
-}
-
 // Replay feeds a census trace into the Session's shared mapper.
 func (s *Session) Replay(tr *ipanon.Trace) { tr.Replay(s.mapper()) }
 
-// CensusFile records one file's mapper-call traces: pins is the prescan's
-// MapPrefix sequence, full the complete rewrite's sequence (prescan
-// included, as AnonymizeText re-runs it). When the prescan panics, pinErr
-// carries the failure and pins holds the partial sequence up to the
-// abort — which is exactly what a serial run would have inserted; full is
-// nil. A full-pass panic likewise truncates full at the abort point. The
-// traces touch only throwaway state, so any number of CensusFile calls
-// may run concurrently.
+// CensusFile records one file's mapper-call traces in one engine pass
+// (Census): pins is the prescan's MapPrefix sequence, full the whole
+// pass's, prescan included. When the prescan panics, pinErr carries the
+// failure and pins holds the partial sequence up to the abort — exactly
+// what a serial run would have inserted; full is nil. A panic past the
+// prescan likewise truncates full at the abort point.
 func (s *Session) CensusFile(name, text string) (pins, full *ipanon.Trace, pinErr *FileError) {
-	pw, pt := s.NewCensus()
-	if pinErr = pw.SafePrescan(name, text); pinErr != nil {
-		return pt, nil, pinErr
+	t := s.Census(name, text)
+	if pinErr = t.PinErr(); pinErr != nil {
+		return t.Pins(), nil, pinErr
 	}
-	fw, ft := s.NewCensus()
-	fw.SafeAnonymizeText(name, text)
-	return pt, ft, nil
+	return t.Pins(), t.Calls(), nil
 }
 
 // ipOutputs returns (cached) the set of addresses the shared mapping has

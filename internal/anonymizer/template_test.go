@@ -1,0 +1,205 @@
+package anonymizer
+
+import (
+	"os"
+	"reflect"
+	"testing"
+
+	"confanon/internal/ipanon"
+	"confanon/internal/trace"
+)
+
+// templateInputs are files whose addresses sit in every slot a hole can
+// take: pair and classful rules, bare and neighbor addresses, slash
+// prefixes, JunOS values wrapped in punctuation, and dotted quads in
+// text the engine drops or hashes.
+func templateInputs(t *testing.T) map[string]string {
+	t.Helper()
+	files := map[string]string{
+		"ios": "hostname r1\n" +
+			"banner motd ^C\nNOC 12.1.1.1 owns 12.0.0.0/8\n^C\n" +
+			"interface Ethernet0\n description to 12.1.2.2/30 core\n ip address 12.1.2.1 255.255.255.252\n" +
+			"router bgp 701\n neighbor 12.1.2.2 remote-as 1239\n neighbor 12.1.2.2 route-map in-map in\n" +
+			" network 12.4.0.0 mask 255.255.0.0\n" +
+			"router rip\n network 10.0.0.0\n" +
+			"access-list 101 permit ip 12.5.0.0 0.0.255.255 host 12.5.1.1\n" +
+			"ip prefix-list pl seq 5 permit 12.4.0.0/16 le 24\n" +
+			"! 12.9.9.9 in a comment\n",
+		"junos": "interfaces {\n ge-0/0/0 {\n  unit 0 {\n   family inet {\n    address 12.0.0.1/30;\n   }\n  }\n }\n}\n" +
+			"protocols {\n bgp {\n  group peers {\n   neighbor 12.0.0.2;\n   peer-as 701;\n  }\n }\n}\n",
+	}
+	data, err := os.ReadFile("../../testdata/golden/in/cr1-lax-confg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files["golden"] = string(data)
+	return files
+}
+
+// censusFill runs the parallel driver's path for one file on s: census,
+// replay, fill.
+func censusFill(s *Session, name, text string) (string, *FileError) {
+	tm := s.Census(name, text)
+	s.Replay(tm.Pins())
+	s.Replay(tm.Calls())
+	wk := s.Acquire()
+	defer s.Release(wk)
+	return wk.SafeFill(tm, text)
+}
+
+// TestFillMatchesRewrite: a census filled from the replayed tree gives
+// the rewrite's bytes, Stats, recorder, mapping and decisions.
+func TestFillMatchesRewrite(t *testing.T) {
+	for name, text := range templateInputs(t) {
+		refTr, fillTr := trace.NewTracer(), trace.NewTracer()
+		ref := Compile(Options{Salt: []byte("tmpl"), Tracer: refTr}).NewSession()
+		got := Compile(Options{Salt: []byte("tmpl"), Tracer: fillTr}).NewSession()
+
+		wk := ref.Acquire()
+		want, ferr := wk.SafeAnonymizeText(name, text)
+		ref.Release(wk)
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		out, ferr := censusFill(got, name, text)
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		if out != want {
+			t.Errorf("%s: fill differs from rewrite:\n got %q\nwant %q", name, out, want)
+		}
+		rs, gs := ref.Stats(), got.Stats()
+		if rs.Lines != gs.Lines || rs.Files != gs.Files || rs.IPsMapped != gs.IPsMapped ||
+			rs.TokensHashed != gs.TokensHashed || !reflect.DeepEqual(rs.RuleHits(), gs.RuleHits()) {
+			t.Errorf("%s: fill Stats differ from rewrite", name)
+		}
+		if !reflect.DeepEqual(ref.CaptureState(), got.CaptureState()) {
+			t.Errorf("%s: fill recorder or mapping differs from rewrite", name)
+		}
+		if rd, gd := decisions(refTr), decisions(fillTr); !reflect.DeepEqual(rd, gd) {
+			t.Errorf("%s: fill decisions differ from rewrite:\n got %v\nwant %v", name, gd, rd)
+		}
+	}
+}
+
+// decisions lists a tracer's decisions without their span IDs.
+func decisions(tr *trace.Tracer) []trace.Decision {
+	var out []trace.Decision
+	for _, d := range tr.Ledger() {
+		d.Span = 0
+		out = append(out, d)
+	}
+	return out
+}
+
+// TestFillUnplacedRewrites: a template whose holes could not be placed
+// is rewritten in full, to the same bytes.
+func TestFillUnplacedRewrites(t *testing.T) {
+	text := templateInputs(t)["ios"]
+	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
+	want, _ := censusFill(s, "ios", text)
+
+	tm := s.Census("ios", text)
+	s.Replay(tm.Pins())
+	s.Replay(tm.Calls())
+	tm.unplaced = true
+	tm.out = "" // a placed fill would now produce nothing
+	wk := s.Acquire()
+	defer s.Release(wk)
+	got, ferr := wk.SafeFill(tm, text)
+	if ferr != nil || got != want {
+		t.Errorf("unplaced fill = %q, %v; want the rewrite %q", got, ferr, want)
+	}
+}
+
+// TestPlaceNeedsTheJoin: holes are placed only in a line that is the
+// join of the words they were rendered into.
+func TestPlaceNeedsTheJoin(t *testing.T) {
+	words, gaps := []string{"neighbor", "12.1.1.1"}, []string{" ", " ", ""}
+	tm := &Template{line: []lineHole{{slot: &words[1], n: 8, text: "12.1.1.1"}}}
+	if !tm.place(" neighbor 12.1.1.1", words, gaps) || len(tm.holes) != 1 || tm.holes[0].pos != 10 {
+		t.Fatalf("join not placed: %+v", tm.holes)
+	}
+	for _, res := range []string{" neighbor 12.1.1.1 extra", "neighbor 12.1.1.1", " neighbor  12.1.1.1"} {
+		tm.holes = nil
+		if tm.place(res, words, gaps) {
+			t.Errorf("placed holes in %q, which is not the join", res)
+		}
+	}
+	other := "12.1.1.1"
+	tm.line[0].slot = &other
+	if tm.place(" neighbor 12.1.1.1", words, gaps) {
+		t.Error("placed a hole whose slot is not among the words")
+	}
+}
+
+// TestCensusFailureFailsFill: a file whose census panics fails its fill
+// with the rewrite's FileError, keeps its truncated call log, and
+// publishes what it recorded before the panic, as the rewrite does.
+func TestCensusFailureFailsFill(t *testing.T) {
+	text := "hostname r1\ninterface Ethernet0\n ip address 12.1.2.1 255.255.255.0\nrouter bgp 701\n"
+	SetFaultHook(func(name string, line int) {
+		if line == 4 {
+			panic("boom")
+		}
+	})
+	defer SetFaultHook(nil)
+
+	ref := Compile(Options{Salt: []byte("tmpl")}).NewSession()
+	wk := ref.Acquire()
+	_, want := wk.SafeAnonymizeText("f", text)
+	ref.Release(wk)
+
+	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
+	tm := s.Census("f", text)
+	if tm.PinErr() != nil || tm.Calls().Len() <= tm.Pins().Len() {
+		t.Fatalf("census past the prescan: pin error %v, %d calls, %d pins", tm.PinErr(), tm.Calls().Len(), tm.Pins().Len())
+	}
+	_, got := censusFill(s, "f", text)
+	if got == nil || want == nil || got.Error() != want.Error() || got.Line != 4 {
+		t.Fatalf("fill error %v, want the rewrite's %v at line 4", got, want)
+	}
+	if s.Stats().Files != 0 {
+		t.Error("a failed fill committed its Stats")
+	}
+	if rs, gs := ref.CaptureState(), s.CaptureState(); !reflect.DeepEqual(rs.Words, gs.Words) {
+		t.Errorf("recorder words %v, want the rewrite's %v", gs.Words, rs.Words)
+	}
+}
+
+// TestCensusFileOnePass: CensusFile's pins are the prefix of its full
+// log, which one engine pass recorded.
+func TestCensusFileOnePass(t *testing.T) {
+	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
+	text := templateInputs(t)["ios"]
+	pins, full, ferr := s.CensusFile("ios", text)
+	if ferr != nil || full == nil || pins.Len() == 0 || pins.Len() >= full.Len() {
+		t.Fatalf("pins %d of %d calls, error %v", pins.Len(), full.Len(), ferr)
+	}
+	rec := &recordingSink{}
+	pins.Replay(rec)
+	prefix := len(rec.recs)
+	full.Replay(rec)
+	if !reflect.DeepEqual(rec.recs[:prefix], rec.recs[prefix:2*prefix]) {
+		t.Error("pins are not the prefix of the full log")
+	}
+}
+
+// recordingSink is a Mapper that records the calls replayed into it: a
+// prefix call's Out is its length plus one, a host call's is zero.
+type recordingSink struct{ recs []ipanon.Pair }
+
+func (r *recordingSink) MapV4(ip uint32) uint32 {
+	r.recs = append(r.recs, ipanon.Pair{In: ip})
+	return ip
+}
+
+func (r *recordingSink) MapPrefix(addr uint32, length int) uint32 {
+	r.recs = append(r.recs, ipanon.Pair{In: addr, Out: uint32(length) + 1})
+	return addr
+}
+
+func (r *recordingSink) Len() int                { return len(r.recs) }
+func (r *recordingSink) Remaps() int64           { return 0 }
+func (r *recordingSink) Mapping() []ipanon.Pair  { return nil }
+func (r *recordingSink) Since(int) []ipanon.Pair { return nil }

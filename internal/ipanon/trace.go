@@ -7,9 +7,10 @@ package ipanon
 // would have performed, which is what the shaped Tree's order-dependent
 // mapping requires for byte-identical parallel output.
 //
-// A Trace is intended for single-goroutine use by one census worker;
-// each worker records its own Trace and the traces are replayed serially
-// in a deterministic order.
+// A Trace is recorded by one goroutine (one census worker records each
+// file's Trace); the traces are then replayed serially in a
+// deterministic order. A recorded Trace is only read, so Resolve may run
+// on it from any goroutine.
 type Trace struct {
 	ops []traceOp
 }
@@ -51,6 +52,20 @@ func (tr *Trace) Remaps() int64 { return 0 }
 // Since returns nil: a Trace resolves nothing, so there is never a
 // delta to persist.
 func (tr *Trace) Since(n int) []Pair { return nil }
+
+// Prefix returns the log of the first n recorded calls, sharing this
+// trace's storage (later calls recorded here never show through it).
+func (tr *Trace) Prefix(n int) *Trace { return &Trace{ops: tr.ops[:n:n]} }
+
+// Resolve re-issues recorded call i against m and returns m's answer.
+// Once the trace has been replayed into m the call is a cache hit.
+func (tr *Trace) Resolve(i int, m Mapper) uint32 {
+	op := tr.ops[i]
+	if op.prefix {
+		return m.MapPrefix(op.addr, op.length)
+	}
+	return m.MapV4(op.addr)
+}
 
 // Replay feeds every recorded call into m in recorded order. Repeated
 // addresses are harmless — they resolve from m's cache — so replaying a

@@ -395,25 +395,25 @@ func isAllPunct(w string) bool {
 // FormatIPv4 renders a 32-bit value as a dotted quad.
 func FormatIPv4(v uint32) string {
 	var b [15]byte
-	n := 0
+	return string(AppendIPv4(b[:0], v))
+}
+
+// AppendIPv4 appends the dotted quad of v to b.
+func AppendIPv4(b []byte, v uint32) []byte {
 	for i := 3; i >= 0; i-- {
-		oct := int(v >> (8 * uint(i)) & 0xFF)
+		oct := byte(v >> (8 * uint(i)))
 		if oct >= 100 {
-			b[n] = byte('0' + oct/100)
-			n++
+			b = append(b, '0'+oct/100)
 		}
 		if oct >= 10 {
-			b[n] = byte('0' + oct/10%10)
-			n++
+			b = append(b, '0'+oct/10%10)
 		}
-		b[n] = byte('0' + oct%10)
-		n++
+		b = append(b, '0'+oct%10)
 		if i > 0 {
-			b[n] = '.'
-			n++
+			b = append(b, '.')
 		}
 	}
-	return string(b[:n])
+	return b
 }
 
 // TrimPunct splits a word into leading punctuation, a core token, and

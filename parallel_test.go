@@ -165,10 +165,10 @@ func BenchmarkParallelCorpus(b *testing.B) {
 }
 
 // BenchmarkParallelShapedTree sweeps workers under the default shaped
-// tree: the full census → replay → rewrite pipeline, whose output is
+// tree: the census → replay → fill pipeline, whose output is
 // byte-identical to a serial run. Compare against BenchmarkParallelCorpus
-// to see what determinism costs (the census roughly doubles per-file
-// work, so speedup over serial needs >2 effective cores).
+// to see what determinism costs (the serial replay, and the fill's pass
+// over each file's output).
 func BenchmarkParallelShapedTree(b *testing.B) {
 	n := netgen.Generate(netgen.Params{Seed: 1202, Kind: netgen.Backbone, Routers: 48})
 	files := n.RenderAll()
