@@ -117,11 +117,13 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer, and over the parallel driver's census → replay → fill
+# the anonymizer, over the parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
-# set). Crashers are persisted under testdata/fuzz/ and then replayed by
-# the ordinary test step above, so a find here becomes a permanent
-# regression test.
+# set), over the ledger's byte-level line decoder against encoding/json
+# (same Record, same class of error), and over the line cache decoder
+# (no input panics). Crashers are persisted under testdata/fuzz/ and
+# then replayed by the ordinary test step above, so a find here becomes
+# a permanent regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	echo "== fuzz smoke: internal/config FuzzParse (10s)"
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
@@ -129,6 +131,10 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
 	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"
 	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
+	echo "== fuzz smoke: internal/store FuzzDecodeLine (10s)"
+	go test -run '^$' -fuzz '^FuzzDecodeLine$' -fuzztime 10s ./internal/store
+	echo "== fuzz smoke: FuzzDecodeCorpusCache (10s)"
+	go test -run '^$' -fuzz '^FuzzDecodeCorpusCache$' -fuzztime 10s .
 fi
 
 echo "== ok"

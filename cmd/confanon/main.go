@@ -532,7 +532,8 @@ func writeFileRetry(path string, data []byte, perm os.FileMode) error {
 	return retryIO(func() error { return os.WriteFile(path, data, perm) })
 }
 
-// cacheFileName is the incremental line cache inside -state-dir.
+// cacheFileName is the incremental line cache inside -state-dir. The
+// cache is a binary confanon.filecache/v2 blob; the name predates it.
 const cacheFileName = "filecache.json"
 
 // writeFileAtomic writes data to path via fsynced temp file + rename in

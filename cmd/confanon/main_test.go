@@ -426,6 +426,49 @@ func TestRunIncremental(t *testing.T) {
 	}
 }
 
+// TestRunIncrementalIgnoresV1Cache: a confanon.filecache/v1 JSON cache
+// left in the state dir is logged and ignored, the run is a full
+// recording run with the output of a run without -incremental, and the
+// cache it leaves behind decodes.
+func TestRunIncrementalIgnoresV1Cache(t *testing.T) {
+	in := writeInput(t, map[string]string{
+		"r1.conf": cleanConf,
+		"r2.conf": "hostname r2\ninterface Serial0\n ip address 12.9.2.1 255.255.255.252\n",
+	})
+	state := t.TempDir()
+	v1 := `{"schema":"confanon.filecache/v1","salt_fp":"x","opts_fp":"y","files":{"r1.conf":{"sum":"z","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`
+	if err := os.WriteFile(filepath.Join(state, cacheFileName), []byte(v1), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	incOut, fullOut := t.TempDir(), t.TempDir()
+	code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", incOut, "-rename=false", "-state-dir", state, "-incremental")
+	if code != exitClean {
+		t.Fatalf("incremental run: exit %d; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "ignoring corpus cache") {
+		t.Errorf("v1 cache not reported as ignored; stderr:\n%s", stderr)
+	}
+	if code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", fullOut, "-rename=false", "-state-dir", t.TempDir()); code != exitClean {
+		t.Fatalf("full run: exit %d; stderr:\n%s", code, stderr)
+	}
+	inc, full := readOutputs(t, incOut), readOutputs(t, fullOut)
+	if len(inc) != len(full) {
+		t.Fatalf("output counts differ: incremental %d, full %d", len(inc), len(full))
+	}
+	for name := range full {
+		if inc[name] != full[name] {
+			t.Errorf("output differs on %s:\n inc: %q\nfull: %q", name, inc[name], full[name])
+		}
+	}
+	blob, err := os.ReadFile(filepath.Join(state, cacheFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := confanon.DecodeCorpusCache(blob); err != nil {
+		t.Errorf("recorded cache does not decode: %v", err)
+	}
+}
+
 func TestRunMappingFileWrittenAtomically(t *testing.T) {
 	// After a run the -mapping path must hold a complete snapshot and no
 	// temp artifacts may linger next to it.

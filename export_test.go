@@ -6,3 +6,32 @@ package confanon
 func ProgramCounters(p *Program) (cacheHits, cacheMisses, asnWalks int64) {
 	return p.inner.CacheHits(), p.inner.CacheMisses(), p.inner.ASNCycleWalks()
 }
+
+// CacheLineDecodes returns how many files' line records a run has
+// decoded from c.
+func CacheLineDecodes(c *CorpusCache) int64 { return c.lineDecodes.Load() }
+
+// CacheSections decodes a cache blob and returns each file's encoded
+// section.
+func CacheSections(blob []byte) (map[string]string, error) {
+	c, err := DecodeCorpusCache(blob)
+	if err != nil {
+		return nil, err
+	}
+	sections := make(map[string]string, len(c.files))
+	for name, fc := range c.files {
+		sections[name] = fc.section
+	}
+	return sections, nil
+}
+
+// DecodeCacheLines decodes every file's line records in c, returning
+// the first error.
+func DecodeCacheLines(c *CorpusCache) error {
+	for _, fc := range c.files {
+		if _, err := c.decodeLines(fc); err != nil {
+			return err
+		}
+	}
+	return nil
+}

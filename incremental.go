@@ -4,8 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/rulepack"
@@ -32,60 +32,70 @@ import (
 // prefix's own lines (captured per line as a ResumeState checkpoint)
 // and on mappings that are, by the same argument, identical.
 
-// CorpusCacheSchema identifies the incremental line-cache JSON layout.
-const CorpusCacheSchema = "confanon.filecache/v1"
+// CorpusCacheSchema identifies the incremental line cache's binary
+// layout; it opens every cache blob.
+const CorpusCacheSchema = "confanon.filecache/v2"
 
 // ResumeState is the engine's serializable cross-line checkpoint,
 // stored after every cached line (re-exported from the engine).
 type ResumeState = anonymizer.ResumeState
 
-// LineCache is one input line's cache entry: its content hash, the
-// output it contributed (absent when the line was dropped), and the
-// resume checkpoint after it. It stores only anonymized output — never
-// the cleartext line, which is represented solely by its hash.
-type LineCache struct {
-	H string      `json:"h"`
-	O string      `json:"o,omitempty"`
-	D bool        `json:"d,omitempty"`
-	S ResumeState `json:"s"`
-}
-
-// FileCache is one file's cache: the SHA-256 of its cleartext (for the
-// whole-file fast path) and its per-line records.
-type FileCache struct {
-	Sum   string      `json:"sum"`
-	Lines []LineCache `json:"lines"`
-}
-
-// CorpusCache is the persistent artifact of a recorded run. SaltFP and
-// OptsFP fingerprint the mapping-relevant configuration; a cache whose
+// CorpusCache is the persistent artifact of a recorded run: per file,
+// the SHA-256 of its cleartext, its output, and per line the line's
+// content hash, the output it contributed and the resume checkpoint
+// after it. It stores only anonymized output — never a cleartext line,
+// which is represented solely by its hash. The salt and options
+// fingerprints cover the mapping-relevant configuration; a cache whose
 // fingerprints do not match the current session is ignored wholesale
 // (every file reprocessed) rather than half-trusted. Like the mapping
-// ledger, the cache holds values derived from cleartext (line hashes,
-// anonymized outputs) — store it with the same care as the salt.
+// ledger, the cache holds values derived from cleartext — store it with
+// the same care as the salt.
+//
+// A decoded cache reads lazily: DecodeCorpusCache verifies the blob and
+// indexes its file sections, a reused file's output is a substring of
+// the blob, and a file's line records are decoded only when a run
+// resumes that file. Encode copies the sections of reused files
+// verbatim. The layout is documented in filecache.go.
 type CorpusCache struct {
-	Schema string                `json:"schema"`
-	SaltFP string                `json:"salt_fp"`
-	OptsFP string                `json:"opts_fp"`
-	Files  map[string]*FileCache `json:"files"`
+	saltFP, optsFP string
+	files          map[string]*fileCache
+	// lineDecodes counts the files whose line records were decoded from
+	// this cache, for the lazy-decode test.
+	lineDecodes atomic.Int64
 }
 
-// Encode serializes the cache for storage.
-func (c *CorpusCache) Encode() ([]byte, error) { return json.Marshal(c) }
+// fileCache is one file's cache entry. An entry decoded from a blob
+// holds its encoded section and line records there (lines stays nil);
+// an entry a run built holds its lines (section and recs stay empty).
+type fileCache struct {
+	sum     [sha256.Size]byte
+	text    string // the file's output: JoinOutputs of the kept line outputs
+	n       int    // line count
+	section string // the entry as encoded in the blob it came from
+	recs    string // the encoded line records inside section
+	lines   []lineCache
+}
 
-// DecodeCorpusCache parses a stored cache, rejecting foreign schemas.
-func DecodeCorpusCache(data []byte) (*CorpusCache, error) {
-	var c CorpusCache
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("corpus cache: %w", err)
+// lineCache is one input line's entry: its content hash, the output it
+// contributed (a substring of the file's text; empty when dropped) and
+// the resume checkpoint after it.
+type lineCache struct {
+	hash uint64
+	out  string
+	drop bool
+	next ResumeState
+}
+
+// newFileCache builds the entry of a file that ran with the given line
+// records: its text joins the outputs of the lines not dropped.
+func newFileCache(sum [sha256.Size]byte, lines []lineCache) *fileCache {
+	outs := make([]string, 0, len(lines))
+	for _, lc := range lines {
+		if !lc.drop {
+			outs = append(outs, lc.out)
+		}
 	}
-	if c.Schema != CorpusCacheSchema {
-		return nil, fmt.Errorf("corpus cache: unsupported schema %q (want %q)", c.Schema, CorpusCacheSchema)
-	}
-	if c.Files == nil {
-		c.Files = make(map[string]*FileCache)
-	}
-	return &c, nil
+	return &fileCache{sum: sum, text: anonymizer.JoinOutputs(outs), n: len(lines), lines: lines}
 }
 
 // IncrementalSummary reports how an incremental run dispatched its
@@ -126,55 +136,12 @@ func (a *Anonymizer) cacheOptsFP() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// NewCorpusCache returns an empty cache fingerprinted for this session;
-// passing it (or nil) as the prior cache makes IncrementalCorpusContext
-// a recording full run.
-func (a *Anonymizer) NewCorpusCache() *CorpusCache {
-	return &CorpusCache{
-		Schema: CorpusCacheSchema,
-		SaltFP: a.cacheSaltFP(),
-		OptsFP: a.cacheOptsFP(),
-		Files:  make(map[string]*FileCache),
-	}
-}
-
-func contentSum(text string) string {
-	s := sha256.Sum256([]byte(text))
-	return hex.EncodeToString(s[:])
-}
-
-// prefixOutputs returns the kept output lines of the first p cached
-// lines.
-func (fc *FileCache) prefixOutputs(p int) []string {
-	outs := make([]string, 0, p)
-	for _, lc := range fc.Lines[:p] {
-		if !lc.D {
-			outs = append(outs, lc.O)
-		}
-	}
-	return outs
-}
-
-// text reassembles the file's full cached output.
-func (fc *FileCache) text() string {
-	return anonymizer.JoinOutputs(fc.prefixOutputs(len(fc.Lines)))
-}
-
-// stateAt returns the resume checkpoint after the first p lines (the
-// zero state at p 0, also on a nil cache).
-func (fc *FileCache) stateAt(p int) ResumeState {
-	if p == 0 {
-		return ResumeState{}
-	}
-	return fc.Lines[p-1].S
-}
-
 // toLineCaches returns prefix followed by the cache entries of recs.
-func toLineCaches(prefix []LineCache, recs []anonymizer.LineRecord) []LineCache {
-	out := make([]LineCache, len(prefix), len(prefix)+len(recs))
+func toLineCaches(prefix []lineCache, recs []anonymizer.LineRecord) []lineCache {
+	out := make([]lineCache, len(prefix), len(prefix)+len(recs))
 	copy(out, prefix)
 	for _, r := range recs {
-		out = append(out, LineCache{H: r.Hash, O: r.Out, D: r.Drop, S: r.Next})
+		out = append(out, lineCache{hash: r.Hash, out: r.Out, drop: r.Drop, next: r.Next})
 	}
 	return out
 }
@@ -200,10 +167,11 @@ func modeName(mode int) string {
 type incrPlan struct {
 	name  string
 	mode  int
-	sum   string
-	p     int      // reused prefix length in lines
-	lines []string // split cleartext; nil for modeReuse
-	fc    *FileCache
+	sum   [sha256.Size]byte
+	p     int         // reused prefix length in lines
+	lines []string    // split cleartext; nil for modeReuse
+	fc    *fileCache  // the cached entry a modeReuse plan serves
+	prev  []lineCache // the cached line records a modePartial plan resumes
 }
 
 // needsEngine reports whether the plan has lines to run (a modePartial
@@ -216,7 +184,7 @@ func (pl *incrPlan) needsEngine() bool {
 // line accounting for the summary (unused for failed files — a failed
 // file is never half-cached).
 type incrOut struct {
-	fc                *FileCache
+	fc                *fileCache
 	reused, rewritten int
 }
 
@@ -228,25 +196,22 @@ func (pl *incrPlan) run(wk *anonymizer.Anonymizer) (FileResult, incrOut) {
 	if !pl.needsEngine() {
 		fc := pl.fc
 		if pl.mode == modePartial { // pure-prefix shrink: trim the cache
-			fc = &FileCache{Sum: pl.sum, Lines: pl.fc.Lines[:pl.p]}
+			fc = newFileCache(pl.sum, pl.prev[:pl.p])
 		}
-		return FileResult{Name: pl.name, Status: FileOK, Text: fc.text()}, incrOut{fc: fc, reused: len(fc.Lines)}
+		return FileResult{Name: pl.name, Status: FileOK, Text: fc.text}, incrOut{fc: fc, reused: fc.n}
 	}
 	// A full plan is the tail from line 0: prescanned, no cached prefix.
-	tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
+	var rs ResumeState
+	if pl.p > 0 {
+		rs = pl.prev[pl.p-1].next
+	}
+	_, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, rs)
 	if ferr != nil {
 		return FileResult{Name: pl.name, Status: FileFailed, Err: ferr}, incrOut{}
 	}
-	var prefix []LineCache
-	outs := tailOuts
-	if pl.p > 0 {
-		prefix = pl.fc.Lines[:pl.p]
-		outs = append(pl.fc.prefixOutputs(pl.p), tailOuts...)
-	}
-	lines := toLineCaches(prefix, tailRecs)
-	out := anonymizer.JoinOutputs(outs)
-	return FileResult{Name: pl.name, Status: FileOK, Text: out},
-		incrOut{fc: &FileCache{Sum: pl.sum, Lines: lines}, reused: pl.p, rewritten: len(tailRecs)}
+	fc := newFileCache(pl.sum, toLineCaches(pl.prev[:pl.p], tailRecs))
+	return FileResult{Name: pl.name, Status: FileOK, Text: fc.text},
+		incrOut{fc: fc, reused: pl.p, rewritten: len(tailRecs)}
 }
 
 // IncrementalCorpusContext anonymizes a corpus like
@@ -275,53 +240,47 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 	}
 	saltFP := a.cacheSaltFP()
 	optsFP := a.cacheOptsFP()
-	usable := prior != nil && prior.Schema == CorpusCacheSchema &&
-		prior.SaltFP == saltFP && prior.OptsFP == optsFP
+	usable := prior != nil && prior.saltFP == saltFP && prior.optsFP == optsFP
 
 	names := sortedNames(files)
 	run := a.beginCorpus("incremental-corpus", len(files), workers)
 	res := run.res
 	res.Incremental = &IncrementalSummary{CacheInvalidated: prior != nil && !usable}
-	next := &CorpusCache{
-		Schema: CorpusCacheSchema,
-		SaltFP: saltFP,
-		OptsFP: optsFP,
-		Files:  make(map[string]*FileCache, len(files)),
-	}
+	next := &CorpusCache{saltFP: saltFP, optsFP: optsFP, files: make(map[string]*fileCache, len(files))}
 	finish := func(err error) (*CorpusResult, *CorpusCache, error) {
 		res, err := run.finish(err)
 		return res, next, err
 	}
 
-	// Classify: longest common line-hash prefix against the cache.
+	// Classify: longest common line-hash prefix against the cache. Line
+	// records are decoded only for files whose content changed; one that
+	// does not decode counts as absent.
 	plans := make([]incrPlan, len(names))
 	for i, n := range names {
 		text := files[n]
-		sum := contentSum(text)
-		var fc *FileCache
+		sum := sha256.Sum256([]byte(text))
+		var fc *fileCache
 		if usable {
-			fc = prior.Files[n]
+			fc = prior.files[n]
 		}
-		if fc != nil && fc.Sum == sum {
-			plans[i] = incrPlan{name: n, mode: modeReuse, sum: sum, p: len(fc.Lines), fc: fc}
+		if fc != nil && fc.sum == sum {
+			plans[i] = incrPlan{name: n, mode: modeReuse, sum: sum, fc: fc}
 			continue
 		}
 		lines := anonymizer.SplitLines(text)
-		p := 0
+		var prev []lineCache
 		if fc != nil {
-			max := len(lines)
-			if len(fc.Lines) < max {
-				max = len(fc.Lines)
-			}
-			for p < max && fc.Lines[p].H == anonymizer.LineHash(lines[p]) {
-				p++
-			}
+			prev, _ = prior.decodeLines(fc)
+		}
+		p := 0
+		for p < len(lines) && p < len(prev) && prev[p].hash == anonymizer.LineHash(lines[p]) {
+			p++
 		}
 		mode := modeFull
 		if p > 0 {
 			mode = modePartial
 		}
-		plans[i] = incrPlan{name: n, mode: mode, sum: sum, p: p, lines: lines, fc: fc}
+		plans[i] = incrPlan{name: n, mode: mode, sum: sum, p: p, lines: lines, prev: prev}
 	}
 
 	// Census only the files the engine will touch: unchanged files
@@ -366,7 +325,7 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 		// Quarantined files keep their cache entry: the lines are valid,
 		// only emission was withheld.
 		pl, o := &plans[work[k]], outs[k]
-		next.Files[pl.name] = o.fc
+		next.files[pl.name] = o.fc
 		switch pl.mode {
 		case modeReuse:
 			res.Incremental.FilesReused++

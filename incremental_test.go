@@ -3,9 +3,12 @@ package confanon
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"confanon/internal/netgen"
 	"confanon/internal/store"
@@ -154,7 +157,7 @@ func TestIncrementalMatchesFullRun(t *testing.T) {
 				if sum.LinesReused == 0 || sum.LinesRewritten == 0 {
 					t.Errorf("line accounting empty: %+v", sum)
 				}
-				if _, ok := cache2.Files[deleted]; ok {
+				if _, ok := cache2.files[deleted]; ok {
 					t.Errorf("deleted file %s still present in new cache", deleted)
 				}
 
@@ -349,5 +352,161 @@ func BenchmarkIncremental(b *testing.B) {
 			b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
 			b.ReportMetric(float64(reused)/float64(reused+rewritten)*100, "reused%")
 		})
+	}
+}
+
+// BenchmarkIncrementalVsFull times one `confanon -strict -state-dir
+// -incremental -workers 2` run against one plain `-state-dir` run over
+// the same corpus with 1% of its lines edited (the middle line of the
+// first 2% of files), each from a fresh copy of the ledger the unedited
+// corpus recorded. Both sides open the ledger, restore it, run and
+// commit; the incremental side also decodes the prior line cache and
+// encodes the next. The pairs alternate within the loop, and speedup
+// is the full run's time over the incremental run's.
+func BenchmarkIncrementalVsFull(b *testing.B) {
+	n := netgen.Generate(netgen.Params{Seed: 1203, Kind: netgen.Backbone, Routers: 64})
+	files := n.RenderAll()
+	salt := []byte(n.Salt)
+	opts := Options{Salt: salt, Strict: true}
+	const workers = 2
+
+	// session runs f on a session attached to the ledger in dir.
+	session := func(dir string, f func(a *Anonymizer) error) {
+		ms, err := OpenMappingStore(dir, salt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := New(opts)
+		if err := a.UseStore(ms); err != nil {
+			b.Fatal(err)
+		}
+		if err := f(a); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.SyncStore(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ms.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pristine := b.TempDir()
+	var blob []byte
+	session(pristine, func(a *Anonymizer) error {
+		_, cache, err := a.IncrementalCorpusContext(context.Background(), files, nil, workers)
+		if err == nil {
+			blob, err = cache.Encode()
+		}
+		return err
+	})
+	restore := func() string {
+		dir := b.TempDir()
+		entries, err := os.ReadDir(pristine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(pristine, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o600)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	names := sortedNames(files)
+	edited := make(map[string]string, len(files))
+	for name, text := range files {
+		edited[name] = text
+	}
+	for i, name := range names[:(2*len(names)+99)/100] {
+		ls := strings.Split(edited[name], "\n")
+		ls[len(ls)/2] = fmt.Sprintf(" description bench-edit 10.201.%d.1", i)
+		edited[name] = strings.Join(ls, "\n")
+	}
+
+	var full, incr time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fullDir, incrDir := restore(), restore()
+		b.StartTimer()
+		t0 := time.Now()
+		session(fullDir, func(a *Anonymizer) error {
+			_, err := a.ParallelCorpusContext(context.Background(), edited, workers)
+			return err
+		})
+		t1 := time.Now()
+		session(incrDir, func(a *Anonymizer) error {
+			prior, err := DecodeCorpusCache(blob)
+			if err != nil {
+				return err
+			}
+			_, next, err := a.IncrementalCorpusContext(context.Background(), edited, prior, workers)
+			if err == nil {
+				_, err = next.Encode()
+			}
+			return err
+		})
+		full, incr = full+t1.Sub(t0), incr+time.Since(t1)
+	}
+	b.ReportMetric(float64(full.Milliseconds())/float64(b.N), "full-ms/op")
+	b.ReportMetric(float64(incr.Milliseconds())/float64(b.N), "incr-ms/op")
+	b.ReportMetric(float64(full)/float64(incr), "speedup")
+	b.ReportMetric(float64(n.TotalLines()), "lines")
+}
+
+// TestCorpusCacheRoundTrip: line records with every resume flag, block
+// changes, dropped lines and empty outputs survive Encode and the lazy
+// decode unchanged.
+func TestCorpusCacheRoundTrip(t *testing.T) {
+	lines := []lineCache{
+		{hash: 1, out: "hostname x"},
+		{hash: 2, drop: true, next: ResumeState{InBanner: true, BannerDelim: '^'}},
+		{hash: 3, out: "", next: ResumeState{Block: "interface Ethernet0"}},
+		{hash: 1<<64 - 1, out: " ip address 1.2.3.4 255.0.0.0", next: ResumeState{Block: "interface Ethernet0"}},
+		{hash: 5, drop: true, next: ResumeState{InBlockComment: true, Block: "interface Ethernet0"}},
+		{hash: 6, out: "end"},
+	}
+	c := &CorpusCache{saltFP: "s", optsFP: "o", files: map[string]*fileCache{
+		"r1":    newFileCache([32]byte{1}, lines),
+		"empty": newFileCache([32]byte{2}, nil),
+		"drops": newFileCache([32]byte{3}, []lineCache{{hash: 7, drop: true}}),
+	}}
+	blob, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCorpusCache(blob)
+	if err != nil {
+		t.Fatalf("DecodeCorpusCache: %v", err)
+	}
+	if got.saltFP != c.saltFP || got.optsFP != c.optsFP || len(got.files) != len(c.files) {
+		t.Fatalf("header or file count changed: %q %q %d", got.saltFP, got.optsFP, len(got.files))
+	}
+	for name, want := range c.files {
+		fc := got.files[name]
+		if fc == nil || fc.sum != want.sum || fc.text != want.text || fc.n != want.n {
+			t.Fatalf("%s: entry %+v, want %+v", name, fc, want)
+		}
+		dec, err := got.decodeLines(fc)
+		if err != nil {
+			t.Fatalf("%s: decodeLines: %v", name, err)
+		}
+		if len(dec) != len(want.lines) {
+			t.Fatalf("%s: %d lines, want %d", name, len(dec), len(want.lines))
+		}
+		for i := range dec {
+			if dec[i] != want.lines[i] {
+				t.Errorf("%s line %d: %+v, want %+v", name, i, dec[i], want.lines[i])
+			}
+		}
+	}
+	again, err := got.Encode()
+	if err != nil || string(again) != string(blob) {
+		t.Errorf("re-encoding a decoded cache changed its bytes (err=%v)", err)
 	}
 }

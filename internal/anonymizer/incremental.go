@@ -1,10 +1,6 @@
 package anonymizer
 
-import (
-	"hash/fnv"
-	"strconv"
-	"strings"
-)
+import "strings"
 
 // Incremental re-anonymization support: the engine can record, per input
 // line, everything a later run needs to resume a file mid-way — the
@@ -20,10 +16,10 @@ import (
 // ResumeState is the serializable image of the engine's cross-line
 // fileState: the checkpoint a line cache stores after every line.
 type ResumeState struct {
-	InBanner       bool   `json:"b,omitempty"`
-	BannerDelim    byte   `json:"bd,omitempty"`
-	InBlockComment bool   `json:"bc,omitempty"`
-	Block          string `json:"blk,omitempty"`
+	InBanner       bool
+	BannerDelim    byte
+	InBlockComment bool
+	Block          string
 }
 
 func exportState(st *fileState) ResumeState {
@@ -48,7 +44,7 @@ func importState(rs ResumeState) *fileState {
 // line's content hash, the output it contributed (absent for a dropped
 // line), and the resume checkpoint after it.
 type LineRecord struct {
-	Hash string
+	Hash uint64
 	Out  string
 	Drop bool
 	Next ResumeState
@@ -57,10 +53,16 @@ type LineRecord struct {
 // LineHash returns the content hash the incremental differ compares
 // lines by (FNV-64a; a cache hit on a colliding line would reuse a stale
 // output, at odds of ~2^-64 per line against non-adversarial edits).
-func LineHash(line string) string {
-	h := fnv.New64a()
-	h.Write([]byte(line))
-	return strconv.FormatUint(h.Sum64(), 16)
+// It is hash/fnv's New64a written out, so hashing a line allocates
+// nothing.
+func LineHash(line string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(line); i++ {
+		h ^= uint64(line[i])
+		h *= prime64
+	}
+	return h
 }
 
 // SplitLines splits file text exactly the way the engine iterates it:

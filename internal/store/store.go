@@ -55,13 +55,12 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -191,42 +190,62 @@ func (s *State) records() []Record {
 	return recs
 }
 
+// seen is replay's dedup index: one set per record type, keyed the way
+// apply compares records of that type.
+type seen struct {
+	ips, origIPs           map[uint32]struct{}
+	asns, words, sensitive map[string]struct{}
+	relations              map[Relation]struct{}
+}
+
+func newSeen() *seen {
+	return &seen{
+		ips:       make(map[uint32]struct{}),
+		origIPs:   make(map[uint32]struct{}),
+		asns:      make(map[string]struct{}),
+		words:     make(map[string]struct{}),
+		sensitive: make(map[string]struct{}),
+		relations: make(map[Relation]struct{}),
+	}
+}
+
+// firstSight adds k to set and reports whether it was absent.
+func firstSight[K comparable](set map[K]struct{}, k K) bool {
+	n := len(set)
+	set[k] = struct{}{}
+	return len(set) > n
+}
+
 // apply folds one data record into the state. Re-application is
 // idempotent for every type except IP insertion order, which replay
 // keeps stable by construction (a pair already present is skipped, so a
 // compacted snapshot replayed after the segments it summarizes changes
 // nothing).
-func (s *State) apply(r Record, seenIP map[uint32]bool, seenStr map[string]bool) {
+func (s *State) apply(r Record, sn *seen) {
 	switch r.T {
 	case TIP:
-		if !seenIP[r.In] {
-			seenIP[r.In] = true
+		if firstSight(sn.ips, r.In) {
 			s.IPs = append(s.IPs, Pair{In: r.In, Out: r.Out})
 		}
 	case TASN:
-		if k := "a\x00" + r.V; !seenStr[k] {
-			seenStr[k] = true
+		if firstSight(sn.asns, r.V) {
 			s.ASNs = append(s.ASNs, r.V)
 		}
 	case TWord:
-		if k := "w\x00" + r.V; !seenStr[k] {
-			seenStr[k] = true
+		if firstSight(sn.words, r.V) {
 			s.Words = append(s.Words, r.V)
 		}
 	case TOrigIP:
-		if k := fmt.Sprintf("o\x00%d", r.In); !seenStr[k] {
-			seenStr[k] = true
+		if firstSight(sn.origIPs, r.In) {
 			s.OrigIPs = append(s.OrigIPs, r.In)
 		}
 	case TSensitive:
-		if k := "s\x00" + r.V; !seenStr[k] {
-			seenStr[k] = true
+		if firstSight(sn.sensitive, r.V) {
 			s.Sensitive = append(s.Sensitive, r.V)
 		}
 	case TRelation:
-		if k := fmt.Sprintf("r\x00%d/%d/%d", r.ASN, r.Prefix, r.Len); !seenStr[k] {
-			seenStr[k] = true
-			s.Relations = append(s.Relations, Relation{ASN: r.ASN, Prefix: r.Prefix, Len: r.Len})
+		if rel := (Relation{ASN: r.ASN, Prefix: r.Prefix, Len: r.Len}); firstSight(sn.relations, rel) {
+			s.Relations = append(s.Relations, rel)
 		}
 	}
 }
@@ -244,43 +263,6 @@ var (
 	// an inconsistent mapping, so Open refuses.
 	ErrSaltMismatch = errors.New("store: ledger salt fingerprint mismatch")
 )
-
-// envelope is the CRC frame around every line: C is the IEEE CRC-32 of
-// the exact bytes of R as written (json.RawMessage round-trips them
-// verbatim).
-type envelope struct {
-	C uint32          `json:"c"`
-	R json.RawMessage `json:"r"`
-}
-
-// encodeLine frames one record.
-func encodeLine(r Record) ([]byte, error) {
-	inner, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(envelope{C: crc32.ChecksumIEEE(inner), R: inner})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// decodeLine unframes one line, verifying the CRC.
-func decodeLine(line []byte) (Record, error) {
-	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return Record{}, fmt.Errorf("bad envelope: %w", err)
-	}
-	if crc32.ChecksumIEEE(env.R) != env.C {
-		return Record{}, errors.New("crc mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal(env.R, &rec); err != nil {
-		return Record{}, fmt.Errorf("bad record: %w", err)
-	}
-	return rec, nil
-}
 
 // crashHook, when set, is invoked at the named points of the commit
 // protocol ("append" after records reach the segment buffer, "commit"
@@ -314,8 +296,7 @@ type Ledger struct {
 	segRecs  int // records written to the active segment (committed + pending)
 	pending  []Record
 	state    State
-	seenIP   map[uint32]bool
-	seenStr  map[string]bool
+	seen     *seen
 	closed   bool
 	diskRecs int // data records replayed from older segments (incl. duplicates)
 
@@ -341,8 +322,7 @@ func Open(dir, saltFP string) (*Ledger, error) {
 	l := &Ledger{
 		dir:              dir,
 		saltFP:           saltFP,
-		seenIP:           make(map[uint32]bool),
-		seenStr:          make(map[string]bool),
+		seen:             newSeen(),
 		CompactThreshold: 3,
 		compactFloor:     1024,
 	}
@@ -406,79 +386,93 @@ func (l *Ledger) segPath(n int) string {
 	return filepath.Join(l.dir, fmt.Sprintf("seg-%06d.jsonl", n))
 }
 
-// replaySegment folds one segment's committed records into the state.
-// Returns the number of committed data records applied.
-func (l *Ledger) replaySegment(name string) (int, error) {
-	f, err := os.Open(filepath.Join(l.dir, name))
-	if err != nil {
-		return 0, err
+// committedPrefix returns data up to the end of its last line that
+// decodes as a commit record, or nil when no line does. Replay applies
+// only that prefix: what follows is the uncommitted tail of a crash,
+// possibly a torn line, and is discarded silently. Finding the last
+// commit first, from the end, lets replay decode and apply the prefix
+// in one forward pass.
+func committedPrefix(data []byte) []byte {
+	for end := len(data); end > 0; {
+		start := bytes.LastIndexByte(data[:end], '\n') + 1
+		if start < end {
+			if rec, err := decodeLine(data[start:end]); err == nil && rec.T == TCommit {
+				return data[:end]
+			}
+		}
+		end = start - 1
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return nil
+}
 
-	// Two-phase replay: scan every line first so corruption can be
-	// classified (before vs after the last commit), then apply the
-	// committed prefix.
-	type scanned struct {
-		rec Record
-		err error
-	}
-	var lines []scanned
-	lastCommit := -1
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+// nextLine splits the first non-empty line off data; line is nil when
+// none is left.
+func nextLine(data []byte) (line, rest []byte) {
+	for len(data) > 0 {
+		i := bytes.IndexByte(data, '\n')
+		switch {
+		case i < 0:
+			return data, nil
+		case i > 0:
+			return data[:i], data[i+1:]
 		}
-		rec, derr := decodeLine(raw)
-		lines = append(lines, scanned{rec: rec, err: derr})
-		if derr == nil && rec.T == TCommit {
-			lastCommit = len(lines) - 1
-		}
+		data = data[1:]
 	}
-	if err := sc.Err(); err != nil {
+	return nil, nil
+}
+
+// checkHeader verifies a segment's open header against the ledger.
+func (l *Ledger) checkHeader(name string, rec Record) error {
+	if rec.Schema != Schema {
+		return fmt.Errorf("%w (%s carries %q)", ErrSchema, name, rec.Schema)
+	}
+	if rec.SaltFP != l.saltFP {
+		return fmt.Errorf("%w (%s)", ErrSaltMismatch, name)
+	}
+	return nil
+}
+
+// replaySegment folds one segment's committed records into the state.
+// Returns the number of committed data records applied. A record inside
+// the committed prefix that fails to decode is ErrCorrupt.
+func (l *Ledger) replaySegment(name string) (int, error) {
+	data, err := os.ReadFile(filepath.Join(l.dir, name))
+	if err != nil {
 		return 0, fmt.Errorf("store: reading %s: %w", name, err)
 	}
-	applied := 0
-	for i, ln := range lines {
-		if i > lastCommit {
-			break // uncommitted suffix (incl. a torn tail): discarded
-		}
-		if ln.err != nil {
-			return 0, fmt.Errorf("%w (%s line %d: %v)", ErrCorrupt, name, i+1, ln.err)
-		}
-		switch ln.rec.T {
-		case TOpen:
-			if ln.rec.Schema != Schema {
-				return 0, fmt.Errorf("%w (%s carries %q)", ErrSchema, name, ln.rec.Schema)
+	committed := committedPrefix(data)
+	if committed == nil {
+		// A segment with no commit contributes nothing — but its header,
+		// if readable, must still agree on schema and salt.
+		if first, _ := nextLine(data); first != nil {
+			if rec, err := decodeLine(first); err == nil && rec.T == TOpen {
+				return 0, l.checkHeader(name, rec)
 			}
-			if ln.rec.SaltFP != l.saltFP {
-				return 0, fmt.Errorf("%w (%s)", ErrSaltMismatch, name)
+		}
+		return 0, nil
+	}
+	applied := 0
+	for n := 1; ; n++ {
+		var line []byte
+		if line, committed = nextLine(committed); line == nil {
+			return applied, nil
+		}
+		rec, err := decodeLine(line)
+		if err != nil {
+			return 0, fmt.Errorf("%w (%s line %d: %v)", ErrCorrupt, name, n, err)
+		}
+		switch rec.T {
+		case TOpen:
+			if err := l.checkHeader(name, rec); err != nil {
+				return 0, err
 			}
 		case TCommit:
 			// Durability marker; nothing to apply.
 		default:
-			l.state.apply(ln.rec, l.seenIP, l.seenStr)
+			l.state.apply(rec, l.seen)
 			applied++
 		}
 	}
-	// A segment with no commit contributes nothing — but its header, if
-	// readable, must still agree on schema and salt.
-	if lastCommit < 0 {
-		for _, ln := range lines {
-			if ln.err == nil && ln.rec.T == TOpen {
-				if ln.rec.Schema != Schema {
-					return 0, fmt.Errorf("%w (%s carries %q)", ErrSchema, name, ln.rec.Schema)
-				}
-				if ln.rec.SaltFP != l.saltFP {
-					return 0, fmt.Errorf("%w (%s)", ErrSaltMismatch, name)
-				}
-			}
-			break // only the first line can be the header
-		}
-	}
-	return applied, nil
 }
 
 // openSegment starts the active segment with its open header (buffered;
@@ -586,7 +580,7 @@ func (l *Ledger) Commit() error {
 	}
 	fireCrashHook("committed")
 	for _, r := range l.pending {
-		l.state.apply(r, l.seenIP, l.seenStr)
+		l.state.apply(r, l.seen)
 	}
 	l.pending = l.pending[:0]
 	if l.shouldCompact() {
@@ -787,59 +781,42 @@ func EncodeState(s *State, saltFP string) ([]byte, error) {
 // segment replay applies: a blob without a valid commit is empty, and
 // corruption before the commit is an error.
 func DecodeState(blob []byte) (State, string, error) {
-	var (
-		st      State
-		saltFP  string
-		seenIP  = make(map[uint32]bool)
-		seenStr = make(map[string]bool)
-	)
-	type scanned struct {
-		rec Record
-		err error
-	}
-	var lines []scanned
-	lastCommit := -1
-	for start := 0; start < len(blob); {
-		end := start
-		for end < len(blob) && blob[end] != '\n' {
-			end++
-		}
-		if end > start {
-			rec, derr := decodeLine(blob[start:end])
-			lines = append(lines, scanned{rec: rec, err: derr})
-			if derr == nil && rec.T == TCommit {
-				lastCommit = len(lines) - 1
-			}
-		}
-		start = end + 1
-	}
-	if len(lines) == 0 {
+	first, _ := nextLine(blob)
+	if first == nil {
 		return State{}, "", ErrSchema
 	}
-	for i, ln := range lines {
-		if i > lastCommit {
-			break
-		}
-		if ln.err != nil {
-			return State{}, "", fmt.Errorf("%w (line %d: %v)", ErrCorrupt, i+1, ln.err)
-		}
-		switch ln.rec.T {
-		case TOpen:
-			if ln.rec.Schema != Schema {
-				return State{}, "", ErrSchema
-			}
-			saltFP = ln.rec.SaltFP
-		case TCommit:
-		default:
-			st.apply(ln.rec, seenIP, seenStr)
-		}
-	}
-	if lastCommit < 0 {
+	committed := committedPrefix(blob)
+	if committed == nil {
 		// No commit: accept only a bare valid header (empty state).
-		if lines[0].err != nil || lines[0].rec.T != TOpen || lines[0].rec.Schema != Schema {
+		rec, err := decodeLine(first)
+		if err != nil || rec.T != TOpen || rec.Schema != Schema {
 			return State{}, "", ErrSchema
 		}
-		saltFP = lines[0].rec.SaltFP
+		return State{}, rec.SaltFP, nil
 	}
-	return st, saltFP, nil
+	var (
+		st     State
+		saltFP string
+		sn     = newSeen()
+	)
+	for n := 1; ; n++ {
+		var line []byte
+		if line, committed = nextLine(committed); line == nil {
+			return st, saltFP, nil
+		}
+		rec, err := decodeLine(line)
+		if err != nil {
+			return State{}, "", fmt.Errorf("%w (line %d: %v)", ErrCorrupt, n, err)
+		}
+		switch rec.T {
+		case TOpen:
+			if rec.Schema != Schema {
+				return State{}, "", ErrSchema
+			}
+			saltFP = rec.SaltFP
+		case TCommit:
+		default:
+			st.apply(rec, sn)
+		}
+	}
 }

@@ -181,8 +181,7 @@ func TestLedgerMultiSessionOrderStable(t *testing.T) {
 	// Three sessions, each appending a batch; insertion order across
 	// sessions must replay exactly.
 	var want State
-	seenIP := map[uint32]bool{}
-	seenStr := map[string]bool{}
+	sn := newSeen()
 	for sess := 0; sess < 3; sess++ {
 		l, err := Open(dir, testFP)
 		if err != nil {
@@ -194,7 +193,7 @@ func TestLedgerMultiSessionOrderStable(t *testing.T) {
 			if err := l.Append(rec); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
-			want.apply(rec, seenIP, seenStr)
+			want.apply(rec, sn)
 		}
 		if err := l.Commit(); err != nil {
 			t.Fatalf("Commit: %v", err)
