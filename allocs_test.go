@@ -9,13 +9,14 @@ import (
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/netgen"
+	"confanon/internal/token"
 )
 
 // TestAllocsPerLine is the allocation ratchet: allocations per input
 // line on a fixed 3,333-line corpus (netgen seed 7, 20 routers), for the
-// engine under both IP schemes and for the leak report, measured in
-// steady state (the mapping and recorder are warm after AllocsPerRun's
-// first call). A count may not exceed its baseline in
+// tokenizer, the engine under both IP schemes and the leak report,
+// measured in steady state (the mapping and recorder are warm after
+// AllocsPerRun's first call). A count may not exceed its baseline in
 // allocs_baseline.txt by more than 0.01. Lower a baseline when a change
 // removes allocations; never raise one to make a red run green.
 func TestAllocsPerLine(t *testing.T) {
@@ -24,13 +25,19 @@ func TestAllocsPerLine(t *testing.T) {
 	}
 	files := netgen.Generate(netgen.Params{Seed: 7, Routers: 20}).RenderAll()
 	names := sortedNames(files)
-	lines := 0
+	var lines []string
 	for _, n := range names {
-		lines += len(anonymizer.SplitLines(files[n]))
+		lines = append(lines, anonymizer.SplitLines(files[n])...)
 	}
-	perLine := func(f func()) float64 { return testing.AllocsPerRun(5, f) / float64(lines) }
+	perLine := func(f func()) float64 { return testing.AllocsPerRun(5, f) / float64(len(lines)) }
 
-	got := map[string]float64{}
+	got := map[string]float64{
+		"token-fields": perLine(func() {
+			for _, l := range lines {
+				token.Fields(l)
+			}
+		}),
+	}
 	for _, scheme := range []struct {
 		name      string
 		stateless bool

@@ -60,12 +60,12 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 	exit 1
 }
 
-# Allocation ratchet: allocations per input line of the engine (both IP
-# schemes) and the leak report on a fixed corpus must not exceed
-# allocs_baseline.txt by more than 0.01. The test skips under -race,
-# where allocation counts differ, so it runs here without it. Lower a
-# baseline when a change removes allocations; never raise one to make a
-# red run green.
+# Allocation ratchet: allocations per input line of the tokenizer, the
+# engine (both IP schemes) and the leak report on a fixed corpus must
+# not exceed allocs_baseline.txt by more than 0.01. The test skips under
+# -race, where allocation counts differ, so it runs here without it.
+# Lower a baseline when a change removes allocations; never raise one to
+# make a red run green.
 echo "== allocation ratchet: go test -run '^TestAllocsPerLine$' ."
 go test -run '^TestAllocsPerLine$' .
 
@@ -117,7 +117,9 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer, over the parallel driver's census → replay → fill
+# the anonymizer, over the tokenizer's Fields/Join round trip, over the
+# regexp language enumeration against direct NFA simulation, over the
+# parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
 # set), over the ledger's byte-level line decoder against encoding/json
 # (same Record, same class of error), and over the line cache decoder
@@ -129,6 +131,10 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
 	echo "== fuzz smoke: internal/cregex FuzzParsePattern (10s)"
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: internal/cregex FuzzLanguageMatchesNFA (10s)"
+	go test -run '^$' -fuzz '^FuzzLanguageMatchesNFA$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: internal/token FuzzFieldsJoin (10s)"
+	go test -run '^$' -fuzz '^FuzzFieldsJoin$' -fuzztime 10s ./internal/token
 	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"
 	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
 	echo "== fuzz smoke: internal/store FuzzDecodeLine (10s)"

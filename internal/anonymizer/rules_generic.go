@@ -21,9 +21,9 @@ import (
 // semicolons, brackets, and quotes to values: "address 12.0.0.1/30;"),
 // processed on their cores, and reassembled.
 func (a *Anonymizer) genericWords(words []string, st *fileState) {
-	leads := make([]string, len(words))
-	trails := make([]string, len(words))
-	cores := make([]string, len(words))
+	n := len(words)
+	buf := make([]string, 3*n)
+	leads, cores, trails := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for i, w := range words {
 		leads[i], cores[i], trails[i] = token.TrimPunct(w)
 	}

@@ -477,14 +477,16 @@ func BenchmarkRewriteMinimal(b *testing.B) {
 	}
 }
 
+// languageCrossCheckPatterns seed the DFA/NFA language cross-checks.
+var languageCrossCheckPatterns = []string{
+	"70[1-3]", "_1239_", "(_1239_|_70[2-5]_)", ".*", "7..",
+	"[^7]0*", "6451[12]", "^1?2?3?$", "(1|22|333)+", "",
+}
+
 // TestLanguageDFAMatchesNFA cross-checks the lazy-DFA enumeration against
 // the direct NFA oracle.
 func TestLanguageDFAMatchesNFA(t *testing.T) {
-	patterns := []string{
-		"70[1-3]", "_1239_", "(_1239_|_70[2-5]_)", ".*", "7..",
-		"[^7]0*", "6451[12]", "^1?2?3?$", "(1|22|333)+", "",
-	}
-	for _, p := range patterns {
+	for _, p := range languageCrossCheckPatterns {
 		re := mustParse(t, p)
 		fast := re.Language()
 		slow := re.languageNFA()

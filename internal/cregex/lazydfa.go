@@ -1,7 +1,7 @@
 package cregex
 
 import (
-	"sort"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -18,10 +18,15 @@ import (
 // applies the boundary closure.
 
 type dnode struct {
-	set    []bool
-	trans  map[byte]*dnode
+	set []bool
+	// trans holds the successor per input byte: nil until computed,
+	// dead once the byte is known to reject the token.
+	trans  [256]*dnode
 	accept bool
 }
+
+// dead is the sentinel successor of a rejecting transition.
+var dead = new(dnode)
 
 type lazyDFA struct {
 	prog  *program
@@ -56,7 +61,7 @@ func (d *lazyDFA) intern(set []bool) *dnode {
 	}
 	final := append([]bool(nil), set...)
 	d.prog.closure(final, true)
-	n := &dnode{set: set, trans: make(map[byte]*dnode), accept: final[d.prog.accept]}
+	n := &dnode{set: set, accept: final[d.prog.accept]}
 	d.nodes[k] = n
 	return n
 }
@@ -64,7 +69,10 @@ func (d *lazyDFA) intern(set []bool) *dnode {
 // step returns the DFA state after consuming c mid-token, or nil when the
 // token is rejected.
 func (d *lazyDFA) step(n *dnode, c byte) *dnode {
-	if next, ok := n.trans[c]; ok {
+	if next := n.trans[c]; next != nil {
+		if next == dead {
+			return nil
+		}
 		return next
 	}
 	set := make([]bool, len(d.prog.edges))
@@ -80,11 +88,12 @@ func (d *lazyDFA) step(n *dnode, c byte) *dnode {
 			}
 		}
 	}
-	var next *dnode
-	if any {
-		d.prog.closure(set, false)
-		next = d.intern(set)
+	if !any {
+		n.trans[c] = dead
+		return nil
 	}
+	d.prog.closure(set, false)
+	next := d.intern(set)
 	n.trans[c] = next
 	return next
 }
@@ -98,17 +107,20 @@ func (re *Regexp) dfa() *lazyDFA {
 
 // languageDFA enumerates the accepted universe values using the lazy DFA.
 // It walks the digit trie of valid decimal spellings (no leading zeros)
-// so shared prefixes are expanded once.
+// so shared prefixes are expanded once. The walk visits values in trie
+// order, so it marks them in a bitset over the universe, which is then
+// read out in increasing order.
 func (re *Regexp) languageDFA() []uint32 {
 	d := re.dfa()
-	var out []uint32
+	var accepted [Universe / 64]uint64
+	mark := func(v uint32) { accepted[v/64] |= 1 << (v % 64) }
 	if n := d.step(d.start, '0'); n != nil && n.accept {
-		out = append(out, 0)
+		mark(0)
 	}
 	var walk func(n *dnode, val uint32)
 	walk = func(n *dnode, val uint32) {
 		if n.accept {
-			out = append(out, val)
+			mark(val)
 		}
 		for c := byte('0'); c <= '9'; c++ {
 			v := val*10 + uint32(c-'0')
@@ -125,6 +137,16 @@ func (re *Regexp) languageDFA() []uint32 {
 			walk(n, uint32(c-'0'))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	count := 0
+	for _, w := range accepted {
+		count += bits.OnesCount64(w)
+	}
+	out := make([]uint32, 0, count)
+	for i, w := range accepted {
+		for w != 0 {
+			out = append(out, uint32(i*64+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
 	return out
 }

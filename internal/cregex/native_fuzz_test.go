@@ -30,3 +30,22 @@ func FuzzParsePattern(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLanguageMatchesNFA: for every pattern Parse accepts, the lazy-DFA
+// enumeration (trie walk, bitset read-out) must return exactly the
+// direct NFA simulation's language, in the same increasing order.
+func FuzzLanguageMatchesNFA(f *testing.F) {
+	for _, p := range languageCrossCheckPatterns {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, pattern string) {
+		re, err := Parse(pattern)
+		if err != nil {
+			return
+		}
+		fast, slow := re.Language(), re.languageNFA()
+		if !languagesEqual(fast, slow) {
+			t.Fatalf("%q: DFA language (%d values) differs from NFA language (%d values)", pattern, len(fast), len(slow))
+		}
+	})
+}

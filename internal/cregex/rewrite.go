@@ -2,7 +2,7 @@ package cregex
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -131,7 +131,7 @@ func (rw *rewriter) rewriteWhole(root Node) Node {
 	for i, v := range lang {
 		mapped[i] = rw.mapVal(v)
 	}
-	sortU32(mapped)
+	slices.Sort(mapped)
 	if len(mapped) == 1 {
 		return literalNumber(mapped[0])
 	}
@@ -348,7 +348,7 @@ func (rw *rewriter) rewriteRun(run []Node) Node {
 	for i, v := range lang {
 		mapped[i] = rw.mapVal(v)
 	}
-	sortU32(mapped)
+	slices.Sort(mapped)
 	// A singleton language keeps its literal shape: 1239 -> 28411, not
 	// (28411).
 	if len(mapped) == 1 {
@@ -383,8 +383,4 @@ func literalNumber(v uint32) Node {
 		return subs[0]
 	}
 	return &Concat{Subs: subs}
-}
-
-func sortU32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

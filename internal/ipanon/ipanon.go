@@ -469,21 +469,29 @@ func NewCryptoPAn(key [32]byte) (*CryptoPAn, error) {
 // MapV4 maps ip prefix-preservingly: output bit i is input bit i XOR the
 // most significant bit of AES(pad with the first i input bits substituted).
 func (c *CryptoPAn) MapV4(ip uint32) uint32 {
-	var out uint32
-	var in [16]byte
-	for i := 0; i < 32; i++ {
-		copy(in[:], c.pad[:])
-		if i > 0 {
-			prefix := ip >> (32 - uint(i)) << (32 - uint(i))
-			padWord := binary.BigEndian.Uint32(c.pad[:4])
-			var mask uint32 = ^uint32(0) << (32 - uint(i))
-			binary.BigEndian.PutUint32(in[:4], prefix|padWord&^mask)
-		}
-		var enc [16]byte
-		c.block.Encrypt(enc[:], in[:])
-		flip := uint32(enc[0] >> 7)
+	return c.mapFrom(ip, 0, 0)
+}
+
+// mapFrom computes output bits from..31 of MapV4(ip), given hi, whose
+// top from bits are the image's first from bits (the rest zero). The
+// flip of output bit i depends only on input bits 0..i-1, so the image's
+// first from bits are those of any address sharing ip's first from bits.
+func (c *CryptoPAn) mapFrom(ip uint32, from int, hi uint32) uint32 {
+	out := hi
+	padWord := binary.BigEndian.Uint32(c.pad[:4])
+	// One buffer, encrypted in place: it escapes through the
+	// cipher.Block interface, so it is allocated once per call, not
+	// once per bit.
+	buf := new([16]byte)
+	for i := from; i < 32; i++ {
+		*buf = c.pad
+		// Shifts by 32 yield 0, so bit 0 keeps the whole pad word.
+		mask := ^uint32(0) << (32 - uint(i))
+		binary.BigEndian.PutUint32(buf[:4], ip&mask|padWord&^mask)
+		c.block.Encrypt(buf[:], buf[:])
+		flip := uint32(buf[0] >> 7)
 		bit := ip >> (31 - uint(i)) & 1
-		out = out<<1 | (bit ^ flip)
+		out |= (bit ^ flip) << (31 - uint(i))
 	}
 	return out
 }
@@ -534,6 +542,12 @@ type CryptoMapper struct {
 	// seen records resolved pairs in first-seen order.
 	seen  map[uint32]uint32
 	order []Pair
+	// top24 maps each /24 (ip>>8) the raw Crypto-PAn function has been
+	// applied to onto the top 24 bits of its image, so a new address in
+	// a known /24 costs 8 AES blocks instead of 32. It is exact (those
+	// bits depend on the /24 alone; see mapFrom) and lives as long as
+	// the mapper: no state crosses runs.
+	top24 map[uint32]uint32
 	// remaps counts collision-chase steps; atomic because the chase
 	// runs outside the mutex.
 	remaps atomic.Int64
@@ -552,7 +566,7 @@ func NewCryptoMapper(salt []byte) *CryptoMapper {
 		// happen with the fixed 16-byte slice above.
 		panic("ipanon: " + err.Error())
 	}
-	return &CryptoMapper{c: c, seen: make(map[uint32]uint32)}
+	return &CryptoMapper{c: c, seen: make(map[uint32]uint32), top24: make(map[uint32]uint32)}
 }
 
 // MapV4 maps one address; specials are fixed points.
@@ -565,11 +579,11 @@ func (m *CryptoMapper) MapV4(ip uint32) uint32 {
 	m.mu.Unlock()
 	out := ip
 	if !IsSpecial(ip) {
-		out = m.c.MapV4(ip)
+		out = m.crypt(ip)
 		// The raw crypto mapping may land in the special range; chase
 		// like the tree does (the permutation argument is identical).
 		for IsSpecial(out) {
-			out = m.c.MapV4(out)
+			out = m.crypt(out)
 			m.remaps.Add(1)
 		}
 	}
@@ -578,6 +592,21 @@ func (m *CryptoMapper) MapV4(ip uint32) uint32 {
 		m.seen[ip] = out
 		m.order = append(m.order, Pair{In: ip, Out: out})
 	}
+	m.mu.Unlock()
+	return out
+}
+
+// crypt returns the raw Crypto-PAn image of ip through the /24 cache.
+func (m *CryptoMapper) crypt(ip uint32) uint32 {
+	m.mu.Lock()
+	hi, ok := m.top24[ip>>8]
+	m.mu.Unlock()
+	if ok {
+		return m.c.mapFrom(ip, 24, hi<<8)
+	}
+	out := m.c.MapV4(ip)
+	m.mu.Lock()
+	m.top24[ip>>8] = out >> 8
 	m.mu.Unlock()
 	return out
 }

@@ -121,14 +121,28 @@ func SplitWord(w string) []Segment {
 // Leading and trailing whitespace and the separators themselves are kept in
 // the Gaps slice: line == Gaps[0] + Words[0] + Gaps[1] + Words[1] + ... +
 // Gaps[n].
+//
+// Both slices are carved from one allocation; each is capped at its
+// length, so appending to one cannot overwrite the other.
 func Fields(line string) (words []string, gaps []string) {
+	n := 0
+	for i := 0; i < len(line); i++ {
+		if !isSpace(line[i]) && (i == 0 || isSpace(line[i-1])) {
+			n++
+		}
+	}
+	buf := make([]string, 2*n+1)
+	if n > 0 {
+		words = buf[:n:n]
+	}
+	gaps = buf[n:]
 	i := 0
-	for {
+	for w := 0; ; w++ {
 		j := i
 		for j < len(line) && isSpace(line[j]) {
 			j++
 		}
-		gaps = append(gaps, line[i:j])
+		gaps[w] = line[i:j]
 		if j == len(line) {
 			return words, gaps
 		}
@@ -136,7 +150,7 @@ func Fields(line string) (words []string, gaps []string) {
 		for k < len(line) && !isSpace(line[k]) {
 			k++
 		}
-		words = append(words, line[j:k])
+		words[w] = line[j:k]
 		i = k
 	}
 }
@@ -145,7 +159,14 @@ func Fields(line string) (words []string, gaps []string) {
 // modified words. len(gaps) must be len(words)+1. Words replaced by the
 // empty string are dropped together with the gap that preceded them.
 func Join(words, gaps []string) string {
+	size := len(gaps[len(gaps)-1])
+	for i, w := range words {
+		if w != "" {
+			size += len(gaps[i]) + len(w)
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for i, w := range words {
 		if w == "" {
 			continue
