@@ -457,10 +457,11 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase st
 // state, keeping its output with every address left as a hole and its
 // exact mapper-call sequence; the call logs are then replayed into the
 // shared tree serially (every file's prescan pins in sorted-name order,
-// then every surviving file's full sequence); finally each file's holes
-// are filled in parallel, every lookup a lock-free hit on the
-// now-resolved tree. At one worker the census is skipped: the prescans
-// pin the tree in place and the in-order rewrite is itself the replay.
+// then every surviving file's full sequence), each trace keeping the
+// images the tree answered; finally each file's holes are filled in
+// parallel from those images, without touching the tree. At one worker
+// the census is skipped: the prescans pin the tree in place and the
+// in-order rewrite is itself the replay.
 // Under Options.StatelessIP mappings are pure functions of the salt and
 // neither is needed.
 //
@@ -486,8 +487,8 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 		return run.finish(err)
 	}
 
-	// With templates every mapper call was replayed above, so the fill's
-	// lookups are lock-free cache hits and the output does not depend on
+	// With templates every mapper call was replayed above and its image
+	// kept, so the fill reads images and the output does not depend on
 	// scheduling.
 	rewrite := make([]int, 0, len(names))
 	for i, n := range names {

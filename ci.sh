@@ -117,7 +117,9 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer, over the tokenizer's Fields/Join round trip, over the
+# the anonymizer, over the tokenizer's Fields/Join round trip and its
+# NextWord iterator against Fields, over the leak report's in-place scan
+# against a Split/Fields reference (same leaks), over the
 # regexp language enumeration against direct NFA simulation, over the
 # parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
@@ -135,6 +137,10 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzLanguageMatchesNFA$' -fuzztime 10s ./internal/cregex
 	echo "== fuzz smoke: internal/token FuzzFieldsJoin (10s)"
 	go test -run '^$' -fuzz '^FuzzFieldsJoin$' -fuzztime 10s ./internal/token
+	echo "== fuzz smoke: internal/token FuzzNextWordMatchesFields (10s)"
+	go test -run '^$' -fuzz '^FuzzNextWordMatchesFields$' -fuzztime 10s ./internal/token
+	echo "== fuzz smoke: internal/anonymizer FuzzLeakScan (10s)"
+	go test -run '^$' -fuzz '^FuzzLeakScan$' -fuzztime 10s ./internal/anonymizer
 	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"
 	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
 	echo "== fuzz smoke: internal/store FuzzDecodeLine (10s)"

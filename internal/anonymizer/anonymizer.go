@@ -75,10 +75,8 @@ type Anonymizer struct {
 	// when the file commits and drops it when the file fails (fault.go).
 	stats Stats
 
-	// Engine scratch: the per-line rule-hit record (registry indices,
-	// for wall-time attribution) and the reusable dispatch context.
-	lineHits []int
-	ctx      lineCtx
+	// ctx is the engine's reusable dispatch context.
+	ctx lineCtx
 
 	// metrics holds the handles for the events this engine pushes into
 	// the Session's registry (metrics.go); nil means no registry wired.
@@ -174,10 +172,10 @@ func (a *Anonymizer) AddSensitiveToken(tok string) {
 	a.sensitiveTokens = *a.sess.sensTok.Load()
 }
 
-// hit records one firing of a rule: the hit counter and the per-line
-// scratch the engine uses for wall-time attribution. Registry lookup
-// (one atomic load, one map read) then two array/slice writes — no map
-// mutation on the per-token path.
+// hit records one firing of a rule in its hit counter, which the
+// engine's wall-time attribution also reads. Registry lookup (one
+// atomic load, one map read) then one array write — no map mutation on
+// the per-token path.
 func (a *Anonymizer) hit(r RuleID) {
 	a.curRule = r
 	i, ok := lookupRule(r)
@@ -185,7 +183,6 @@ func (a *Anonymizer) hit(r RuleID) {
 		return
 	}
 	a.stats.ruleHits[i]++
-	a.lineHits = append(a.lineHits, i)
 }
 
 // AnonymizeText anonymizes one configuration file. The input is prescanned

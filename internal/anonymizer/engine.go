@@ -9,11 +9,13 @@ import (
 )
 
 // The engine owns line iteration, token segmentation, and per-rule
-// instrumentation. One file flows through runLines; each line flows
-// through runLine, which times the line and attributes the elapsed wall
-// time to the rules that fired on it (proportionally to their hits on
-// the line, so the per-rule times in Stats sum to the total rewriting
-// time). The line itself passes through three phases:
+// instrumentation. One file flows through runLines, which reads the
+// clock once per call, not per line: the rules count their hits as the
+// lines run, and the call's elapsed wall time is split across the hits
+// counted during the call (one share per hit, so when any rule fired
+// the per-rule times in Stats sum to the rewrite stage's time to within
+// a nanosecond per hit). Each line flows through runLine and passes
+// through three phases:
 //
 //  1. structural rules — banner bodies and JunOS comment state, which
 //     span lines and run before (or instead of) tokenized dispatch;
@@ -38,6 +40,7 @@ type fileState struct {
 func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, bool), emit func(line, res string, keep bool)) {
 	a.stats.Files++
 	a.curLine = start
+	before := a.stats.ruleHits
 	t0 := time.Now()
 	for {
 		line, ok := next()
@@ -47,8 +50,10 @@ func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, boo
 		res, keep := a.runLine(line, st)
 		emit(line, res, keep)
 	}
+	d := time.Since(t0)
+	a.attribute(&before, d)
 	a.curLine = 0
-	a.observeStage(stageRewrite, time.Since(t0))
+	a.observeStage(stageRewrite, d)
 }
 
 // rewrite anonymizes one whole file's text: prescan, then every line
@@ -97,7 +102,7 @@ func (a *Anonymizer) rewriteLines(lines []string, start int, st *fileState, reco
 	return outs, recs
 }
 
-// runLine processes one line under the per-rule timer.
+// runLine processes one line (untimed: runLines times the whole call).
 func (a *Anonymizer) runLine(line string, st *fileState) (string, bool) {
 	a.stats.Lines++
 	a.curLine++
@@ -105,9 +110,7 @@ func (a *Anonymizer) runLine(line string, st *fileState) (string, bool) {
 	if faultHook != nil {
 		faultHook(a.curFile, a.curLine)
 	}
-	start := time.Now()
 	res, keep := a.processLine(line, st)
-	a.attribute(time.Since(start))
 	if a.tmpl != nil {
 		a.tmpl.endLine(res, keep, &a.ctx)
 	}
@@ -119,18 +122,21 @@ func (a *Anonymizer) runLine(line string, st *fileState) (string, bool) {
 	return res, keep
 }
 
-// attribute splits an elapsed duration across the rules recorded in the
-// lineHits scratch (one share per hit) and clears the scratch.
-func (a *Anonymizer) attribute(d time.Duration) {
-	n := len(a.lineHits)
+// attribute splits an elapsed duration across the rule hits counted
+// since before, a copy of the hit counters taken when the timed call
+// began: one share per hit, the remainder of the division dropped.
+func (a *Anonymizer) attribute(before *[maxRules]int64, d time.Duration) {
+	var n int64
+	for i, b := range before {
+		n += a.stats.ruleHits[i] - b
+	}
 	if n == 0 {
 		return
 	}
-	share := int64(d) / int64(n)
-	for _, i := range a.lineHits {
-		a.stats.ruleTimeNs[i] += share
+	share := int64(d) / n
+	for i, b := range before {
+		a.stats.ruleTimeNs[i] += share * (a.stats.ruleHits[i] - b)
 	}
-	a.lineHits = a.lineHits[:0]
 }
 
 // processLine is the per-line pipeline: structural rules, keyed dispatch,

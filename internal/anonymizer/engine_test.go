@@ -2,9 +2,12 @@ package anonymizer
 
 import (
 	"hash/fnv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"confanon/internal/trace"
 )
 
 // TestRegistryCoversInventory: every one of the paper's 28 rules is a
@@ -103,7 +106,8 @@ func TestDegenerateLinesDoNotPanic(t *testing.T) {
 }
 
 // TestPerRuleInstrumentation: hits and wall time both accumulate per
-// rule, and time goes only to rules that fired.
+// rule, time goes only to rules that fired, and it adds up to the
+// rewrite stage's time.
 func TestPerRuleInstrumentation(t *testing.T) {
 	a := New(Options{Salt: []byte("s")})
 	a.AnonymizeText("router bgp 1111\n neighbor 12.0.0.1 remote-as 701\n")
@@ -120,9 +124,81 @@ func TestPerRuleInstrumentation(t *testing.T) {
 		t.Errorf("rule that never fired was instrumented: hits=%d time=%v",
 			s.Hits(RuleDialerString), s.Time(RuleDialerString))
 	}
-	if len(a.lineHits) != 0 {
-		t.Errorf("per-line hit scratch not cleared: %v", a.lineHits)
+
+	// The engine reads the clock once per call: a committed file's
+	// per-rule times sum to its rewrite stage's duration to within one
+	// nanosecond per hit, rules that never fired get no time, and the
+	// hits of a file that failed mid-rewrite reach no later file's
+	// attribution.
+	tr := trace.NewTracer()
+	a = Compile(Options{Salt: []byte("s"), Tracer: tr}).NewSession().Acquire()
+	SetFaultHook(func(name string, line int) {
+		if name == "bad" && line == 3 {
+			panic("injected")
+		}
+	})
+	defer SetFaultHook(nil)
+	files := []struct{ name, text string }{
+		{"r1", "hostname r1\nrouter bgp 1111\n neighbor 12.0.0.1 remote-as 701\n"},
+		// Fails on line 3, after lines 1 and 2 fired the dialer and
+		// community rules, which no other file fires.
+		{"bad", "dialer string 5551234\nset community 701:120\nhostname bad\n"},
+		{"r3", "hostname r3\n interface Ethernet0\n  ip address 12.0.0.2 255.255.255.0\n"},
 	}
+	for _, f := range files {
+		_, ferr := a.SafeAnonymizeText(f.name, f.text)
+		if (ferr != nil) != (f.name == "bad") {
+			t.Fatalf("file %s: unexpected outcome %v", f.name, ferr)
+		}
+	}
+
+	if n := checkRuleTimeSums(t, tr); n != 2 {
+		t.Fatalf("checked %d committed rewrite stages, want 2", n)
+	}
+
+	s = a.Stats()
+	for id, d := range s.RuleTime() {
+		if s.Hits(id) == 0 {
+			t.Errorf("rule %s never fired in a committed file but has %v", id, d)
+		}
+	}
+	for _, id := range []RuleID{RuleDialerString, RuleSetCommunity} {
+		if s.Hits(id) != 0 || s.Time(id) != 0 {
+			t.Errorf("failed file's rule %s reached the Session: hits=%d time=%v", id, s.Hits(id), s.Time(id))
+		}
+	}
+}
+
+// checkRuleTimeSums checks every committed file's rewrite stage span
+// against the rule spans under it: their durations sum to the stage's
+// to within one nanosecond per hit. It returns the stages checked.
+func checkRuleTimeSums(t *testing.T, tr *trace.Tracer) int {
+	t.Helper()
+	spans := tr.Spans()
+	checked := 0
+	for _, file := range spans {
+		if file.Kind != trace.KindFile || file.Status != trace.StatusOK {
+			continue
+		}
+		for _, stage := range spans {
+			if stage.Parent != file.ID || stage.Kind != trace.KindStage || stage.Name != stageRewrite {
+				continue
+			}
+			var sum, hits int64
+			for _, r := range spans {
+				if r.Parent == stage.ID && r.Kind == trace.KindRule {
+					n, _ := strconv.ParseInt(r.Attr("hits"), 10, 64)
+					sum, hits = sum+r.DurNs, hits+n
+				}
+			}
+			if hits == 0 || sum > stage.DurNs || stage.DurNs-sum > hits {
+				t.Errorf("file %s: rule times sum to %d ns over %d hits, rewrite stage took %d ns",
+					file.Name, sum, hits, stage.DurNs)
+			}
+			checked++
+		}
+	}
+	return checked
 }
 
 // TestNamePositionInstrumented: the extension name rules are now counted.

@@ -89,14 +89,13 @@ func (a *Anonymizer) unit(name, op string, start int, body func() error) (ferr *
 }
 
 // endFile closes a unit: the file's Stats reach the Session only when it
-// committed (ferr nil), and the worker's Stats and per-line scratch are
-// cleared for the next file either way.
+// committed (ferr nil), and the worker's Stats are cleared for the next
+// file either way.
 func (a *Anonymizer) endFile(ferr *FileError) {
 	if ferr == nil {
 		a.sess.stats.Add(a.stats)
 	}
 	a.stats = Stats{}
-	a.lineHits = a.lineHits[:0]
 	a.endFileSpan(ferr)
 }
 

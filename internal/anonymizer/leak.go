@@ -76,27 +76,34 @@ func (a *Anonymizer) LeakReport(post string) (leaks []Leak) {
 // leakReport is LeakReport's body. It publishes the unit's own pending
 // recorder entries first, so a report inside a stream's unit sees what
 // that file recorded (entries are never retracted, so publishing early
-// is safe).
+// is safe). It walks post in place, word by word, and reads the clock
+// once: the scan's time goes to the rules that fired in it.
 func (a *Anonymizer) leakReport(post string) []Leak {
-	reportStart := time.Now()
+	before := a.stats.ruleHits
+	start := time.Now()
 	a.flushRecorder()
 	s := a.sess
 	s.recMu.RLock()
 	defer s.recMu.RUnlock()
 	var leaks []Leak
-	for i, line := range strings.Split(post, "\n") {
-		start := time.Now()
-		words, _ := token.Fields(line)
-		for wi, w := range words {
+	for n, rest := 1, post; ; n++ {
+		line := rest
+		nl := strings.IndexByte(rest, '\n')
+		if nl >= 0 {
+			line, rest = rest[:nl], rest[nl+1:]
+		}
+		prev := ""
+		for w, i := token.NextWord(line, 0); w != ""; w, i = token.NextWord(line, i) {
+			pred := prev
+			prev = w
 			switch {
 			case s.seenASNs[w]:
 				a.hit(RuleLeakHighlight)
-				fp := wi > 0 && innocuousIntContext[words[wi-1]]
-				leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "asn",
-					LikelyFalsePositive: fp})
+				leaks = append(leaks, Leak{Line: n, Text: line, Tok: w, Kind: "asn",
+					LikelyFalsePositive: innocuousIntContext[pred]})
 			case s.seenWords[w]:
 				a.hit(RuleLeakHighlight)
-				leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "word"})
+				leaks = append(leaks, Leak{Line: n, Text: line, Tok: w, Kind: "word"})
 			default:
 				if v, ok := token.ParseIPv4(w); ok && !ipanon.IsSpecial(v) && s.seenIPs[v] {
 					a.hit(RuleLeakHighlight)
@@ -106,13 +113,13 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 					// not a leak. A flagged token that is a known mapping
 					// output is therefore almost certainly a false positive.
 					fp := s.ipOutputs(len(s.seenIPs))[v]
-					leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "ip",
+					leaks = append(leaks, Leak{Line: n, Text: line, Tok: w, Kind: "ip",
 						LikelyFalsePositive: fp})
 					continue
 				}
 				if strings.Count(w, ":") >= 2 && isPublicIPv6(w) {
 					a.hit(RuleLeakHighlight)
-					leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "ip6"})
+					leaks = append(leaks, Leak{Line: n, Text: line, Tok: w, Kind: "ip6"})
 					continue
 				}
 				// Pack report rules: extra leak patterns a loaded pack
@@ -121,18 +128,20 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 				for _, rr := range a.rules.report {
 					if rr.m.MatchToken(w) {
 						a.hit(rr.id)
-						leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "pack"})
+						leaks = append(leaks, Leak{Line: n, Text: line, Tok: w, Kind: "pack"})
 						break
 					}
 				}
 			}
 		}
-		// Attribute the scan time of this line to the leak rule (and
-		// clear the engine's per-line hit scratch).
-		a.attribute(time.Since(start))
+		if nl < 0 {
+			break
+		}
 	}
+	d := time.Since(start)
+	a.attribute(&before, d)
 	a.countLeaks(leaks)
-	a.observeStage(stageLeakReport, time.Since(reportStart))
+	a.observeStage(stageLeakReport, d)
 	return leaks
 }
 

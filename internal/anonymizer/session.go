@@ -23,7 +23,7 @@ import (
 // Workers keep their hot-path state (statistics, recorder entries)
 // private and commit it into the Session once per file, so the
 // per-token cost of sharing is zero; the shared IP mapper is internally
-// concurrency-safe (lock-free on resolved addresses).
+// concurrency-safe (one short lock per lookup).
 type Session struct {
 	prog *Program
 

@@ -43,9 +43,10 @@ type Stats struct {
 	// registry stay zero.
 	ruleHits [maxRules]int64
 	// ruleTimeNs is each rule's cumulative wall time in nanoseconds:
-	// every line's processing time is attributed to the rules that fired
-	// on it, proportionally to their hits on that line, so the values
-	// sum to the total line-rewriting time (prescan excluded).
+	// each timed call's (a file's rewrite, a leak report) elapsed time
+	// is split across the rules that fired in it, proportionally to
+	// their hits, so the values sum, to within a nanosecond per hit, to
+	// the rewrite and leak-report stage times (prescan excluded).
 	ruleTimeNs [maxRules]int64
 }
 

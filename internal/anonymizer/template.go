@@ -27,7 +27,9 @@ import (
 // Every built-in rule that renders an address joins its line that way;
 // a line that was not — a rule that assembled its output some other way
 // — cannot have its holes placed, and the fill then rewrites the whole
-// file instead, which the replay has made a run of cache hits.
+// file instead, which the replay has made a run of cache hits. Every
+// other lookup the fill makes — a hole, a decision's replacement, a
+// noted original — reads the image the replay kept (Trace.Resolve).
 
 // A Template is what one file's census pass keeps for the fill.
 type Template struct {
@@ -236,12 +238,12 @@ func (t *Template) place(res string, words, gaps []string) bool {
 // template's call log has been replayed into this worker's Session, as
 // one fail-closed "rewrite" unit: it adds the census's Stats and stage
 // times, publishes its recorder entries — recording each noted
-// original whose image differs — fills every hole from the resolved
-// tree, publishes the decisions and commits. A template whose census
-// failed fails here with the census's FileError, after publishing what
-// the census recorded before it died, as a failed rewrite does. text is
-// the file's input, rewritten in full only when the census could not
-// place the file's holes.
+// original whose image differs — fills every hole from the images the
+// replay kept, publishes the decisions and commits. A template whose
+// census failed fails here with the census's FileError, after
+// publishing what the census recorded before it died, as a failed
+// rewrite does. text is the file's input, rewritten in full only when
+// the census could not place the file's holes.
 func (a *Anonymizer) SafeFill(t *Template, text string) (out string, ferr *FileError) {
 	if t.unplaced {
 		return a.SafeAnonymizeText(t.name, text)

@@ -129,36 +129,36 @@ type node struct {
 // Tree is the extended Minshall-style table-driven anonymizer. The zero
 // value is not usable; construct with NewTree.
 //
-// Tree is safe for concurrent use, with a two-phase design: addresses
-// whose mapping is already resolved are answered lock-free from the seen
-// cache, while first-time resolutions take a short write lock around the
-// node walk (including the recursive collision remap). The mapping an
-// address resolves to still depends on insertion order — that is inherent
-// to the shaped scheme — so callers that need a deterministic mapping
-// across runs must feed first-time addresses in a deterministic order
-// (see the corpus census/replay mode in the confanon package).
+// Tree is safe for concurrent use: every call takes the tree's mutex,
+// answers a resolved address from a plain map, and resolves a first-time
+// address (the node walk, including the recursive collision remap) under
+// the same lock. The mapping an address resolves to depends on insertion
+// order — that is inherent to the shaped scheme — so callers that need a
+// deterministic mapping across runs must feed first-time addresses in a
+// deterministic order (see the corpus census/replay mode in the confanon
+// package).
 type Tree struct {
 	opts Options
-	// mu guards first-time resolution: the node walk (rawMap), the
-	// insertion log, and the prf buffer. Resolved addresses are
-	// answered from seen without taking it.
+	// mu guards everything below: the resolved-address cache, the node
+	// walk (rawMap) and its node slab, the insertion log, the prf buffer
+	// and the output set.
 	mu   sync.Mutex
 	root *node
-	// seen caches fully-resolved mappings (uint32 → uint32) and is the
-	// lock-free read path; order records insertion order, which the
-	// shaped mapping depends on and persistence must replay.
-	seen  sync.Map
-	count atomic.Int64
+	// slab is the unused tail of the current node block: rawMap carves
+	// new nodes from it, one allocation per nodeSlab nodes.
+	slab []node
+	// seen caches fully-resolved mappings; order records insertion
+	// order, which the shaped mapping depends on and persistence must
+	// replay.
+	seen  map[uint32]uint32
 	order []Pair
 	// prfBuf is the reusable salt||path||depth||"flip" buffer for node
-	// resolution, avoiding an allocation per created node. Only touched
-	// under mu.
+	// resolution, avoiding an allocation per created node.
 	prfBuf []byte
 	// outs records every output emitted so far. The collision chase
 	// rejects candidates in this set (and a raw image that lands on a
 	// previously chase-emitted output is itself chased), which makes the
 	// resolved mapping injective by construction at every point in time.
-	// Only touched under mu.
 	outs map[uint32]struct{}
 	// remaps counts collision-chase steps: how many candidates were
 	// rejected because a raw image landed in the special range or on an
@@ -166,12 +166,28 @@ type Tree struct {
 	remaps atomic.Int64
 }
 
+// nodeSlab is how many trie nodes the tree allocates at a time.
+const nodeSlab = 256
+
 // NewTree returns an empty mapping tree with the given options.
 func NewTree(opts Options) *Tree {
 	buf := make([]byte, len(opts.Salt)+9)
 	copy(buf, opts.Salt)
 	copy(buf[len(opts.Salt)+5:], "flip")
-	return &Tree{opts: opts, root: &node{}, prfBuf: buf, outs: make(map[uint32]struct{})}
+	t := &Tree{opts: opts, prfBuf: buf, seen: make(map[uint32]uint32), outs: make(map[uint32]struct{})}
+	t.root = t.newNode()
+	return t
+}
+
+// newNode returns a zero node carved from the current slab. Called
+// under t.mu.
+func (t *Tree) newNode() *node {
+	if len(t.slab) == 0 {
+		t.slab = make([]node, nodeSlab)
+	}
+	n := &t.slab[0]
+	t.slab = t.slab[1:]
+	return n
 }
 
 // prfBit derives a deterministic pseudo-random flip bit for the tree node
@@ -242,7 +258,7 @@ func (t *Tree) rawMap(ip uint32) uint32 {
 		out = out<<1 | outBit
 		child := n.children[bit]
 		if child == nil {
-			child = &node{}
+			child = t.newNode()
 			n.children[bit] = child
 		}
 		n = child
@@ -291,15 +307,10 @@ func trailingZeros(ip uint32, depth int) bool {
 // distinct inputs are distinct, so only chase-emitted outputs can
 // collide, and those are in the set).
 func (t *Tree) MapV4(ip uint32) uint32 {
-	if out, ok := t.seen.Load(ip); ok {
-		return out.(uint32)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Double-check under the lock: another goroutine may have resolved
-	// the address between the fast-path miss and lock acquisition.
-	if out, ok := t.seen.Load(ip); ok {
-		return out.(uint32)
+	if out, ok := t.seen[ip]; ok {
+		return out
 	}
 	var out uint32
 	if t.opts.PassSpecial && IsSpecial(ip) {
@@ -310,8 +321,7 @@ func (t *Tree) MapV4(ip uint32) uint32 {
 			out = t.chase(ip, out)
 		}
 	}
-	t.seen.Store(ip, out)
-	t.count.Add(1)
+	t.seen[ip] = out
 	t.outs[out] = struct{}{}
 	t.order = append(t.order, Pair{In: ip, Out: out})
 	return out
@@ -428,7 +438,11 @@ func (t *Tree) Since(n int) []Pair {
 }
 
 // Len reports how many distinct addresses have been resolved.
-func (t *Tree) Len() int { return int(t.count.Load()) }
+func (t *Tree) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.order)
+}
 
 // Remaps reports how many collision-chase steps the tree has taken:
 // raw images that landed in the special range and were recursively

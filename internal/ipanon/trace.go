@@ -9,15 +9,23 @@ package ipanon
 //
 // A Trace is recorded by one goroutine (one census worker records each
 // file's Trace); the traces are then replayed serially in a
-// deterministic order. A recorded Trace is only read, so Resolve may run
-// on it from any goroutine.
+// deterministic order. Replay keeps every call's image, so a replayed
+// Trace answers Resolve with one slice index; a recorded Trace is only
+// read after that, so Resolve may run on it from any goroutine.
 type Trace struct {
 	ops []traceOp
+	// imgs[i] is ops[i]'s answer from into, the Mapper the log was last
+	// replayed into (nil until the first Replay).
+	imgs []uint32
+	into Mapper
 }
 
+// traceOp is one recorded call: MapV4(addr), or MapPrefix(addr, length)
+// when prefix is set, with length clamped to 0..32 (every Mapper masks
+// alike outside that range).
 type traceOp struct {
 	addr   uint32
-	length int
+	length uint8
 	prefix bool
 }
 
@@ -30,14 +38,12 @@ func (tr *Trace) MapV4(ip uint32) uint32 {
 // MapPrefix records the call and returns the masked network address
 // unchanged, mirroring the masking every real Mapper performs.
 func (tr *Trace) MapPrefix(addr uint32, length int) uint32 {
-	tr.ops = append(tr.ops, traceOp{addr: addr, length: length, prefix: true})
-	masked := addr
-	if length <= 0 {
-		masked = 0
-	} else if length < 32 {
-		masked &= ^uint32(0) << (32 - uint(length))
+	length = min(max(length, 0), 32)
+	tr.ops = append(tr.ops, traceOp{addr: addr, length: uint8(length), prefix: true})
+	if length == 0 {
+		return 0
 	}
-	return masked
+	return addr &^ (1<<(32-length) - 1)
 }
 
 // Mapping returns nil: a Trace resolves nothing.
@@ -55,28 +61,37 @@ func (tr *Trace) Since(n int) []Pair { return nil }
 
 // Prefix returns the log of the first n recorded calls, sharing this
 // trace's storage (later calls recorded here never show through it).
+// The two keep separate images: replaying one never changes what the
+// other's Resolve returns.
 func (tr *Trace) Prefix(n int) *Trace { return &Trace{ops: tr.ops[:n:n]} }
 
-// Resolve re-issues recorded call i against m and returns m's answer.
-// Once the trace has been replayed into m the call is a cache hit.
+// Resolve returns m's answer to recorded call i. After the trace has
+// been replayed into m that is the image the replay kept; otherwise the
+// call is re-issued against m.
 func (tr *Trace) Resolve(i int, m Mapper) uint32 {
-	op := tr.ops[i]
-	if op.prefix {
-		return m.MapPrefix(op.addr, op.length)
+	if tr.into == m {
+		return tr.imgs[i]
 	}
-	return m.MapV4(op.addr)
+	return tr.ops[i].issue(m)
 }
 
-// Replay feeds every recorded call into m in recorded order. Repeated
-// addresses are harmless — they resolve from m's cache — so replaying a
-// trace that contains both a prescan pass and a rewrite pass reproduces
-// the serial engine's call sequence exactly.
+// Replay feeds every recorded call into m in recorded order, keeping
+// each call's image for Resolve. Repeated addresses are harmless — they
+// resolve from m's cache — so replaying a trace that contains both a
+// prescan pass and a rewrite pass reproduces the serial engine's call
+// sequence exactly.
 func (tr *Trace) Replay(m Mapper) {
-	for _, op := range tr.ops {
-		if op.prefix {
-			m.MapPrefix(op.addr, op.length)
-		} else {
-			m.MapV4(op.addr)
-		}
+	imgs := make([]uint32, len(tr.ops))
+	for i, op := range tr.ops {
+		imgs[i] = op.issue(m)
 	}
+	tr.imgs, tr.into = imgs, m
+}
+
+// issue makes the recorded call against m.
+func (op traceOp) issue(m Mapper) uint32 {
+	if op.prefix {
+		return m.MapPrefix(op.addr, int(op.length))
+	}
+	return m.MapV4(op.addr)
 }

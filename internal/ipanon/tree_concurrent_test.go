@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestTreeConcurrentMapV4 exercises the two-phase concurrency design:
-// many goroutines mapping an overlapping working set must agree — an
-// address resolved once answers identically forever, reads on resolved
-// nodes are lock-free, and the entry count equals the distinct inputs.
+// TestTreeConcurrentMapV4 exercises the tree's locking: many goroutines
+// mapping an overlapping working set must agree — an address resolved
+// once answers identically forever, and the entry count equals the
+// distinct inputs.
 func TestTreeConcurrentMapV4(t *testing.T) {
 	tr := NewTree(DefaultOptions([]byte("concurrent")))
 	// 256 distinct addresses across several /16s, plus specials that must

@@ -43,3 +43,24 @@ func FuzzFieldsJoin(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNextWordMatchesFields checks that NextWord yields exactly Fields'
+// words, in order.
+func FuzzNextWordMatchesFields(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "\t", "router bgp 701", " ip address 1.1.1.1 255.255.255.0",
+		"\tneighbor 2.2.2.2 remote-as 701 ", "a  b\t\tc", "x", "  x  ", "a\nb\r c",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		want, _ := Fields(line)
+		var got []string
+		for w, i := NextWord(line, 0); w != ""; w, i = NextWord(line, i) {
+			got = append(got, w)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("NextWord over %q yields %q, Fields %q", line, got, want)
+		}
+	})
+}

@@ -155,6 +155,22 @@ func Fields(line string) (words []string, gaps []string) {
 	}
 }
 
+// NextWord returns the first word of s at or after byte offset i, and
+// the offset just past it: the words Fields returns, one at a time and
+// without allocating. word is "" once no word remains. The usual loop:
+//
+//	for w, i := NextWord(s, 0); w != ""; w, i = NextWord(s, i) { ... }
+func NextWord(s string, i int) (word string, next int) {
+	for i < len(s) && isSpace(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !isSpace(s[j]) {
+		j++
+	}
+	return s[i:j], j
+}
+
 // Join reassembles a line previously split by Fields, with possibly
 // modified words. len(gaps) must be len(words)+1. Words replaced by the
 // empty string are dropped together with the gap that preceded them.
