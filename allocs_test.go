@@ -14,7 +14,8 @@ import (
 
 // TestAllocsPerLine is the allocation ratchet: allocations per input
 // line on a fixed 3,333-line corpus (netgen seed 7, 20 routers), for the
-// tokenizer, the engine under both IP schemes and the leak report,
+// tokenizer (fresh slices, and one buffer reused across the lines as the
+// engine's workers reuse theirs), the engine under both IP schemes and the leak report,
 // measured in steady state (the mapping and recorder are warm after
 // AllocsPerRun's first call). A count may not exceed its baseline in
 // allocs_baseline.txt by more than 0.01. Lower a baseline when a change
@@ -31,10 +32,16 @@ func TestAllocsPerLine(t *testing.T) {
 	}
 	perLine := func(f func()) float64 { return testing.AllocsPerRun(5, f) / float64(len(lines)) }
 
+	var buf []string
 	got := map[string]float64{
 		"token-fields": perLine(func() {
 			for _, l := range lines {
 				token.Fields(l)
+			}
+		}),
+		"token-appendfields": perLine(func() {
+			for _, l := range lines {
+				_, _, buf = token.AppendFields(buf[:0], l)
 			}
 		}),
 	}

@@ -117,9 +117,12 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer, over the tokenizer's Fields/Join round trip and its
-# NextWord iterator against Fields, over the leak report's in-place scan
-# against a Split/Fields reference (same leaks), over the
+# the anonymizer, over the tokenizer's Fields/Join round trip, its
+# NextWord iterator against Fields, AppendFields into a dirty buffer
+# against Fields (FuzzAppendFields), the banner word counter against
+# strings.Fields (FuzzCountFields) and the NextSegment iterator against
+# SplitWord (FuzzNextSegmentMatchesSplitWord), over the leak report's
+# in-place scan against a Split/Fields reference (same leaks), over the
 # regexp language enumeration against direct NFA simulation, over the
 # parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
@@ -139,6 +142,12 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzFieldsJoin$' -fuzztime 10s ./internal/token
 	echo "== fuzz smoke: internal/token FuzzNextWordMatchesFields (10s)"
 	go test -run '^$' -fuzz '^FuzzNextWordMatchesFields$' -fuzztime 10s ./internal/token
+	echo "== fuzz smoke: internal/token FuzzAppendFields (10s)"
+	go test -run '^$' -fuzz '^FuzzAppendFields$' -fuzztime 10s ./internal/token
+	echo "== fuzz smoke: internal/token FuzzCountFields (10s)"
+	go test -run '^$' -fuzz '^FuzzCountFields$' -fuzztime 10s ./internal/token
+	echo "== fuzz smoke: internal/token FuzzNextSegmentMatchesSplitWord (10s)"
+	go test -run '^$' -fuzz '^FuzzNextSegmentMatchesSplitWord$' -fuzztime 10s ./internal/token
 	echo "== fuzz smoke: internal/anonymizer FuzzLeakScan (10s)"
 	go test -run '^$' -fuzz '^FuzzLeakScan$' -fuzztime 10s ./internal/anonymizer
 	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"

@@ -1,8 +1,6 @@
 package anonymizer
 
 import (
-	"strings"
-
 	"confanon/internal/asn"
 	"confanon/internal/cregex"
 	"confanon/internal/ipanon"
@@ -77,6 +75,16 @@ type Anonymizer struct {
 
 	// ctx is the engine's reusable dispatch context.
 	ctx lineCtx
+
+	// Per-line scratch, reused by every line so the line loop allocates
+	// only what it publishes: tok holds the line's words and gaps
+	// (processLine, prescan), gen the generic pass's leads, cores and
+	// trails (genericWords), out the basic method's rewritten word
+	// (hashIfPrivileged, hashAllSegments). What they hold is valid only
+	// until the next line; nothing may keep a slice of them past it.
+	tok []string
+	gen []string
+	out []byte
 
 	// metrics holds the handles for the events this engine pushes into
 	// the Session's registry (metrics.go); nil means no registry wired.
@@ -198,9 +206,3 @@ func (a *Anonymizer) AnonymizeText(text string) (out string) {
 }
 
 func (a *Anonymizer) stripComments() bool { return !a.opts.KeepComments }
-
-// countWords adds a raw line's words to the total (used for banner bodies,
-// which bypass the normal Fields accounting).
-func (a *Anonymizer) countWords(line string) {
-	a.stats.WordsTotal += int64(len(strings.Fields(line)))
-}

@@ -140,7 +140,10 @@ func (a *Anonymizer) attribute(before *[maxRules]int64, d time.Duration) {
 }
 
 // processLine is the per-line pipeline: structural rules, keyed dispatch,
-// then the generic word pass.
+// then the generic word pass. It tokenizes into the worker's buffers
+// (Anonymizer.tok), so a line's words, gaps and generic-pass cores are
+// valid only until the next line starts; only the returned line, a
+// fresh string, outlives it.
 func (a *Anonymizer) processLine(line string, st *fileState) (string, bool) {
 	// C1: banner bodies are comments; strip every content line.
 	if st.inBanner {
@@ -150,15 +153,22 @@ func (a *Anonymizer) processLine(line string, st *fileState) (string, bool) {
 		}
 		a.hit(RuleBanner)
 		a.stats.CommentLinesRemoved++
-		a.stats.CommentWordsRemoved += int64(len(strings.Fields(line)))
-		a.countWords(line)
+		// Banner bodies bypass the tokenizer, so their words are
+		// counted into the total here.
+		n := int64(token.CountFields(line))
+		a.stats.CommentWordsRemoved += n
+		a.stats.WordsTotal += n
 		if a.stripComments() {
 			return "", false
 		}
 		return line, true
 	}
 
-	words, gaps := token.Fields(line)
+	// words and gaps live in the worker's token buffer: valid until the
+	// next line, which is when the census has placed this line's holes
+	// (Template.endLine) and the dispatch context is overwritten.
+	var words, gaps []string
+	words, gaps, a.tok = token.AppendFields(a.tok[:0], line)
 	a.stats.WordsTotal += int64(len(words))
 
 	// JunOS comment syntax ("# ...", "/* ... */") is stripped like IOS

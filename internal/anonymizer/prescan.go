@@ -43,7 +43,8 @@ func (a *Anonymizer) prescan(lines []string) {
 	}
 	block := ""
 	for _, line := range lines {
-		words, gaps := token.Fields(line)
+		var words, gaps []string
+		words, gaps, a.tok = token.AppendFields(a.tok[:0], line)
 		if len(words) == 0 {
 			continue
 		}

@@ -87,27 +87,39 @@ var AllRules = []RuleID{
 // rendered as a 12-hex-digit identifier with a letter prefix so the result
 // can never be mistaken for a number, address, or community. Equal inputs
 // map to equal outputs, which is what maintains referential integrity
-// across every use of a hashed identifier.
+// across every use of a hashed identifier. Its one allocation is the
+// result; appendHashWord writes the same identifier into a buffer.
 func hashWord(salt []byte, w string) string {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{0}) // domain separation from other salted uses
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
-	return "x" + hex.EncodeToString(sum[:6])
+	var b [1 + 2*hashBytes]byte
+	return string(appendHashWord(b[:0], salt, w))
+}
+
+// hashBytes is how many digest bytes a hashed word keeps.
+const hashBytes = 6
+
+// appendHashWord appends hashWord(salt, w) to dst.
+func appendHashWord(dst, salt []byte, w string) []byte {
+	sum := saltedSum(salt, 0, w) // 0: domain separation from other salted uses
+	return hex.AppendEncode(append(dst, 'x'), sum[:hashBytes])
+}
+
+// saltedSum is SHA-1 over salt, the domain separator sep and w, hashed
+// from a stack buffer when they fit in it.
+func saltedSum(salt []byte, sep byte, w string) [sha1.Size]byte {
+	var stack [128]byte
+	b := append(stack[:0], salt...)
+	b = append(b, sep)
+	return sha1.Sum(append(b, w...))
 }
 
 // hashDigits maps a digit string (a phone number) to another digit string
 // of the same length, so dialer strings remain syntactically valid.
 func hashDigits(salt []byte, w string) string {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{1})
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
-	out := make([]byte, len(w))
-	for i := range out {
-		out[i] = '0' + sum[i%len(sum)]%10
+	sum := saltedSum(salt, 1, w)
+	var stack [32]byte
+	out := stack[:0]
+	for i := 0; i < len(w); i++ {
+		out = append(out, '0'+sum[i%len(sum)]%10)
 	}
 	return string(out)
 }
@@ -116,11 +128,7 @@ func hashDigits(salt []byte, w string) string {
 // length (the MAC token action, pack.go). Domain-separated from the
 // word and digit hashes.
 func hashDigitsHex(salt []byte, w string) []byte {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{2})
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
+	sum := saltedSum(salt, 2, w)
 	out := make([]byte, len(w))
 	for i := range out {
 		out[i] = hexDigit(sum[i%len(sum)] & 0x0F)

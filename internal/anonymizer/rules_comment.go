@@ -44,7 +44,7 @@ var commentLineRules = []*lineRule{
 			open := len(c.gaps[0]) + len(c.words[0]) + len(c.gaps[1]) + len(c.words[1]) + len(c.gaps[2])
 			if body, _, closed := strings.Cut(c.raw[open+1:], string(delim)); closed {
 				a.stats.CommentLinesRemoved++
-				a.stats.CommentWordsRemoved += int64(len(strings.Fields(body)))
+				a.stats.CommentWordsRemoved += int64(token.CountFields(body))
 				if a.stripComments() {
 					return c.raw[:open+1] + string(delim), true, true
 				}

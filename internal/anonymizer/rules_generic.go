@@ -1,8 +1,8 @@
 package anonymizer
 
 import (
+	"slices"
 	"strconv"
-	"strings"
 
 	"confanon/internal/config"
 	"confanon/internal/token"
@@ -19,11 +19,14 @@ import (
 //
 // Words are stripped of structural punctuation first (JunOS attaches
 // semicolons, brackets, and quotes to values: "address 12.0.0.1/30;"),
-// processed on their cores, and reassembled.
+// processed on their cores, and reassembled. Leads, cores and trails are
+// carved from the worker's generic buffer (Anonymizer.gen), reused by
+// the next call: they are valid only until this call returns, by which
+// point every census hole in a core has moved to its word.
 func (a *Anonymizer) genericWords(words []string, st *fileState) {
 	n := len(words)
-	buf := make([]string, 3*n)
-	leads, cores, trails := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	a.gen = slices.Grow(a.gen[:0], 3*n)[:3*n]
+	leads, cores, trails := a.gen[:n:n], a.gen[n:2*n:2*n], a.gen[2*n:]
 	for i, w := range words {
 		leads[i], cores[i], trails[i] = token.TrimPunct(w)
 	}
@@ -173,13 +176,16 @@ func (a *Anonymizer) noteIP(in, out uint32) {
 // renderIP writes the image of the mapper call just made into the word
 // slot w, followed by "/length" for a slash prefix (length >= 0), and
 // buffers its IP decision. In a census the image is a stand-in and the
-// slot becomes a hole the fill writes (template.go).
+// slot becomes a hole the fill writes (template.go). The text is
+// rendered on the stack and allocated once.
 func (a *Anonymizer) renderIP(w *string, out uint32, length int) {
-	res := token.FormatIPv4(out)
-	n := len(res)
+	var b [len("255.255.255.255/32")]byte
+	text := token.AppendIPv4(b[:0], out)
+	n := len(text)
 	if length >= 0 {
-		res += "/" + strconv.Itoa(length)
+		text = strconv.AppendInt(append(text, '/'), int64(length), 10)
 	}
+	res := string(text)
 	*w = res
 	if a.tmpl != nil {
 		a.tmpl.hole(w, n, res)
@@ -193,9 +199,12 @@ func (a *Anonymizer) renderIP(w *string, out uint32, length int) {
 }
 
 // hashIfPrivileged applies the basic method to one word: segment (S1/S2),
-// consult the pass-list, and hash what is not known innocuous.
+// consult the pass-list, and hash what is not known innocuous. Segments
+// come from token.NextSegment and the rewritten word is built in the
+// worker's byte buffer, becoming a string only when a segment changed.
 func (a *Anonymizer) hashIfPrivileged(w string) string {
-	switch token.Classify(w) {
+	kind := token.Classify(w)
+	switch kind {
 	case token.Email, token.Phone, token.HexString:
 		return a.forceHash(w)
 	case token.Punct:
@@ -210,35 +219,45 @@ func (a *Anonymizer) hashIfPrivileged(w string) string {
 		}
 		return w
 	}
-	segs := token.SplitWord(w)
-	if len(segs) > 1 {
-		a.hit(RuleSegmentAlpha)
-		hasWords := 0
-		for _, s := range segs {
-			if s.Kind == token.Word {
-				hasWords++
-			}
+	if kind == token.Word {
+		// One alphabetic segment, and the pass-list just missed it.
+		a.stats.TokensHashed++
+		a.seenWords[w] = true
+		res := hashWord(a.opts.Salt, w)
+		if a.tracer != nil {
+			a.decideAs(pseudoRuleBasic, trace.ClassHashed, res)
 		}
-		if hasWords > 1 {
-			a.hit(RuleSegmentWords)
+		return res
+	}
+	b := a.out[:0]
+	changed := false
+	segs, alpha := 0, 0
+	for s, i := token.NextSegment(w, 0); s.Text != ""; s, i = token.NextSegment(w, i) {
+		segs++
+		if s.Kind == token.Word {
+			alpha++
+			if !a.pass.Contains(s.Text) {
+				a.stats.TokensHashed++
+				a.seenWords[s.Text] = true
+				if !changed {
+					b = append(b, w[:i-len(s.Text)]...)
+					changed = true
+				}
+				b = appendHashWord(b, a.opts.Salt, s.Text)
+				continue
+			}
+			a.stats.TokensPassed++
+		}
+		if changed {
+			b = append(b, s.Text...)
 		}
 	}
-	var b strings.Builder
-	changed := false
-	for _, s := range segs {
-		if s.Kind != token.Word {
-			b.WriteString(s.Text)
-			continue
+	a.out = b
+	if segs > 1 {
+		a.hit(RuleSegmentAlpha)
+		if alpha > 1 {
+			a.hit(RuleSegmentWords)
 		}
-		if a.pass.Contains(s.Text) {
-			a.stats.TokensPassed++
-			b.WriteString(s.Text)
-			continue
-		}
-		a.stats.TokensHashed++
-		a.seenWords[s.Text] = true
-		b.WriteString(hashWord(a.opts.Salt, s.Text))
-		changed = true
 	}
 	if !changed {
 		if a.tracer != nil {
@@ -246,7 +265,7 @@ func (a *Anonymizer) hashIfPrivileged(w string) string {
 		}
 		return w
 	}
-	res := b.String()
+	res := string(b)
 	if a.tracer != nil {
 		a.decideAs(pseudoRuleBasic, trace.ClassHashed, res)
 	}
@@ -267,19 +286,26 @@ func (a *Anonymizer) forceHash(w string) string {
 }
 
 // hashAllSegments hashes every alphabetic segment of a word, keeping the
-// punctuation skeleton (dots of a hostname), ignoring the pass-list.
+// punctuation skeleton (dots of a hostname), ignoring the pass-list. Like
+// hashIfPrivileged it builds the result in the worker's byte buffer.
 func (a *Anonymizer) hashAllSegments(w string) string {
-	var b strings.Builder
-	for _, s := range token.SplitWord(w) {
+	b := a.out[:0]
+	changed := false
+	for s, i := token.NextSegment(w, 0); s.Text != ""; s, i = token.NextSegment(w, i) {
 		if s.Kind == token.Word {
 			a.stats.TokensHashed++
 			a.seenWords[s.Text] = true
-			b.WriteString(hashWord(a.opts.Salt, s.Text))
+			b = appendHashWord(b, a.opts.Salt, s.Text)
+			changed = true
 		} else {
-			b.WriteString(s.Text)
+			b = append(b, s.Text...)
 		}
 	}
-	res := b.String()
+	a.out = b
+	res := w
+	if changed {
+		res = string(b)
+	}
 	if a.tracer != nil {
 		a.decide(trace.ClassHashed, res)
 	}

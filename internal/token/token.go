@@ -15,7 +15,9 @@
 package token
 
 import (
+	"slices"
 	"strings"
+	"unicode"
 )
 
 // Kind identifies the syntactic class of a token.
@@ -87,33 +89,45 @@ type Segment struct {
 // alphabetic runs joined by single separators (dots and dashes) so that
 // compound identifiers such as "cr1.sfo-serial3/0.8" yield each embedded
 // word ("cr", "sfo", "serial") for individual pass-list consultation.
+// NextSegment yields the same segments one at a time without allocating.
 func SplitWord(w string) []Segment {
-	if w == "" {
-		return nil
-	}
 	var segs []Segment
-	i := 0
-	for i < len(w) {
-		j := i
-		if isAlpha(w[i]) {
-			for j < len(w) && isAlpha(w[j]) {
-				j++
-			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Word})
-		} else if isDigit(w[i]) {
-			for j < len(w) && isDigit(w[j]) {
-				j++
-			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Integer})
-		} else {
-			for j < len(w) && !isAlpha(w[j]) && !isDigit(w[j]) {
-				j++
-			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Punct})
-		}
-		i = j
+	for s, i := NextSegment(w, 0); s.Text != ""; s, i = NextSegment(w, i) {
+		segs = append(segs, s)
 	}
 	return segs
+}
+
+// NextSegment returns the segment of w that starts at byte offset i and
+// the offset just past it: the segments SplitWord returns, one at a time
+// and without allocating. seg.Text is "" once i reaches the end of w.
+// The usual loop:
+//
+//	for s, i := NextSegment(w, 0); s.Text != ""; s, i = NextSegment(w, i) { ... }
+func NextSegment(w string, i int) (seg Segment, next int) {
+	if i >= len(w) {
+		return Segment{}, len(w)
+	}
+	j := i
+	switch {
+	case isAlpha(w[i]):
+		for j < len(w) && isAlpha(w[j]) {
+			j++
+		}
+		seg.Kind = Word
+	case isDigit(w[i]):
+		for j < len(w) && isDigit(w[j]) {
+			j++
+		}
+		seg.Kind = Integer
+	default:
+		for j < len(w) && !isAlpha(w[j]) && !isDigit(w[j]) {
+			j++
+		}
+		seg.Kind = Punct
+	}
+	seg.Text = w[i:j]
+	return seg, j
 }
 
 // Fields splits a configuration line into whitespace-separated words,
@@ -123,19 +137,37 @@ func SplitWord(w string) []Segment {
 // Gaps[n].
 //
 // Both slices are carved from one allocation; each is capped at its
-// length, so appending to one cannot overwrite the other.
+// length, so appending to one cannot overwrite the other. AppendFields
+// is the form that reuses a caller's buffer.
 func Fields(line string) (words []string, gaps []string) {
-	n := 0
+	words, gaps, _ = AppendFields(nil, line)
+	return words, gaps
+}
+
+// AppendFields is Fields into a caller-owned buffer: it carves words and
+// gaps from the tail of buf, past its length, and returns buf extended
+// over them. buf grows, as append does, only when it is too short; its
+// old prefix is never written. words and gaps are each capped at their
+// length, so appending to one cannot overwrite the other, and both stay
+// valid until the caller reuses buf's tail. The usual per-line reuse:
+//
+//	words, gaps, buf = AppendFields(buf[:0], line)
+func AppendFields(buf []string, line string) (words, gaps, out []string) {
+	n, inWord := 0, false
 	for i := 0; i < len(line); i++ {
-		if !isSpace(line[i]) && (i == 0 || isSpace(line[i-1])) {
+		space := isSpace(line[i])
+		if !space && !inWord {
 			n++
 		}
+		inWord = !space
 	}
-	buf := make([]string, 2*n+1)
+	start, need := len(buf), 2*n+1
+	out = slices.Grow(buf, need)[:start+need]
+	tail := out[start:]
 	if n > 0 {
-		words = buf[:n:n]
+		words = tail[:n:n]
 	}
-	gaps = buf[n:]
+	gaps = tail[n:need:need]
 	i := 0
 	for w := 0; ; w++ {
 		j := i
@@ -144,7 +176,7 @@ func Fields(line string) (words []string, gaps []string) {
 		}
 		gaps[w] = line[i:j]
 		if j == len(line) {
-			return words, gaps
+			return words, gaps, out
 		}
 		k := j
 		for k < len(line) && !isSpace(line[k]) {
@@ -169,6 +201,23 @@ func NextWord(s string, i int) (word string, next int) {
 		j++
 	}
 	return s[i:j], j
+}
+
+// CountFields returns len(strings.Fields(s)) without allocating: the
+// number of runs of non-space characters, where space is what
+// unicode.IsSpace says (so "\v", U+0085 and U+00A0 separate, and
+// invalid UTF-8 does not). Banner and comment statistics count words
+// with it; the engine's own tokenizer splits on spaces and tabs only.
+func CountFields(s string) int {
+	n, inWord := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inWord {
+			n++
+		}
+		inWord = !space
+	}
+	return n
 }
 
 // Join reassembles a line previously split by Fields, with possibly

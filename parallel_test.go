@@ -146,6 +146,42 @@ func TestParallelShapedSessionReuse(t *testing.T) {
 	}
 }
 
+// TestParallelWideNarrowMatchesSerial: workers reuse their per-line
+// buffers from file to file, so a corpus whose files alternate very
+// wide lines (dozens of compound words) and narrow ones must still
+// come out of the two-worker census → replay → fill pipeline, and of
+// the stateless pool, byte-identical to the serial run.
+func TestParallelWideNarrowMatchesSerial(t *testing.T) {
+	files := map[string]string{}
+	for f := 0; f < 12; f++ {
+		var b strings.Builder
+		if f%2 == 0 {
+			for i := 0; i < 8; i++ {
+				fmt.Fprintf(&b, "interface Serial%d/%d\n ip address 12.%d.%d.1 255.255.255.0\n tag", f, i, f, i)
+				for j := 0; j < 30; j++ {
+					fmt.Fprintf(&b, " srv%d.pop%d-edge%d.acme%d-corp.example 10.%d.%d.%d/%d", j, i, f, j%5, f, i, j, 16+j%9)
+				}
+				b.WriteString("\n")
+			}
+		} else {
+			fmt.Fprintf(&b, "x.y\n!\nhostname r%d\ninterface Loopback0\n ip address 12.%d.0.1 255.255.255.255\nq-r\nend\n", f, f)
+		}
+		files[fmt.Sprintf("r%02d-confg", f)] = b.String()
+	}
+	for _, opts := range []Options{{Salt: []byte("wide")}, {Salt: []byte("wide"), StatelessIP: true}} {
+		serial, err := New(opts).CorpusContext(context.Background(), files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := mustParallel(t, opts, files, 2)
+		for name, want := range serial.Outputs() {
+			if got[name] != want {
+				t.Fatalf("stateless=%v: %s differs from the serial run", opts.StatelessIP, name)
+			}
+		}
+	}
+}
+
 // BenchmarkParallelCorpus sweeps workers under the stateless scheme
 // (mappings are pure functions of the salt; no census needed), the
 // parallelization §4.3 attributes to the Xu scheme.
