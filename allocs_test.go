@@ -2,6 +2,7 @@ package confanon
 
 import (
 	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -17,7 +18,8 @@ import (
 // tokenizer (fresh slices, and one buffer reused across the lines as the
 // engine's workers reuse theirs), the engine under both IP schemes and the leak report,
 // measured in steady state (the mapping and recorder are warm after
-// AllocsPerRun's first call). A count may not exceed its baseline in
+// AllocsPerRun's first call), and per replayed record for restoring the
+// ledger a strict run over that corpus records (ledger-restore). A count may not exceed its baseline in
 // allocs_baseline.txt by more than 0.01. Lower a baseline when a change
 // removes allocations; never raise one to make a red run green.
 func TestAllocsPerLine(t *testing.T) {
@@ -67,6 +69,8 @@ func TestAllocsPerLine(t *testing.T) {
 		s.Release(wk)
 	}
 
+	got["ledger-restore"] = ledgerRestoreAllocs(t, files)
+
 	base := readAllocsBaseline(t)
 	for name, v := range got {
 		want, ok := base[name]
@@ -74,11 +78,50 @@ func TestAllocsPerLine(t *testing.T) {
 			t.Errorf("allocs_baseline.txt has no %s entry (measured %.3f)", name, v)
 			continue
 		}
-		t.Logf("%s: %.3f allocs/line (baseline %.3f)", name, v, want)
+		t.Logf("%s: %.3f allocs (baseline %.3f)", name, v, want)
 		if v > want+0.01 {
-			t.Errorf("%s: %.3f allocs/line exceeds the %.3f baseline by more than 0.01", name, v, want)
+			t.Errorf("%s: %.3f allocs exceeds the %.3f baseline by more than 0.01", name, v, want)
 		}
 	}
+}
+
+// ledgerRestoreAllocs records files into a mapping ledger, as one
+// `confanon -strict -state-dir` run does, and returns the allocations
+// per replayed record of opening the ledger and restoring it into a
+// fresh Session (OpenMappingStore, UseStore, Close).
+func ledgerRestoreAllocs(t *testing.T, files map[string]string) float64 {
+	salt := []byte("allocs")
+	dir := t.TempDir()
+	recordLedger(t, dir, files, salt)
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, line := range strings.Split(strings.TrimSuffix(string(seg), "\n"), "\n") {
+		if !strings.Contains(line, `"t":"open"`) && !strings.Contains(line, `"t":"commit"`) {
+			records++
+		}
+	}
+	prog := Compile(Options{Salt: salt, Strict: true})
+	// Each Open starts a new segment; removing it keeps every run
+	// replaying the same one.
+	active := filepath.Join(dir, "seg-000002.jsonl")
+	return testing.AllocsPerRun(5, func() {
+		ms, err := OpenMappingStore(dir, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.NewSession().UseStore(ms); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(active); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(records)
 }
 
 // raceBuild reports whether the test binary was built with -race.

@@ -69,6 +69,12 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 echo "== allocation ratchet: go test -run '^TestAllocsPerLine$' ."
 go test -run '^TestAllocsPerLine$' .
 
+# Ledger layer rows: BenchmarkLedgerOpen (replaying one owner's ledger)
+# and BenchmarkUseStore (restoring it into a Session) run once, so a
+# change to the store or restore API that breaks them fails here.
+echo "== go test -run '^\$' -bench 'LedgerOpen|UseStore' -benchtime 1x ."
+go test -run '^$' -bench 'LedgerOpen|UseStore' -benchtime 1x .
+
 # Observability drift gate (warn-only): re-run the golden corpus, emit a
 # run report, and diff it against the checked-in baseline with conftrace.
 # Rule-hit or outcome drift means the (salt, input) → decision contract
@@ -127,7 +133,9 @@ go run ./cmd/confvalidate $packargs
 # parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
 # set), over the ledger's byte-level line decoder against encoding/json
-# (same Record, same class of error), and over the line cache decoder
+# (same Record, same class of error), over ledger replay against a
+# reference replay (FuzzOpenMatchesReference: the same State, or
+# ErrCorrupt at the same line), and over the line cache decoder
 # (no input panics). Crashers are persisted under testdata/fuzz/ and
 # then replayed by the ordinary test step above, so a find here becomes
 # a permanent regression test.
@@ -154,6 +162,8 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
 	echo "== fuzz smoke: internal/store FuzzDecodeLine (10s)"
 	go test -run '^$' -fuzz '^FuzzDecodeLine$' -fuzztime 10s ./internal/store
+	echo "== fuzz smoke: internal/store FuzzOpenMatchesReference (10s)"
+	go test -run '^$' -fuzz '^FuzzOpenMatchesReference$' -fuzztime 10s ./internal/store
 	echo "== fuzz smoke: FuzzDecodeCorpusCache (10s)"
 	go test -run '^$' -fuzz '^FuzzDecodeCorpusCache$' -fuzztime 10s .
 fi

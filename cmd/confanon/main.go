@@ -57,10 +57,11 @@
 // mapping ledger that the run commits at every clean file boundary; a
 // later run with the same salt replays it and stays byte-consistent
 // with this one, even after a crash mid-run (committed files survive,
-// the interrupted file is simply reprocessed). Adding -incremental
-// diffs the corpus against the prior run's line cache (kept in the
-// state dir) and rewrites only changed lines — output identical to a
-// full re-run. The state directory holds cleartext-derived values
+// the interrupted file is simply reprocessed). -state-dir and -mapping
+// (a one-file snapshot of the same state) exclude each other. Adding
+// -incremental diffs the corpus against the prior run's line cache
+// (kept in the state dir) and rewrites only changed lines — output
+// identical to a full re-run. The state directory holds cleartext-derived values
 // (original addresses, recorder tokens): it is as sensitive as the
 // salt, created 0700 with 0600 files, and must never be published.
 //
@@ -130,7 +131,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		ruleStats  = fs.Bool("rule-stats", false, "print the per-rule hit count and wall-time table to stderr")
 		stateless  = fs.Bool("stateless", false, "use the Crypto-PAn IP scheme: no shared mapping state, constant-memory streaming")
 		rename     = fs.Bool("rename", true, "hash output file names (they are usually hostname-derived)")
-		mapFile    = fs.String("mapping", "", "IP-mapping state file: loaded if present, saved after the run (keeps later runs consistent)")
+		mapFile    = fs.String("mapping", "", "IP-mapping state file: loaded if present, saved after the run (keeps later runs consistent; not with -state-dir)")
 		stateDir   = fs.String("state-dir", "", "durable mapping-ledger directory: opened (or created) before the run, committed at every clean file boundary; later runs replay it (as sensitive as the salt)")
 		increment  = fs.Bool("incremental", false, "with -state-dir: diff the corpus against the prior run's line cache and rewrite only changed lines (output identical to a full run)")
 		strict     = fs.Bool("strict", false, "fail closed: quarantine any file whose leak report is not clean")
@@ -165,6 +166,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	if *increment && (*stateDir == "" || streamMode) {
 		fmt.Fprintln(stderr, "confanon: -incremental requires -state-dir and batch mode (the cache is only sound against the ledger it was recorded with)")
+		return exitUsage
+	}
+	if *mapFile != "" && *stateDir != "" {
+		fmt.Fprintln(stderr, "confanon: -mapping and -state-dir are two sources of one mapping; use one (the shaped mapping depends on insertion order, so the two cannot be merged)")
 		return exitUsage
 	}
 	opts := confanon.Options{

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -521,5 +522,67 @@ func TestRunRulePackFlag(t *testing.T) {
 	code, _, stderr = runCLI(t, "-salt", "s", "-in", in, "-out", t.TempDir(), "-rule-pack", bad)
 	if code != exitFatal || !strings.Contains(stderr, "rule-pack") {
 		t.Errorf("bad pack: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestRunMappingWithStateDirIsUsageError: -mapping and -state-dir are two
+// sources of one mapping, and the shaped mapping depends on insertion
+// order, so they cannot be merged. Giving both used to restore the state
+// dir and then replace its tree with the -mapping file's: with a ledger
+// holding eleven hosts of 45.2.3.0/24 and a mapping file holding only
+// 12.1.1.1, `ip address 45.2.0.1 255.255.0.0` came out as 17.208.0.1,
+// and as 17.209.48.1 on the next run from the state dir alone. Now the
+// pair is a usage error that touches nothing, and runs from the state
+// dir agree with each other.
+func TestRunMappingWithStateDirIsUsageError(t *testing.T) {
+	var d strings.Builder
+	d.WriteString("hostname d1\n")
+	for _, h := range []string{"4", "9", "17", "33", "65", "100", "130", "200", "240", "250", "254"} {
+		d.WriteString("interface Ethernet0\n ip address 45.2.3." + h + " 255.255.255.0\n")
+	}
+	state, mapping := t.TempDir(), filepath.Join(t.TempDir(), "m.bin")
+	if code, _, stderr := runCLI(t, "-salt", "s", "-in", writeInput(t, map[string]string{"d1.conf": d.String()}),
+		"-out", t.TempDir(), "-rename=false", "-state-dir", state); code != exitClean {
+		t.Fatalf("recording the state dir: exit %d; stderr:\n%s", code, stderr)
+	}
+	if code, _, stderr := runCLI(t, "-salt", "s", "-in", writeInput(t, map[string]string{"m1.conf": "hostname m1\ninterface Ethernet0\n ip address 12.1.1.1 255.255.255.0\n"}),
+		"-out", t.TempDir(), "-rename=false", "-mapping", mapping); code != exitClean {
+		t.Fatalf("recording the mapping file: exit %d; stderr:\n%s", code, stderr)
+	}
+	before := readOutputs(t, state)
+	mapBefore, err := os.ReadFile(mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	in := writeInput(t, map[string]string{"x1.conf": "hostname x1\ninterface Ethernet0\n ip address 45.2.0.1 255.255.0.0\n"})
+	out := filepath.Join(t.TempDir(), "out")
+	code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", out, "-rename=false", "-state-dir", state, "-mapping", mapping)
+	if code != exitUsage {
+		t.Fatalf("-state-dir with -mapping: exit %d, want %d; stderr:\n%s", code, exitUsage, stderr)
+	}
+	if !strings.Contains(stderr, "-mapping and -state-dir") {
+		t.Errorf("stderr does not name the conflict:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("usage error wrote output (stat err %v)", err)
+	}
+	if after := readOutputs(t, state); !reflect.DeepEqual(after, before) {
+		t.Errorf("usage error changed the state dir: %d files before, %d after", len(before), len(after))
+	}
+	if mapAfter, err := os.ReadFile(mapping); err != nil || !bytes.Equal(mapAfter, mapBefore) {
+		t.Errorf("usage error changed the mapping file (read err %v)", err)
+	}
+
+	var outs []string
+	for i := 0; i < 2; i++ {
+		o := t.TempDir()
+		if code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", o, "-rename=false", "-state-dir", state); code != exitClean {
+			t.Fatalf("state-dir run %d: exit %d; stderr:\n%s", i+1, code, stderr)
+		}
+		outs = append(outs, readOutputs(t, o)["x1.conf"])
+	}
+	if outs[0] != outs[1] || !strings.Contains(outs[0], " ip address 17.209.48.1 255.255.0.0\n") {
+		t.Errorf("runs from the state dir disagree:\n%s\n%s", outs[0], outs[1])
 	}
 }

@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -94,14 +95,19 @@ type LedgerSink interface {
 
 // NewSession creates a Session with a fresh IP mapping (shaped tree, or
 // Crypto-PAn under StatelessIP).
-func (p *Program) NewSession() *Session {
-	var mapper ipanon.Mapper
+func (p *Program) NewSession() *Session { return p.newSession(p.newMapper(0)) }
+
+// newMapper returns an empty IP mapper of the Program's scheme, sized
+// for n addresses.
+func (p *Program) newMapper(n int) ipanon.Mapper {
 	if p.opts.StatelessIP {
-		mapper = ipanon.NewCryptoMapper(p.opts.Salt)
-	} else {
-		mapper = ipanon.NewTree(ipanon.DefaultOptions(p.opts.Salt))
+		m := ipanon.NewCryptoMapper(p.opts.Salt)
+		m.Reserve(n)
+		return m
 	}
-	return p.newSession(mapper)
+	t := ipanon.NewTree(ipanon.DefaultOptions(p.opts.Salt))
+	t.Reserve(n)
+	return t
 }
 
 func (p *Program) newSession(mapper ipanon.Mapper) *Session {
@@ -274,18 +280,25 @@ func (s *Session) CaptureState() store.State {
 	return st
 }
 
+// ErrRestoreNotEmpty reports a restore into a Session whose IP mapping
+// already holds pairs. The shaped mapping depends on insertion order, so
+// a second source cannot be merged into it: a later pair would shape
+// differently than in the run that recorded it. Restore once, before any
+// anonymization.
+var ErrRestoreNotEmpty = errors.New("anonymizer: restore into a session whose IP mapping is not empty")
+
 // RestoreState reinstates a captured state: the IP pairs replay through
-// a fresh mapper in insertion order, verified pair by pair against this
-// Session's salt (a snapshot taken under a different salt fails, never
-// silently diverges); recorder entries, sensitive tokens, and relations
-// merge in. Call before any anonymization.
+// a fresh mapper, sized once for them, in insertion order, verified pair
+// by pair against this Session's salt (a snapshot taken under a
+// different salt fails, never silently diverges); recorder entries,
+// sensitive tokens, and relations merge in. Call before any
+// anonymization: a Session whose mapping already holds pairs fails with
+// ErrRestoreNotEmpty and is left unchanged. st is only read.
 func (s *Session) RestoreState(st store.State) error {
-	var mapper ipanon.Mapper
-	if s.prog.opts.StatelessIP {
-		mapper = ipanon.NewCryptoMapper(s.prog.opts.Salt)
-	} else {
-		mapper = ipanon.NewTree(ipanon.DefaultOptions(s.prog.opts.Salt))
+	if n := s.mapper().Len(); n > 0 {
+		return fmt.Errorf("%w (it maps %d addresses)", ErrRestoreNotEmpty, n)
 	}
+	mapper := s.prog.newMapper(len(st.IPs))
 	for _, p := range st.IPs {
 		if got := mapper.MapV4(p.In); got != p.Out {
 			return fmt.Errorf("anonymizer: state replay mismatch for %08x: got %08x want %08x (wrong salt?)",
@@ -293,18 +306,16 @@ func (s *Session) RestoreState(st store.State) error {
 		}
 	}
 	s.ipMu.Lock()
+	if n := s.ip.Len(); n > 0 {
+		s.ipMu.Unlock()
+		return fmt.Errorf("%w (it maps %d addresses)", ErrRestoreNotEmpty, n)
+	}
 	s.ip = mapper
 	s.ipMu.Unlock()
 	s.recMu.Lock()
-	for _, k := range st.ASNs {
-		s.seenASNs[k] = true
-	}
-	for _, k := range st.Words {
-		s.seenWords[k] = true
-	}
-	for _, k := range st.OrigIPs {
-		s.seenIPs[k] = true
-	}
+	s.seenASNs = mergeSet(s.seenASNs, st.ASNs)
+	s.seenWords = mergeSet(s.seenWords, st.Words)
+	s.seenIPs = mergeSet(s.seenIPs, st.OrigIPs)
 	s.recMu.Unlock()
 	if len(st.Sensitive) > 0 {
 		old := s.sensTok.Load()
@@ -325,6 +336,18 @@ func (s *Session) RestoreState(st store.State) error {
 		s.relMu.Unlock()
 	}
 	return nil
+}
+
+// mergeSet adds keys to set. An empty set is replaced by one sized for
+// keys, so a restore into a fresh Session builds each recorder set once.
+func mergeSet[K comparable](set map[K]bool, keys []K) map[K]bool {
+	if len(set) == 0 && len(keys) > 0 {
+		set = make(map[K]bool, len(keys))
+	}
+	for _, k := range keys {
+		set[k] = true
+	}
+	return set
 }
 
 // SaveMapping serializes the complete mutable Session state — the IP

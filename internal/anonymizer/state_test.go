@@ -2,6 +2,7 @@ package anonymizer
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +217,88 @@ func TestSessionLedgerCommitsAtCleanBoundaries(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("replica diverged:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRestoreStateFailsClosedOnNonEmptyMapping: the shaped mapping
+// depends on insertion order, so a restore into a Session whose mapping
+// already holds pairs cannot merge — it used to swap in the second
+// source's tree, and the run then published mappings that disagreed with
+// the first. It must fail with ErrRestoreNotEmpty and leave the Session
+// as it was, whether the pairs came from an earlier restore or from
+// anonymizing.
+func TestRestoreStateFailsClosedOnNonEmptyMapping(t *testing.T) {
+	salt := []byte("restore-once-salt")
+	src := New(Options{Salt: salt})
+	if _, ferr := src.SafeAnonymizeText("f1", figure1); ferr != nil {
+		t.Fatalf("anonymize: %v", ferr)
+	}
+	first := src.Session().CaptureState()
+	other := New(Options{Salt: salt})
+	if _, ferr := other.SafeAnonymizeText("f2", followup); ferr != nil {
+		t.Fatalf("anonymize: %v", ferr)
+	}
+	second := other.Session().CaptureState()
+
+	restored := Compile(Options{Salt: salt}).NewSession()
+	if err := restored.RestoreState(first); err != nil {
+		t.Fatalf("first RestoreState: %v", err)
+	}
+	want := restored.IPMapping()
+	if err := restored.RestoreState(second); !errors.Is(err, ErrRestoreNotEmpty) {
+		t.Fatalf("second RestoreState: err = %v, want ErrRestoreNotEmpty", err)
+	}
+	if got := restored.IPMapping(); !reflect.DeepEqual(got, want) {
+		t.Errorf("failed restore changed the mapping:\n got %v\nwant %v", got, want)
+	}
+	if err := src.LoadMapping(other.SaveMapping()); !errors.Is(err, ErrRestoreNotEmpty) {
+		t.Errorf("LoadMapping into a session that anonymized: err = %v, want ErrRestoreNotEmpty", err)
+	}
+	// A state with no pairs may still be restored into a fresh Session
+	// more than once: recorder entries merge.
+	fresh := Compile(Options{Salt: salt}).NewSession()
+	words := store.State{Words: []string{"alpha"}}
+	if err := fresh.RestoreState(words); err != nil {
+		t.Fatalf("RestoreState(words): %v", err)
+	}
+	if err := fresh.RestoreState(store.State{Words: []string{"beta"}}); err != nil {
+		t.Fatalf("second RestoreState(words): %v", err)
+	}
+	if !fresh.seenWords["alpha"] || !fresh.seenWords["beta"] {
+		t.Errorf("recorder entries did not merge: %v", fresh.seenWords)
+	}
+}
+
+// TestRestoreStateNamesFirstMismatch: a replayed pair that does not
+// verify under the Session's salt fails the restore, the error names
+// the first such pair (its input, the image the salt gives and the
+// recorded one), and the Session keeps its empty mapping.
+func TestRestoreStateNamesFirstMismatch(t *testing.T) {
+	salt := []byte("restore-mismatch-salt")
+	src := New(Options{Salt: salt})
+	if _, ferr := src.SafeAnonymizeText("f1", figure1+followup); ferr != nil {
+		t.Fatalf("anonymize: %v", ferr)
+	}
+	st := src.Session().CaptureState()
+	if len(st.IPs) < 6 {
+		t.Fatalf("need at least 6 pairs, have %d", len(st.IPs))
+	}
+	bad := st
+	bad.IPs = append([]store.Pair(nil), st.IPs...)
+	for _, k := range []int{len(bad.IPs) - 1, 4} {
+		bad.IPs[k].Out ^= 0x100
+	}
+	sess := Compile(Options{Salt: salt}).NewSession()
+	err := sess.RestoreState(bad)
+	p := st.IPs[4]
+	want := fmt.Sprintf("state replay mismatch for %08x: got %08x want %08x", p.In, p.Out, p.Out^0x100)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RestoreState err = %v, want it to contain %q", err, want)
+	}
+	if n := sess.mapper().Len(); n != 0 {
+		t.Errorf("failed restore left %d pairs in the Session's mapping", n)
+	}
+	if err := sess.RestoreState(st); err != nil {
+		t.Errorf("restore after a failed one: %v", err)
 	}
 }

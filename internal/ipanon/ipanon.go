@@ -121,7 +121,11 @@ func DefaultOptions(salt []byte) Options {
 // prefix-preserving bijection of the 32-bit space: inputs diverging at
 // bit d produce outputs diverging at bit d.
 type node struct {
-	children [2]*node
+	// children are node numbers (Tree.node); 0 is no child, since node
+	// 0, the root, is no node's child. Numbers instead of pointers halve
+	// a node and leave the slabs without pointers, so the garbage
+	// collector never scans them.
+	children [2]uint32
 	flip     bool
 	flipSet  bool
 }
@@ -140,13 +144,15 @@ type node struct {
 type Tree struct {
 	opts Options
 	// mu guards everything below: the resolved-address cache, the node
-	// walk (rawMap) and its node slab, the insertion log, the prf buffer
+	// walk (rawMap) and its node slabs, the insertion log, the prf buffer
 	// and the output set.
-	mu   sync.Mutex
-	root *node
-	// slab is the unused tail of the current node block: rawMap carves
-	// new nodes from it, one allocation per nodeSlab nodes.
-	slab []node
+	mu sync.Mutex
+	// slabs hold the trie's nodes, nodeSlab to a block, and nodes counts
+	// those in use: node i is slabs[i/nodeSlab][i%nodeSlab], the root is
+	// node 0. Blocks never move, so a *node stays valid while the walk
+	// adds nodes.
+	slabs []*[nodeSlab]node
+	nodes uint32
 	// seen caches fully-resolved mappings; order records insertion
 	// order, which the shaped mapping depends on and persistence must
 	// replay.
@@ -167,7 +173,7 @@ type Tree struct {
 }
 
 // nodeSlab is how many trie nodes the tree allocates at a time.
-const nodeSlab = 256
+const nodeSlab = 512
 
 // NewTree returns an empty mapping tree with the given options.
 func NewTree(opts Options) *Tree {
@@ -175,20 +181,38 @@ func NewTree(opts Options) *Tree {
 	copy(buf, opts.Salt)
 	copy(buf[len(opts.Salt)+5:], "flip")
 	t := &Tree{opts: opts, prfBuf: buf, seen: make(map[uint32]uint32), outs: make(map[uint32]struct{})}
-	t.root = t.newNode()
+	t.newNode() // the root
 	return t
 }
 
-// newNode returns a zero node carved from the current slab. Called
-// under t.mu.
-func (t *Tree) newNode() *node {
-	if len(t.slab) == 0 {
-		t.slab = make([]node, nodeSlab)
+// Reserve readies an empty Tree for n addresses: the resolved-address
+// cache, the output set and the insertion log are sized once, so
+// resolving n addresses — restoring n persisted pairs — grows none of
+// them. A Tree that has resolved an address, or n <= 0, leaves it as it
+// is.
+func (t *Tree) Reserve(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n <= 0 || len(t.order) > 0 {
+		return
 	}
-	n := &t.slab[0]
-	t.slab = t.slab[1:]
-	return n
+	t.seen = make(map[uint32]uint32, n)
+	t.outs = make(map[uint32]struct{}, n)
+	t.order = make([]Pair, 0, n)
 }
+
+// newNode returns the number of a zero node carved from the current
+// slab. Called under t.mu.
+func (t *Tree) newNode() uint32 {
+	if t.nodes%nodeSlab == 0 {
+		t.slabs = append(t.slabs, new([nodeSlab]node))
+	}
+	t.nodes++
+	return t.nodes - 1
+}
+
+// node returns node i. Called under t.mu.
+func (t *Tree) node(i uint32) *node { return &t.slabs[i/nodeSlab][i%nodeSlab] }
 
 // prfBit derives a deterministic pseudo-random flip bit for the tree node
 // identified by the input prefix (path, depth) under the tree salt.
@@ -205,7 +229,7 @@ func (t *Tree) prfBit(path uint32, depth int) bool {
 // prefix-preserving bijection before special-address chasing.
 func (t *Tree) rawMap(ip uint32) uint32 {
 	var out uint32
-	n := t.root
+	n := t.node(0)
 	for depth := 0; depth < 32; depth++ {
 		bit := ip >> (31 - uint(depth)) & 1
 		if !n.flipSet {
@@ -257,11 +281,11 @@ func (t *Tree) rawMap(ip uint32) uint32 {
 		}
 		out = out<<1 | outBit
 		child := n.children[bit]
-		if child == nil {
+		if child == 0 {
 			child = t.newNode()
 			n.children[bit] = child
 		}
-		n = child
+		n = t.node(child)
 	}
 	return out
 }
@@ -581,6 +605,20 @@ func NewCryptoMapper(salt []byte) *CryptoMapper {
 		panic("ipanon: " + err.Error())
 	}
 	return &CryptoMapper{c: c, seen: make(map[uint32]uint32), top24: make(map[uint32]uint32)}
+}
+
+// Reserve readies an empty CryptoMapper for n addresses: the
+// resolved-pair map and the insertion log are sized once (see
+// Tree.Reserve). A mapper that has resolved an address, or n <= 0,
+// leaves it as it is.
+func (m *CryptoMapper) Reserve(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n <= 0 || len(m.order) > 0 {
+		return
+	}
+	m.seen = make(map[uint32]uint32, n)
+	m.order = make([]Pair, 0, n)
 }
 
 // MapV4 maps one address; specials are fixed points.

@@ -34,20 +34,25 @@ func encodeLine(r Record) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// decodeLine unframes one line, verifying the CRC. A line in the exact
-// form encodeLine writes is parsed byte by byte; any other line (an
-// escaped string, a reordered key, whitespace) goes through
+// decodeLine unframes one line into rec, verifying the CRC. A line in
+// the exact form encodeLine writes is parsed byte by byte; any other
+// line (an escaped string, a reordered key, whitespace) goes through
 // decodeLineJSON, so both paths accept the same lines and agree on the
-// Record and on the class of error.
-func decodeLine(line []byte) (Record, error) {
-	crc, raw, rec, ok := parseLine(line)
+// Record and on the class of error. rec is zero after an error. Replay
+// decodes every line into one Record, so no record is copied on its way
+// into the state.
+func decodeLine(line []byte, rec *Record) error {
+	crc, raw, ok := parseLine(line, rec)
 	if !ok {
-		return decodeLineJSON(line)
+		var err error
+		*rec, err = decodeLineJSON(line)
+		return err
 	}
 	if crc32.ChecksumIEEE(raw) != crc {
-		return Record{}, errCRC
+		*rec = Record{}
+		return errCRC
 	}
-	return rec, nil
+	return nil
 }
 
 // decodeLineJSON is decodeLine through encoding/json.
@@ -111,29 +116,65 @@ func recordKey(key []byte) int {
 	return -1
 }
 
-// parseLine parses `{"c":N,"r":{...}}`, returning the CRC, the raw
-// record bytes it covers and the record. ok is false for any line
-// outside that form; such a line may still be valid JSON.
-func parseLine(line []byte) (crc uint32, raw []byte, rec Record, ok bool) {
+// parseLine parses `{"c":N,"r":{...}}` into rec, returning the CRC and
+// the raw record bytes it covers. ok is false for any line outside that
+// form; such a line may still be valid JSON, and rec is then undefined.
+func parseLine(line []byte, rec *Record) (crc uint32, raw []byte, ok bool) {
 	const head, mid = `{"c":`, `,"r":`
 	if !bytes.HasPrefix(line, []byte(head)) {
-		return 0, nil, Record{}, false
+		return 0, nil, false
 	}
 	c, i, ok := parseUint(line, len(head), math.MaxUint32)
 	if !ok || !bytes.HasPrefix(line[i:], []byte(mid)) || line[len(line)-1] != '}' {
-		return 0, nil, Record{}, false
+		return 0, nil, false
 	}
 	raw = line[i+len(mid) : len(line)-1]
-	if !parseRecord(raw, &rec) {
-		return 0, nil, Record{}, false
+	if !parseAddrRecord(raw, rec) && !parseRecord(raw, rec) {
+		return 0, nil, false
 	}
-	return uint32(c), raw, rec, true
+	return uint32(c), raw, true
+}
+
+// parseAddrRecord parses the two address records, which are nearly all
+// of a ledger, in the form encodeLine writes them:
+// {"t":"ip","in":N,"out":M} and {"t":"oip","in":N}. It reports false for
+// anything else, including these records with a zero address left out;
+// parseRecord then reads the record key by key, and gives the same
+// Record for every record this accepts.
+func parseAddrRecord(b []byte, rec *Record) bool {
+	const ip, oip, out = `{"t":"ip","in":`, `{"t":"oip","in":`, `,"out":`
+	t, i := TIP, len(ip)
+	if !bytes.HasPrefix(b, []byte(ip)) {
+		if !bytes.HasPrefix(b, []byte(oip)) {
+			return false
+		}
+		t, i = TOrigIP, len(oip)
+	}
+	in, i, ok := parseUint(b, i, math.MaxUint32)
+	if !ok {
+		return false
+	}
+	var o uint64
+	if t == TIP {
+		if !bytes.HasPrefix(b[i:], []byte(out)) {
+			return false
+		}
+		if o, i, ok = parseUint(b, i+len(out), math.MaxUint32); !ok {
+			return false
+		}
+	}
+	if i+1 != len(b) || b[i] != '}' {
+		return false
+	}
+	*rec = Record{T: t, In: uint32(in), Out: uint32(o)}
+	return true
 }
 
 // parseRecord parses the record object of a line into rec: string
 // values without escapes, non-negative integers without sign, fraction
 // or exponent, keys in json.Marshal order and no whitespace.
 func parseRecord(b []byte, rec *Record) bool {
+	*rec = Record{}
 	if len(b) < 2 || b[0] != '{' {
 		return false
 	}

@@ -33,6 +33,17 @@
 // durable data and fails Open with ErrCorrupt: the ledger never guesses
 // at committed state.
 //
+// Replay is every -state-dir run's fixed cost, so it does each piece of
+// work once. A line in the form encodeLine writes is parsed byte by byte
+// (the ip and oip records, nearly all of a ledger, as whole forms),
+// any other line through encoding/json, both into one reused Record; the
+// CRC is checked either way. Records are appended to the state's lists
+// as they come, and once every segment is in, one pass drops the values
+// an earlier record already gave (first sight wins) and builds the
+// dedup sets at their final size. A segment's bytes are dropped as soon
+// as its records are in. Committed hands the replayed state to a reader
+// without copying it.
+//
 // # Compaction
 //
 // Replay cost grows with dead weight (a segment per process restart,
@@ -190,23 +201,12 @@ func (s *State) records() []Record {
 	return recs
 }
 
-// seen is replay's dedup index: one set per record type, keyed the way
-// apply compares records of that type.
+// seen is the state's dedup index: one set per record type, keyed the
+// way first sight compares records of that type.
 type seen struct {
 	ips, origIPs           map[uint32]struct{}
 	asns, words, sensitive map[string]struct{}
 	relations              map[Relation]struct{}
-}
-
-func newSeen() *seen {
-	return &seen{
-		ips:       make(map[uint32]struct{}),
-		origIPs:   make(map[uint32]struct{}),
-		asns:      make(map[string]struct{}),
-		words:     make(map[string]struct{}),
-		sensitive: make(map[string]struct{}),
-		relations: make(map[Relation]struct{}),
-	}
 }
 
 // firstSight adds k to set and reports whether it was absent.
@@ -216,38 +216,87 @@ func firstSight[K comparable](set map[K]struct{}, k K) bool {
 	return len(set) > n
 }
 
-// apply folds one data record into the state. Re-application is
-// idempotent for every type except IP insertion order, which replay
-// keeps stable by construction (a pair already present is skipped, so a
-// compacted snapshot replayed after the segments it summarizes changes
-// nothing).
-func (s *State) apply(r Record, sn *seen) {
-	switch r.T {
-	case TIP:
-		if firstSight(sn.ips, r.In) {
-			s.IPs = append(s.IPs, Pair{In: r.In, Out: r.Out})
-		}
-	case TASN:
-		if firstSight(sn.asns, r.V) {
-			s.ASNs = append(s.ASNs, r.V)
-		}
-	case TWord:
-		if firstSight(sn.words, r.V) {
-			s.Words = append(s.Words, r.V)
-		}
-	case TOrigIP:
-		if firstSight(sn.origIPs, r.In) {
-			s.OrigIPs = append(s.OrigIPs, r.In)
-		}
-	case TSensitive:
-		if firstSight(sn.sensitive, r.V) {
-			s.Sensitive = append(s.Sensitive, r.V)
-		}
-	case TRelation:
-		if rel := (Relation{ASN: r.ASN, Prefix: r.Prefix, Len: r.Len}); firstSight(sn.relations, rel) {
-			s.Relations = append(s.Relations, rel)
+// firstSights keeps the elements of list whose key was absent from set
+// (in order, in place) and adds every key to set.
+func firstSights[T any, K comparable](list []T, set map[K]struct{}, key func(T) K) []T {
+	kept := list[:0]
+	for _, v := range list {
+		if firstSight(set, key(v)) {
+			kept = append(kept, v)
 		}
 	}
+	return kept
+}
+
+// firstSight reports whether r's value is absent from the index, and
+// adds it.
+func (sn *seen) firstSight(r *Record) bool {
+	switch r.T {
+	case TIP:
+		return firstSight(sn.ips, r.In)
+	case TOrigIP:
+		return firstSight(sn.origIPs, r.In)
+	case TASN:
+		return firstSight(sn.asns, r.V)
+	case TWord:
+		return firstSight(sn.words, r.V)
+	case TSensitive:
+		return firstSight(sn.sensitive, r.V)
+	case TRelation:
+		return firstSight(sn.relations, Relation{ASN: r.ASN, Prefix: r.Prefix, Len: r.Len})
+	}
+	return false
+}
+
+// add appends one data record's value to the state, duplicates and all.
+func (s *State) add(r *Record) {
+	switch r.T {
+	case TIP:
+		s.IPs = append(s.IPs, Pair{In: r.In, Out: r.Out})
+	case TOrigIP:
+		s.OrigIPs = append(s.OrigIPs, r.In)
+	case TASN:
+		s.ASNs = append(s.ASNs, r.V)
+	case TWord:
+		s.Words = append(s.Words, r.V)
+	case TSensitive:
+		s.Sensitive = append(s.Sensitive, r.V)
+	case TRelation:
+		s.Relations = append(s.Relations, Relation{ASN: r.ASN, Prefix: r.Prefix, Len: r.Len})
+	}
+}
+
+// apply folds one committed data record into the state: its value is
+// kept on first sight and skipped after. Re-application is therefore
+// idempotent, IP insertion order included (a compacted snapshot replayed
+// after the segments it summarizes changes nothing).
+func (s *State) apply(r *Record, sn *seen) {
+	if sn.firstSight(r) {
+		s.add(r)
+	}
+}
+
+// index drops every value already seen earlier in its list — first
+// sight wins, as apply decides one record at a time — and returns the
+// dedup index. Replay adds every record and indexes once at the end, so
+// each set is sized once, from its list, and never grows during replay.
+func (s *State) index() *seen {
+	sn := &seen{
+		ips:       make(map[uint32]struct{}, len(s.IPs)),
+		origIPs:   make(map[uint32]struct{}, len(s.OrigIPs)),
+		asns:      make(map[string]struct{}, len(s.ASNs)),
+		words:     make(map[string]struct{}, len(s.Words)),
+		sensitive: make(map[string]struct{}, len(s.Sensitive)),
+		relations: make(map[Relation]struct{}, len(s.Relations)),
+	}
+	str := func(v string) string { return v }
+	s.IPs = firstSights(s.IPs, sn.ips, func(p Pair) uint32 { return p.In })
+	s.OrigIPs = firstSights(s.OrigIPs, sn.origIPs, func(ip uint32) uint32 { return ip })
+	s.ASNs = firstSights(s.ASNs, sn.asns, str)
+	s.Words = firstSights(s.Words, sn.words, str)
+	s.Sensitive = firstSights(s.Sensitive, sn.sensitive, str)
+	s.Relations = firstSights(s.Relations, sn.relations, func(r Relation) Relation { return r })
+	return sn
 }
 
 // Errors.
@@ -322,7 +371,6 @@ func Open(dir, saltFP string) (*Ledger, error) {
 	l := &Ledger{
 		dir:              dir,
 		saltFP:           saltFP,
-		seen:             newSeen(),
 		CompactThreshold: 3,
 		compactFloor:     1024,
 	}
@@ -337,6 +385,7 @@ func Open(dir, saltFP string) (*Ledger, error) {
 		}
 		l.diskRecs += n
 	}
+	l.seen = l.state.index()
 	l.seg = 1
 	if n := len(segs); n > 0 {
 		last, perr := segIndex(segs[n-1])
@@ -396,7 +445,8 @@ func committedPrefix(data []byte) []byte {
 	for end := len(data); end > 0; {
 		start := bytes.LastIndexByte(data[:end], '\n') + 1
 		if start < end {
-			if rec, err := decodeLine(data[start:end]); err == nil && rec.T == TCommit {
+			var rec Record
+			if err := decodeLine(data[start:end], &rec); err == nil && rec.T == TCommit {
 				return data[:end]
 			}
 		}
@@ -432,33 +482,35 @@ func (l *Ledger) checkHeader(name string, rec Record) error {
 	return nil
 }
 
-// replaySegment folds one segment's committed records into the state.
-// Returns the number of committed data records applied. A record inside
-// the committed prefix that fails to decode is ErrCorrupt.
+// replaySegment adds one segment's committed records to the state,
+// duplicates and all (Open indexes the state once every segment is in).
+// Returns the number of committed data records added. A record inside
+// the committed prefix that fails to decode is ErrCorrupt. Nothing keeps
+// the segment's bytes once it returns: string values are copied out.
 func (l *Ledger) replaySegment(name string) (int, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, name))
 	if err != nil {
 		return 0, fmt.Errorf("store: reading %s: %w", name, err)
 	}
+	var rec Record
 	committed := committedPrefix(data)
 	if committed == nil {
 		// A segment with no commit contributes nothing — but its header,
 		// if readable, must still agree on schema and salt.
 		if first, _ := nextLine(data); first != nil {
-			if rec, err := decodeLine(first); err == nil && rec.T == TOpen {
+			if err := decodeLine(first, &rec); err == nil && rec.T == TOpen {
 				return 0, l.checkHeader(name, rec)
 			}
 		}
 		return 0, nil
 	}
-	applied := 0
+	added := 0
 	for n := 1; ; n++ {
 		var line []byte
 		if line, committed = nextLine(committed); line == nil {
-			return applied, nil
+			return added, nil
 		}
-		rec, err := decodeLine(line)
-		if err != nil {
+		if err := decodeLine(line, &rec); err != nil {
 			return 0, fmt.Errorf("%w (%s line %d: %v)", ErrCorrupt, name, n, err)
 		}
 		switch rec.T {
@@ -469,8 +521,8 @@ func (l *Ledger) replaySegment(name string) (int, error) {
 		case TCommit:
 			// Durability marker; nothing to apply.
 		default:
-			l.state.apply(rec, l.seen)
-			applied++
+			l.state.add(&rec)
+			added++
 		}
 	}
 }
@@ -501,7 +553,8 @@ func (l *Ledger) stateLen() int {
 }
 
 // State returns a copy of the committed state (replayed at Open plus
-// every Commit since).
+// every Commit since). Committed returns the same state without copying
+// it.
 func (l *Ledger) State() State {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -512,6 +565,25 @@ func (l *Ledger) State() State {
 		OrigIPs:   append([]uint32(nil), l.state.OrigIPs...),
 		Sensitive: append([]string(nil), l.state.Sensitive...),
 		Relations: append([]Relation(nil), l.state.Relations...),
+	}
+}
+
+// Committed returns the committed state without copying it, for a
+// caller that only reads it (a Session restoring from the ledger). Each
+// list is clipped to its length: a later Commit only appends, in place
+// past that length or into a new array, so what the caller holds never
+// changes. The caller must not modify the lists.
+func (l *Ledger) Committed() State {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := &l.state
+	return State{
+		IPs:       s.IPs[:len(s.IPs):len(s.IPs)],
+		ASNs:      s.ASNs[:len(s.ASNs):len(s.ASNs)],
+		Words:     s.Words[:len(s.Words):len(s.Words)],
+		OrigIPs:   s.OrigIPs[:len(s.OrigIPs):len(s.OrigIPs)],
+		Sensitive: s.Sensitive[:len(s.Sensitive):len(s.Sensitive)],
+		Relations: s.Relations[:len(s.Relations):len(s.Relations)],
 	}
 }
 
@@ -579,8 +651,8 @@ func (l *Ledger) Commit() error {
 		return err
 	}
 	fireCrashHook("committed")
-	for _, r := range l.pending {
-		l.state.apply(r, l.seen)
+	for i := range l.pending {
+		l.state.apply(&l.pending[i], l.seen)
 	}
 	l.pending = l.pending[:0]
 	if l.shouldCompact() {
@@ -785,11 +857,11 @@ func DecodeState(blob []byte) (State, string, error) {
 	if first == nil {
 		return State{}, "", ErrSchema
 	}
+	var rec Record
 	committed := committedPrefix(blob)
 	if committed == nil {
 		// No commit: accept only a bare valid header (empty state).
-		rec, err := decodeLine(first)
-		if err != nil || rec.T != TOpen || rec.Schema != Schema {
+		if err := decodeLine(first, &rec); err != nil || rec.T != TOpen || rec.Schema != Schema {
 			return State{}, "", ErrSchema
 		}
 		return State{}, rec.SaltFP, nil
@@ -797,15 +869,14 @@ func DecodeState(blob []byte) (State, string, error) {
 	var (
 		st     State
 		saltFP string
-		sn     = newSeen()
 	)
 	for n := 1; ; n++ {
 		var line []byte
 		if line, committed = nextLine(committed); line == nil {
+			st.index()
 			return st, saltFP, nil
 		}
-		rec, err := decodeLine(line)
-		if err != nil {
+		if err := decodeLine(line, &rec); err != nil {
 			return State{}, "", fmt.Errorf("%w (line %d: %v)", ErrCorrupt, n, err)
 		}
 		switch rec.T {
@@ -816,7 +887,7 @@ func DecodeState(blob []byte) (State, string, error) {
 			saltFP = rec.SaltFP
 		case TCommit:
 		default:
-			st.apply(rec, sn)
+			st.add(&rec)
 		}
 	}
 }

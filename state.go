@@ -63,7 +63,7 @@ func (m *MappingStore) Close() error { return m.led.Close() }
 // surfaces the first such error; callers that need durability (the CLI
 // does) must treat it as run-fatal and discard the outputs, or re-run.
 func (a *Anonymizer) UseStore(m *MappingStore) error {
-	if err := a.sess.RestoreState(m.led.State()); err != nil {
+	if err := a.sess.RestoreState(m.led.Committed()); err != nil {
 		return err
 	}
 	a.sess.SetLedger(m.led)
