@@ -278,8 +278,8 @@ func (r *corpusRun) phase(name string, f func()) {
 // w being the calling goroutine's index in [0, workers). Indices are
 // handed out in ascending order, so a single worker runs them in order;
 // once ctx is cancelled no further job starts. It is the batch layer's
-// one worker pool: the census, the fill, the gate and the incremental
-// jobs all run on it.
+// one worker pool: the census, the engine or the fill, and the gate all
+// run on it.
 func fanOut(ctx context.Context, n, workers int, job func(w, i int)) {
 	work := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -392,7 +392,7 @@ func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files ma
 	return err
 }
 
-// rewriteAndGate is the phase every corpus driver ends with. job(wk, i)
+// rewriteAndGate is the phase every corpus run ends with. job(wk, i)
 // produces file i's result on one of workers goroutines, each holding
 // its own Session worker nested under the run's span; phase names the
 // job phase's span. Once every job has published its recorder entries
@@ -400,9 +400,10 @@ func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files ma
 // leak-gated on the same pool — every file against the values recorded
 // from the whole corpus, so the quarantine set is the same at every
 // worker count. The gate ignores ctx: a started file is never published
-// ungated. The results are then recorded in res.Files and counted in
-// index order — callers pass sorted names — and returned by index; nil
-// marks a file never started (ctx was cancelled first).
+// ungated. The gated results are then recorded in res.Files and counted
+// in index order — callers pass sorted names. The jobs' own results,
+// ungated, are returned by index; nil marks a file never started (ctx
+// was cancelled first).
 func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase string, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
 	a := r.a
 	wks := make([]*anonymizer.Anonymizer, workers)
@@ -437,18 +438,20 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase st
 		if fr == nil {
 			continue
 		}
+		gated := *fr
 		if len(leaks[i]) > 0 {
-			*fr = FileResult{Name: fr.Name, Status: FileQuarantined, Leaks: leaks[i]}
+			gated = FileResult{Name: fr.Name, Status: FileQuarantined, Leaks: leaks[i]}
 		}
-		r.res.Files[fr.Name] = *fr
-		a.batch.countFile(fr.Status)
+		r.res.Files[fr.Name] = gated
+		a.batch.countFile(gated.Status)
 	}
 	return out
 }
 
 // ParallelCorpusContext anonymizes a corpus across workers goroutines
 // sharing this Session. It is the one corpus driver (CorpusContext is
-// its one-worker case), and its output is byte-identical at every
+// its one-worker case, and IncrementalCorpusContext runs it with some
+// files served from a cache), and its output is byte-identical at every
 // worker count, under both IP schemes.
 //
 // Under the default shaped-tree scheme the mapping depends on the order
@@ -472,51 +475,88 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 	if workers < 1 {
 		workers = 1
 	}
-	names := sortedNames(files)
 	run := a.beginCorpus("parallel-corpus", len(files), workers)
+	_, err := run.anonymize(ctx, files, nil, workers)
+	return run.finish(err)
+}
+
+// anonymize is the corpus pipeline both batch drivers run: pin or
+// census and replay, then the engine or the fill, then the gate (see
+// ParallelCorpusContext). served holds the outputs of the files a cache
+// serves (nil for none). Those files skip every phase but the gate —
+// their jobs return the cached text — which is sound only when they add
+// no tree insertions: their addresses must already be resolved in the
+// Session's restored state, as IncrementalCorpusContext's are. It
+// returns rewriteAndGate's ungated results, or a run-fatal error
+// (cancellation).
+func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]string, workers int) ([]*FileResult, error) {
+	names := sortedNames(files)
+	changed := names
+	if len(served) > 0 {
+		changed = make([]string, 0, len(names)-len(served))
+		for _, n := range names {
+			if _, ok := served[n]; !ok {
+				changed = append(changed, n)
+			}
+		}
+	}
 	var tmpls []*anonymizer.Template
 	var err error
 	switch {
-	case a.prog.opts.StatelessIP:
+	case r.a.prog.opts.StatelessIP || len(changed) == 0:
 	case workers == 1:
-		err = run.prescanInPlace(ctx, names, files)
+		err = r.prescanInPlace(ctx, changed, files)
 	default:
-		tmpls, err = run.censusReplay(ctx, names, files, workers)
+		tmpls, err = r.censusReplay(ctx, changed, files, workers)
 	}
 	if err != nil {
-		return run.finish(err)
+		return nil, err
 	}
 
 	// With templates every mapper call was replayed above and its image
 	// kept, so the fill reads images and the output does not depend on
-	// scheduling.
-	rewrite := make([]int, 0, len(names))
-	for i, n := range names {
-		if _, failed := run.res.Files[n]; !failed {
-			rewrite = append(rewrite, i)
+	// scheduling. A changed file's template sits at its index in changed.
+	type job struct {
+		name string
+		tmpl *anonymizer.Template
+	}
+	jobs := make([]job, 0, len(names))
+	c := 0
+	for _, n := range names {
+		var t *anonymizer.Template
+		if _, ok := served[n]; !ok {
+			if tmpls != nil {
+				t = tmpls[c]
+			}
+			c++
+		}
+		if _, failed := r.res.Files[n]; !failed {
+			jobs = append(jobs, job{n, t})
 		}
 	}
 	phase := "engine"
 	if tmpls != nil {
 		phase = "fill"
 	}
-	run.rewriteAndGate(ctx, len(rewrite), workers, phase, func(wk *anonymizer.Anonymizer, k int) FileResult {
-		i := rewrite[k]
-		name := names[i]
+	results := r.rewriteAndGate(ctx, len(jobs), workers, phase, func(wk *anonymizer.Anonymizer, k int) FileResult {
+		j := &jobs[k]
+		if text, ok := served[j.name]; ok {
+			return FileResult{Name: j.name, Status: FileOK, Text: text}
+		}
 		var out string
 		var ferr *FileError
-		if tmpls != nil {
-			out, ferr = wk.SafeFill(tmpls[i], files[name])
-			tmpls[i] = nil // the template is spent; let it go before the run ends
+		if j.tmpl != nil {
+			out, ferr = wk.SafeFill(j.tmpl)
+			j.tmpl = nil // the template is spent; let it go before the run ends
 		} else {
-			out, ferr = wk.SafeAnonymizeText(name, files[name])
+			out, ferr = wk.SafeAnonymizeText(j.name, files[j.name])
 		}
 		if ferr != nil {
-			return FileResult{Name: name, Status: FileFailed, Err: ferr}
+			return FileResult{Name: j.name, Status: FileFailed, Err: ferr}
 		}
-		return FileResult{Name: name, Status: FileOK, Text: out}
+		return FileResult{Name: j.name, Status: FileOK, Text: out}
 	})
-	return run.finish(ctx.Err())
+	return results, ctx.Err()
 }
 
 // StreamCorpusContext anonymizes a sequence of files without ever

@@ -132,11 +132,13 @@ go run ./cmd/confvalidate $packargs
 # regexp language enumeration against direct NFA simulation, over the
 # parallel driver's census → replay → fill
 # against the serial driver (byte-identical outputs, same quarantine
-# set), over the ledger's byte-level line decoder against encoding/json
-# (same Record, same class of error), over ledger replay against a
-# reference replay (FuzzOpenMatchesReference: the same State, or
-# ErrCorrupt at the same line), and over the line cache decoder
-# (no input panics). Crashers are persisted under testdata/fuzz/ and
+# set), over the incremental driver against a full run from the same
+# restored state after random edit scripts (FuzzIncrementalMatchesFull:
+# same outputs, statuses and quarantine set), over the ledger's
+# byte-level line decoder against encoding/json (same Record, same
+# class of error), over ledger replay against a reference replay
+# (FuzzOpenMatchesReference: the same State, or ErrCorrupt at the same
+# line), and over the file cache decoder (no input panics). Crashers are persisted under testdata/fuzz/ and
 # then replayed by the ordinary test step above, so a find here becomes
 # a permanent regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
@@ -160,6 +162,8 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzLeakScan$' -fuzztime 10s ./internal/anonymizer
 	echo "== fuzz smoke: FuzzParallelMatchesSerial (10s)"
 	go test -run '^$' -fuzz '^FuzzParallelMatchesSerial$' -fuzztime 10s .
+	echo "== fuzz smoke: FuzzIncrementalMatchesFull (10s)"
+	go test -run '^$' -fuzz '^FuzzIncrementalMatchesFull$' -fuzztime 10s .
 	echo "== fuzz smoke: internal/store FuzzDecodeLine (10s)"
 	go test -run '^$' -fuzz '^FuzzDecodeLine$' -fuzztime 10s ./internal/store
 	echo "== fuzz smoke: internal/store FuzzOpenMatchesReference (10s)"

@@ -59,9 +59,10 @@
 // with this one, even after a crash mid-run (committed files survive,
 // the interrupted file is simply reprocessed). -state-dir and -mapping
 // (a one-file snapshot of the same state) exclude each other. Adding
-// -incremental diffs the corpus against the prior run's line cache
-// (kept in the state dir) and rewrites only changed lines — output
-// identical to a full re-run. The state directory holds cleartext-derived values
+// -incremental serves every unchanged file from the prior run's file
+// cache (kept in the state dir) and rewrites only the changed files —
+// output identical to a full re-run. The state directory holds
+// cleartext-derived values
 // (original addresses, recorder tokens): it is as sensitive as the
 // salt, created 0700 with 0600 files, and must never be published.
 //
@@ -133,7 +134,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		rename     = fs.Bool("rename", true, "hash output file names (they are usually hostname-derived)")
 		mapFile    = fs.String("mapping", "", "IP-mapping state file: loaded if present, saved after the run (keeps later runs consistent; not with -state-dir)")
 		stateDir   = fs.String("state-dir", "", "durable mapping-ledger directory: opened (or created) before the run, committed at every clean file boundary; later runs replay it (as sensitive as the salt)")
-		increment  = fs.Bool("incremental", false, "with -state-dir: diff the corpus against the prior run's line cache and rewrite only changed lines (output identical to a full run)")
+		increment  = fs.Bool("incremental", false, "with -state-dir: serve unchanged files from the prior run's file cache and rewrite only changed files (output identical to a full run)")
 		strict     = fs.Bool("strict", false, "fail closed: quarantine any file whose leak report is not clean")
 		quarantine = fs.String("quarantine", "", "directory receiving the originals of quarantined files (with -strict)")
 		metricsOut = fs.String("metrics-out", "", "write the machine-readable run report (JSON, schema "+confanon.RunReportSchema+") to this file")
@@ -318,8 +319,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return fatal(stderr, err)
 		}
 		sum := res.Incremental
-		fmt.Fprintf(stdout, "incremental: %d files reused, %d resumed, %d rewritten in full (%d lines reused, %d rewritten)\n",
-			sum.FilesReused, sum.FilesPartial, sum.FilesFull, sum.LinesReused, sum.LinesRewritten)
+		fmt.Fprintf(stdout, "incremental: %d files reused, %d rewritten in full (%d lines reused, %d rewritten)\n",
+			sum.FilesReused, sum.FilesFull, sum.LinesReused, sum.LinesRewritten)
 	}
 
 	post := res.Outputs()
@@ -537,8 +538,8 @@ func writeFileRetry(path string, data []byte, perm os.FileMode) error {
 	return retryIO(func() error { return os.WriteFile(path, data, perm) })
 }
 
-// cacheFileName is the incremental line cache inside -state-dir. The
-// cache is a binary confanon.filecache/v2 blob; the name predates it.
+// cacheFileName is the incremental file cache inside -state-dir. The
+// cache is a binary confanon.filecache/v3 blob; the name predates it.
 const cacheFileName = "filecache.json"
 
 // writeFileAtomic writes data to path via fsynced temp file + rename in

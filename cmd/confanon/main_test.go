@@ -390,7 +390,7 @@ func TestRunIncremental(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("incremental run: exit %d; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stdout, "incremental: 1 files reused, 1 resumed") {
+	if !strings.Contains(stdout, "incremental: 1 files reused, 1 rewritten in full") {
 		t.Errorf("incremental summary missing or wrong:\n%s", stdout)
 	}
 
@@ -427,46 +427,61 @@ func TestRunIncremental(t *testing.T) {
 	}
 }
 
-// TestRunIncrementalIgnoresV1Cache: a confanon.filecache/v1 JSON cache
-// left in the state dir is logged and ignored, the run is a full
-// recording run with the output of a run without -incremental, and the
-// cache it leaves behind decodes.
+// TestRunIncrementalIgnoresV1Cache: a cache of an older schema left in
+// the state dir — the confanon.filecache/v1 JSON, or a v2 blob with its
+// line records (testdata/filecache-v2, written by the last build that
+// wrote v2, over this test's corpus and salt) — is logged and ignored,
+// the run is a full recording run with the output of a run without
+// -incremental, and the cache it leaves behind decodes.
 func TestRunIncrementalIgnoresV1Cache(t *testing.T) {
 	in := writeInput(t, map[string]string{
 		"r1.conf": cleanConf,
 		"r2.conf": "hostname r2\ninterface Serial0\n ip address 12.9.2.1 255.255.255.252\n",
 	})
-	state := t.TempDir()
-	v1 := `{"schema":"confanon.filecache/v1","salt_fp":"x","opts_fp":"y","files":{"r1.conf":{"sum":"z","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`
-	if err := os.WriteFile(filepath.Join(state, cacheFileName), []byte(v1), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	incOut, fullOut := t.TempDir(), t.TempDir()
-	code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", incOut, "-rename=false", "-state-dir", state, "-incremental")
-	if code != exitClean {
-		t.Fatalf("incremental run: exit %d; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "ignoring corpus cache") {
-		t.Errorf("v1 cache not reported as ignored; stderr:\n%s", stderr)
-	}
-	if code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", fullOut, "-rename=false", "-state-dir", t.TempDir()); code != exitClean {
-		t.Fatalf("full run: exit %d; stderr:\n%s", code, stderr)
-	}
-	inc, full := readOutputs(t, incOut), readOutputs(t, fullOut)
-	if len(inc) != len(full) {
-		t.Fatalf("output counts differ: incremental %d, full %d", len(inc), len(full))
-	}
-	for name := range full {
-		if inc[name] != full[name] {
-			t.Errorf("output differs on %s:\n inc: %q\nfull: %q", name, inc[name], full[name])
-		}
-	}
-	blob, err := os.ReadFile(filepath.Join(state, cacheFileName))
+	v2, err := os.ReadFile("../../testdata/filecache-v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := confanon.DecodeCorpusCache(blob); err != nil {
-		t.Errorf("recorded cache does not decode: %v", err)
+	fullOut := t.TempDir()
+	if code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", fullOut, "-rename=false", "-state-dir", t.TempDir()); code != exitClean {
+		t.Fatalf("full run: exit %d; stderr:\n%s", code, stderr)
+	}
+	full := readOutputs(t, fullOut)
+	for name, old := range map[string][]byte{
+		"v1": []byte(`{"schema":"confanon.filecache/v1","salt_fp":"x","opts_fp":"y","files":{"r1.conf":{"sum":"z","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`),
+		"v2": v2,
+	} {
+		state := t.TempDir()
+		if err := os.WriteFile(filepath.Join(state, cacheFileName), old, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		incOut := t.TempDir()
+		code, stdout, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", incOut, "-rename=false", "-state-dir", state, "-incremental")
+		if code != exitClean {
+			t.Fatalf("%s: incremental run: exit %d; stderr:\n%s", name, code, stderr)
+		}
+		if !strings.Contains(stderr, "ignoring corpus cache") || !strings.Contains(stderr, "unsupported schema") {
+			t.Errorf("%s cache not reported as ignored; stderr:\n%s", name, stderr)
+		}
+		if !strings.Contains(stdout, "incremental: 0 files reused, 2 rewritten in full") {
+			t.Errorf("%s cache: not one full recording run:\n%s", name, stdout)
+		}
+		inc := readOutputs(t, incOut)
+		if len(inc) != len(full) {
+			t.Fatalf("%s: output counts differ: incremental %d, full %d", name, len(inc), len(full))
+		}
+		for f := range full {
+			if inc[f] != full[f] {
+				t.Errorf("%s: output differs on %s:\n inc: %q\nfull: %q", name, f, inc[f], full[f])
+			}
+		}
+		blob, err := os.ReadFile(filepath.Join(state, cacheFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := confanon.DecodeCorpusCache(blob); err != nil {
+			t.Errorf("%s: recorded cache does not decode: %v", name, err)
+		}
 	}
 }
 

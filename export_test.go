@@ -7,10 +7,6 @@ func ProgramCounters(p *Program) (cacheHits, cacheMisses, asnWalks int64) {
 	return p.inner.CacheHits(), p.inner.CacheMisses(), p.inner.ASNCycleWalks()
 }
 
-// CacheLineDecodes returns how many files' line records a run has
-// decoded from c.
-func CacheLineDecodes(c *CorpusCache) int64 { return c.lineDecodes.Load() }
-
 // CacheSections decodes a cache blob and returns each file's encoded
 // section.
 func CacheSections(blob []byte) (map[string]string, error) {
@@ -23,15 +19,4 @@ func CacheSections(blob []byte) (map[string]string, error) {
 		sections[name] = fc.section
 	}
 	return sections, nil
-}
-
-// DecodeCacheLines decodes every file's line records in c, returning
-// the first error.
-func DecodeCacheLines(c *CorpusCache) error {
-	for _, fc := range c.files {
-		if _, err := c.decodeLines(fc); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,37 +8,19 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-
-	"confanon/internal/anonymizer"
 )
 
-// The line cache's binary layout (confanon.filecache/v2). Integers are
-// unsigned LEB128 varints unless stated; a string is its varint length
-// followed by its bytes.
+// The file cache's binary layout (confanon.filecache/v3). Integers are
+// unsigned LEB128 varints; a string is its varint length followed by
+// its bytes.
 //
 //	blob    = schema "\n" | saltFP string | optsFP string | nfiles |
 //	          nfiles × (varint len | section) | crc32 (4 bytes LE)
-//	section = name string | sha256 (32 bytes) | text string | nlines |
-//	          nlines × line
-//	line    = hash (8 bytes LE) | outlen+1, or 0 for a dropped line |
-//	          flags (1 byte) | banner delimiter (1 byte) |
-//	          block string, absent under flagSameBlock
+//	section = name string | sha256 (32 bytes) | text string
 //
-// The crc32 (IEEE) covers every byte before it. A line's output is not
-// stored: the outputs of the kept lines, each followed by a newline, are
-// the section's text, so a line's output is the next outlen bytes of it.
-// The sections are sorted by name and self-contained, so a reused file's
-// section is copied from the prior blob unchanged.
-
-// Line flags.
-const (
-	flagInBanner       = 1 << iota // ResumeState.InBanner
-	flagInBlockComment             // ResumeState.InBlockComment
-	flagSameBlock                  // ResumeState.Block equals the previous line's ("" before line 0)
-)
-
-// minLineSize is the encoded size of the smallest line record.
-const minLineSize = 8 + 1 + 1 + 1
+// The crc32 (IEEE) covers every byte before it. The sections are sorted
+// by name and self-contained, so a reused file's section is copied from
+// the prior blob unchanged.
 
 // errCacheMalformed reports a blob whose checksum holds but whose
 // structure does not.
@@ -77,33 +59,7 @@ func (c *CorpusCache) Encode() ([]byte, error) {
 func (fc *fileCache) appendSection(buf []byte, name string) []byte {
 	buf = appendString(buf, name)
 	buf = append(buf, fc.sum[:]...)
-	buf = appendString(buf, fc.text)
-	buf = binary.AppendUvarint(buf, uint64(len(fc.lines)))
-	block := ""
-	for _, lc := range fc.lines {
-		buf = binary.LittleEndian.AppendUint64(buf, lc.hash)
-		var outLen uint64
-		if !lc.drop {
-			outLen = uint64(len(lc.out)) + 1
-		}
-		buf = binary.AppendUvarint(buf, outLen)
-		var flags byte
-		if lc.next.InBanner {
-			flags |= flagInBanner
-		}
-		if lc.next.InBlockComment {
-			flags |= flagInBlockComment
-		}
-		if lc.next.Block == block {
-			flags |= flagSameBlock
-		}
-		buf = append(buf, flags, lc.next.BannerDelim)
-		if flags&flagSameBlock == 0 {
-			block = lc.next.Block
-			buf = appendString(buf, block)
-		}
-	}
-	return buf
+	return appendString(buf, fc.text)
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -112,10 +68,11 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // DecodeCorpusCache parses a stored cache. It verifies the checksum and
-// indexes the file sections; line records are decoded later, and only
-// for the files a run resumes. A blob of any other schema, including
-// the JSON of confanon.filecache/v1, is an error: the caller runs in
-// full and records a new cache.
+// indexes the file sections; each file's output is a substring of one
+// copy of the blob.
+// A blob of any other schema, including the JSON of
+// confanon.filecache/v1 and the line records of v2, is an error: the
+// caller runs in full and records a new cache.
 func DecodeCorpusCache(data []byte) (*CorpusCache, error) {
 	head := CorpusCacheSchema + "\n"
 	if !bytes.HasPrefix(data, []byte(head)) {
@@ -141,61 +98,18 @@ func DecodeCorpusCache(data []byte) (*CorpusCache, error) {
 	return c, nil
 }
 
-// indexSection reads a section's header, leaving its line records
-// encoded. It returns a nil entry for a malformed section.
+// indexSection reads a section. It returns a nil entry for a malformed
+// section.
 func indexSection(section string) (string, *fileCache) {
 	r := cacheReader{s: section}
 	name := r.str()
 	fc := &fileCache{section: section}
 	copy(fc.sum[:], r.take(sha256.Size))
 	fc.text = r.str()
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.s)/minLineSize) {
+	if r.bad || r.s != "" {
 		return "", nil
 	}
-	fc.n, fc.recs = int(n), r.s
 	return name, fc
-}
-
-// decodeLines decodes fc's line records, checking that the kept lines'
-// outputs tile its text exactly.
-func (c *CorpusCache) decodeLines(fc *fileCache) ([]lineCache, error) {
-	if fc.lines != nil || fc.n == 0 {
-		return fc.lines, nil
-	}
-	c.lineDecodes.Add(1)
-	r := cacheReader{s: fc.recs}
-	lines := make([]lineCache, fc.n)
-	off, block := 0, ""
-	for i := range lines {
-		lc := &lines[i]
-		lc.hash = r.u64()
-		outLen := r.uvarint()
-		flags, delim := r.u8(), r.u8()
-		if flags&flagSameBlock == 0 {
-			block = r.str()
-		}
-		if r.bad || flags&^(flagInBanner|flagInBlockComment|flagSameBlock) != 0 {
-			return nil, errCacheMalformed
-		}
-		lc.next = ResumeState{
-			InBanner:       flags&flagInBanner != 0,
-			BannerDelim:    delim,
-			InBlockComment: flags&flagInBlockComment != 0,
-			Block:          block,
-		}
-		if lc.drop = outLen == 0; !lc.drop {
-			if outLen-1 >= uint64(len(fc.text)-off) || fc.text[off+int(outLen-1)] != '\n' {
-				return nil, errCacheMalformed
-			}
-			lc.out = fc.text[off : off+int(outLen-1)]
-			off += int(outLen)
-		}
-	}
-	if r.s != "" || (off != len(fc.text) && !(off == 0 && fc.text == anonymizer.JoinOutputs(nil))) {
-		return nil, errCacheMalformed
-	}
-	return lines, nil
 }
 
 // cacheReader consumes the fields of a cache blob; the first field that
@@ -227,23 +141,6 @@ func (r *cacheReader) uvarint() uint64 {
 	}
 	r.bad = true
 	return 0
-}
-
-func (r *cacheReader) u8() byte {
-	if b := r.take(1); b != "" {
-		return b[0]
-	}
-	return 0
-}
-
-// u64 reads a fixed 8-byte little-endian integer.
-func (r *cacheReader) u64() uint64 {
-	var v uint64
-	b := r.take(8)
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 func (r *cacheReader) str() string { return r.take(r.uvarint()) }

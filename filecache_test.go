@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -34,12 +35,19 @@ func smallCorpus() (confanon.Options, map[string]string) {
 	return confanon.Options{Salt: []byte(n.Salt)}, n.RenderAll()
 }
 
-// TestDecodeCorpusCacheRejects: a v1 JSON cache, every truncation of a
-// v2 blob and every one-byte flip of it fail to decode.
+// TestDecodeCorpusCacheRejects: a v1 JSON cache and a v2 blob are
+// rejected with a schema error; every truncation of a v3 blob and every
+// one-byte flip of it fail to decode.
 func TestDecodeCorpusCacheRejects(t *testing.T) {
 	v1 := `{"schema":"confanon.filecache/v1","salt_fp":"a","opts_fp":"b","files":{"r1":{"sum":"c","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`
-	if _, err := confanon.DecodeCorpusCache([]byte(v1)); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("v1 blob: err = %v, want a schema error", err)
+	v2, err := os.ReadFile("testdata/filecache-v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, old := range map[string][]byte{"v1": []byte(v1), "v2": v2} {
+		if _, err := confanon.DecodeCorpusCache(old); err == nil || !strings.Contains(err.Error(), "schema") {
+			t.Errorf("%s blob: err = %v, want a schema error", name, err)
+		}
 	}
 	opts, files := smallCorpus()
 	blob, _ := recordCache(t, opts, files)
@@ -62,8 +70,8 @@ func TestDecodeCorpusCacheRejects(t *testing.T) {
 }
 
 // TestIncrementalDecodesOnlyChangedFiles: when K of N files change, a
-// run decodes the line records of exactly those K files, and the next
-// cache carries the other N−K files' sections unchanged.
+// run serves the other N−K from the cache, its output equals a full
+// run's, and the next cache carries the N−K files' sections unchanged.
 func TestIncrementalDecodesOnlyChangedFiles(t *testing.T) {
 	n := netgen.Generate(netgen.Params{Seed: 4400, Kind: netgen.Backbone, Routers: 10})
 	files := n.RenderAll()
@@ -76,7 +84,7 @@ func TestIncrementalDecodesOnlyChangedFiles(t *testing.T) {
 	}
 	sort.Strings(names)
 	// Two files get a middle line edited, one is cut to a prefix of its
-	// lines (served from the cache without the engine).
+	// lines.
 	const k = 3
 	edited := make(map[string]string, len(files))
 	for name, text := range files {
@@ -96,9 +104,6 @@ func TestIncrementalDecodesOnlyChangedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeCorpusCache: %v", err)
 	}
-	if got := confanon.CacheLineDecodes(prior); got != 0 {
-		t.Fatalf("decoding the blob decoded %d files' line records", got)
-	}
 	a := confanon.New(opts)
 	if err := a.LoadMapping(state); err != nil {
 		t.Fatalf("LoadMapping: %v", err)
@@ -106,9 +111,6 @@ func TestIncrementalDecodesOnlyChangedFiles(t *testing.T) {
 	res, next, err := a.IncrementalCorpusContext(context.Background(), edited, prior, 2)
 	if err != nil || !res.Ok() {
 		t.Fatalf("incremental run: err=%v failed=%v", err, res.Failed())
-	}
-	if got := confanon.CacheLineDecodes(prior); got != k {
-		t.Errorf("line records decoded for %d files, want %d", got, k)
 	}
 	if got := res.Incremental.FilesReused; got != len(files)-k {
 		t.Errorf("reused %d files, want %d", got, len(files)-k)
@@ -155,11 +157,10 @@ func withChecksum(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }
 
-// FuzzDecodeCorpusCache: no input makes decoding a cache, decoding its
-// line records or encoding it again panic, and a decoded cache
-// re-encodes to a blob that decodes to the same encoding. Each input is
-// tried as a whole blob and, to get past the checksum, as a blob body
-// with its checksum appended.
+// FuzzDecodeCorpusCache: no input makes decoding a cache or encoding it
+// again panic, and a decoded cache re-encodes to a blob that decodes to
+// the same encoding. Each input is tried as a whole blob and, to get
+// past the checksum, as a blob body with its checksum appended.
 func FuzzDecodeCorpusCache(f *testing.F) {
 	// A tiny seed keeps the fuzzer's minimization of new inputs quick.
 	blob, _ := recordCache(f, confanon.Options{Salt: []byte("fuzz")}, map[string]string{
@@ -170,13 +171,17 @@ func FuzzDecodeCorpusCache(f *testing.F) {
 	f.Add(cacheBody(blob))
 	f.Add([]byte(confanon.CorpusCacheSchema + "\n"))
 	f.Add([]byte(`{"schema":"confanon.filecache/v1","files":{}}`))
+	v2, err := os.ReadFile("testdata/filecache-v2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, withChecksum(data)} {
 			c, err := confanon.DecodeCorpusCache(in)
 			if err != nil {
 				continue
 			}
-			_ = confanon.DecodeCacheLines(c) // malformed records are an error, not a panic
 			again, err := c.Encode()
 			if err != nil {
 				t.Fatalf("Encode: %v", err)

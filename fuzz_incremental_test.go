@@ -1,0 +1,172 @@
+package confanon
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"confanon/internal/netgen"
+	"confanon/internal/store"
+)
+
+// FuzzIncrementalMatchesFull checks the incremental driver against the
+// full one: after a random edit script over a corpus with a recorded
+// file cache and ledger, a strict IncrementalCorpusContext run must
+// publish the outputs, statuses and quarantine set of a
+// ParallelCorpusContext run on the same restored state, at one and two
+// workers. The corpus is two small netgen networks (IOS and JunOS) plus
+// an IOS file with a multi-line banner and a JunOS file with a /* */
+// block, so edits land inside both. The script is read three bytes per
+// edit (operation, file, line): replace, insert or delete a line, append
+// to a file, drop a file or add one; frag is the text an edit writes.
+func FuzzIncrementalMatchesFull(f *testing.F) {
+	v1 := netgen.Generate(netgen.Params{Seed: 11, Kind: netgen.Enterprise, Routers: 2}).RenderAll()
+	maps.Copy(v1, netgen.Generate(netgen.Params{Seed: 12, Kind: netgen.Backbone, Routers: 2, JunOS: true}).RenderAll())
+	v1["a-banner-confg"] = "hostname edge1\nbanner motd ^\nNOC 12.1.1.1 owns 12.0.0.0/8\ncall x4411\n^\n" +
+		"interface Ethernet0\n ip address 12.1.2.1 255.255.255.0\nrouter bgp 701\n neighbor 12.1.2.2 remote-as 1239\nend\n"
+	v1["b-junos"] = "system {\n host-name edge2;\n}\n/* maintained by noc 12.3.4.5\n   second line 12.3.4.6\n*/\n" +
+		"interfaces {\n ge-0/0/0 {\n  unit 0 {\n   family inet {\n    address 12.0.0.1/30;\n   }\n  }\n }\n}\n" +
+		"protocols {\n bgp {\n  group peers {\n   neighbor 12.0.0.2;\n   peer-as 701;\n  }\n }\n}\n"
+	salt := []byte("fuzz-incremental")
+	ctx := context.Background()
+
+	// One recording per IP scheme: the cache (through its codec) and the
+	// ledger's state, which every run below restores.
+	type recording struct {
+		cache *CorpusCache
+		state store.State
+	}
+	var recs [2]recording
+	for i, stateless := range []bool{false, true} {
+		dir := f.TempDir()
+		ms, err := OpenMappingStore(dir, salt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		a := New(Options{Salt: salt, Strict: true, StatelessIP: stateless})
+		if err := a.UseStore(ms); err != nil {
+			f.Fatal(err)
+		}
+		res, cache, err := a.IncrementalCorpusContext(ctx, v1, nil, 2)
+		if err != nil || !res.Ok() {
+			f.Fatalf("recording run: err=%v failed=%v quarantined=%v", err, res.Failed(), res.Quarantined())
+		}
+		if err := a.SyncStore(); err != nil {
+			f.Fatal(err)
+		}
+		if err := ms.Close(); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := cache.Encode()
+		if err == nil {
+			recs[i].cache, err = DecodeCorpusCache(blob)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		led, err := store.Open(dir, store.SaltFingerprint(salt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		recs[i].state = led.State()
+		if err := led.Close(); err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	// Files sort as a-banner-confg (0), b-junos (1), then the netgen
+	// routers; line 2 of the first (counting from 0) sits in the banner,
+	// line 4 of the second in the block comment.
+	for _, seed := range []struct {
+		script []byte
+		frag   string
+	}{
+		{[]byte{0, 0, 2}, "NOC 12.9.9.9 moved"},
+		{[]byte{1, 0, 3}, "^"},
+		{[]byte{2, 0, 4}, ""},
+		{[]byte{0, 1, 4}, " edited 12.3.4.7 */ interfaces {"},
+		{[]byte{1, 1, 3}, "/* opened 12.8.8.8"},
+		{[]byte{2, 1, 5}, ""},
+		{[]byte{3, 2, 0}, "interface Loopback9\n ip address 10.99.0.1 255.255.255.255"},
+		{[]byte{4, 3, 0, 5, 0, 0}, "hostname new\n ip address 12.1.2.9 255.255.255.0"},
+		{[]byte{0, 4, 9, 1, 5, 20, 2, 2, 7}, " neighbor 12.7.7.7 remote-as 65001"},
+		{[]byte{0, 2, 1, 0, 2, 1}, "banner exec #12.4.4.4"},
+	} {
+		f.Add(seed.script, seed.frag, false)
+		f.Add(seed.script, seed.frag, true)
+	}
+	f.Fuzz(func(t *testing.T, script []byte, frag string, stateless bool) {
+		v2 := maps.Clone(v1)
+		for e := 0; len(script) >= 3 && e < 8; e++ {
+			op, fi, li := script[0]%6, int(script[1]), int(script[2])
+			script = script[3:]
+			names := sortedNames(v2)
+			if len(names) == 0 {
+				break
+			}
+			name := names[fi%len(names)]
+			lines := strings.Split(v2[name], "\n")
+			k := li % len(lines)
+			switch op {
+			case 0:
+				lines[k] = frag
+			case 1:
+				lines = slices.Insert(lines, k, frag)
+			case 2:
+				lines = slices.Delete(lines, k, k+1)
+			case 3:
+				lines = append(lines, frag)
+			case 4:
+				delete(v2, name)
+				continue
+			case 5:
+				v2[fmt.Sprintf("zz-added-%d", e)] = frag
+				continue
+			}
+			v2[name] = strings.Join(lines, "\n")
+		}
+
+		rec := recs[0]
+		if stateless {
+			rec = recs[1]
+		}
+		opts := Options{Salt: salt, Strict: true, StatelessIP: stateless}
+		for _, workers := range []int{1, 2} {
+			full := New(opts)
+			inc := New(opts)
+			if err := full.sess.RestoreState(rec.state); err != nil {
+				t.Fatal(err)
+			}
+			if err := inc.sess.RestoreState(rec.state); err != nil {
+				t.Fatal(err)
+			}
+			want, err := full.ParallelCorpusContext(ctx, v2, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := inc.IncrementalCorpusContext(ctx, v2, rec.cache, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Files) != len(want.Files) {
+				t.Fatalf("workers=%d: %d files, full run %d", workers, len(got.Files), len(want.Files))
+			}
+			for name, w := range want.Files {
+				g := got.Files[name]
+				if g.Status != w.Status {
+					t.Fatalf("workers=%d: %s: status %v, full run %v", workers, name, g.Status, w.Status)
+				}
+				if g.Text != w.Text {
+					t.Fatalf("workers=%d: %s: output differs from the full run:\n got %q\nwant %q", workers, name, g.Text, w.Text)
+				}
+			}
+			if !reflect.DeepEqual(got.Quarantined(), want.Quarantined()) {
+				t.Fatalf("workers=%d: quarantined %v, full run %v", workers, got.Quarantined(), want.Quarantined())
+			}
+		}
+	})
+}

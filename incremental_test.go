@@ -10,14 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"confanon/internal/anonymizer"
 	"confanon/internal/netgen"
 	"confanon/internal/store"
 )
 
 // mutateCorpus derives the second-generation corpus the incremental run
-// is diffed against: one file gets lines appended (pure-append partial),
-// one file gets a middle line edited (mid-file divergence), one file is
-// deleted, one new file appears, and the rest are untouched.
+// is diffed against: one file gets lines appended, one file gets a
+// middle line edited, one file is deleted, one new file appears, and the
+// rest are untouched.
 func mutateCorpus(t *testing.T, v1 map[string]string) (v2 map[string]string, appended, edited, deleted, added string) {
 	t.Helper()
 	names := make([]string, 0, len(v1))
@@ -47,7 +48,7 @@ func mutateCorpus(t *testing.T, v1 map[string]string) (v2 map[string]string, app
 
 // TestIncrementalMatchesFullRun is the golden byte-identity test: an
 // incremental re-run over a mutated corpus, seeded with the prior run's
-// ledger state and line cache, must produce output byte-identical to a
+// ledger state and file cache, must produce output byte-identical to a
 // full ParallelCorpusContext run from the same restored state — at
 // every worker count and under both IP schemes.
 func TestIncrementalMatchesFullRun(t *testing.T) {
@@ -143,19 +144,21 @@ func TestIncrementalMatchesFullRun(t *testing.T) {
 					}
 				}
 
-				// The dispositions must be exactly as constructed.
+				// The dispositions must be exactly as constructed: every
+				// changed file runs in full.
 				sum := incRes.Incremental
-				if sum.FilesPartial != 2 {
-					t.Errorf("partial files = %d, want 2 (%s appended, %s edited)", sum.FilesPartial, appended, edited)
-				}
-				if sum.FilesFull != 1 {
-					t.Errorf("full files = %d, want 1 (%s)", sum.FilesFull, added)
+				if sum.FilesFull != 3 {
+					t.Errorf("full files = %d, want 3 (%s appended, %s edited, %s added)", sum.FilesFull, appended, edited, added)
 				}
 				if want := len(v2) - 3; sum.FilesReused != want {
 					t.Errorf("reused files = %d, want %d", sum.FilesReused, want)
 				}
-				if sum.LinesReused == 0 || sum.LinesRewritten == 0 {
-					t.Errorf("line accounting empty: %+v", sum)
+				changedLines := 0
+				for _, n := range []string{appended, edited, added} {
+					changedLines += len(anonymizer.SplitLines(v2[n]))
+				}
+				if sum.LinesRewritten != changedLines || sum.LinesReused == 0 {
+					t.Errorf("line accounting %+v, want %d lines rewritten", sum, changedLines)
 				}
 				if _, ok := cache2.files[deleted]; ok {
 					t.Errorf("deleted file %s still present in new cache", deleted)
@@ -295,14 +298,14 @@ func TestIncrementalStrictRegatesReusedFiles(t *testing.T) {
 	}
 }
 
-// BenchmarkIncremental sweeps the changed-line fraction of a second-
-// generation corpus against the prior run's cache. An edit invalidates
-// the file's tail from the edited line on (the cache reuses the longest
-// common prefix), so editing the middle line of K of the N files
-// rewrites ~K·L/2 lines; K = 2·f·N puts the rewritten fraction at ~f.
-// Each iteration restores the prior mapping and runs the incremental
-// path end to end — classify, census over changed files, tail rewrite,
-// strict re-gate — the same work `confanon -incremental` does per run.
+// BenchmarkIncremental sweeps the edited-line fraction of a second-
+// generation corpus against the prior run's cache. Editing the middle
+// line of K of the N files edits ~K·L/2 lines, so K = 2·f·N puts the
+// edited fraction at ~f; each edited file runs again whole, so the
+// rewritten fraction is ~2f. Each iteration restores the prior mapping
+// and runs the incremental path end to end — classify, census over the
+// changed files, fill, strict re-gate — the same work
+// `confanon -incremental` does per run.
 func BenchmarkIncremental(b *testing.B) {
 	n := netgen.Generate(netgen.Params{Seed: 1202, Kind: netgen.Backbone, Routers: 48})
 	files := n.RenderAll()
@@ -360,7 +363,7 @@ func BenchmarkIncremental(b *testing.B) {
 // the same corpus with 1% of its lines edited (the middle line of the
 // first 2% of files), each from a fresh copy of the ledger the unedited
 // corpus recorded. Both sides open the ledger, restore it, run and
-// commit; the incremental side also decodes the prior line cache and
+// commit; the incremental side also decodes the prior file cache and
 // encodes the next. The pairs alternate within the loop, and speedup
 // is the full run's time over the incremental run's.
 func BenchmarkIncrementalVsFull(b *testing.B) {
@@ -459,22 +462,16 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 	b.ReportMetric(float64(n.TotalLines()), "lines")
 }
 
-// TestCorpusCacheRoundTrip: line records with every resume flag, block
-// changes, dropped lines and empty outputs survive Encode and the lazy
-// decode unchanged.
+// TestCorpusCacheRoundTrip: built entries — an ordinary output, the
+// output of an empty file, one with bytes a varint or a schema line
+// could be confused with — survive Encode and decode unchanged, and a
+// decoded cache re-encodes to the same bytes.
 func TestCorpusCacheRoundTrip(t *testing.T) {
-	lines := []lineCache{
-		{hash: 1, out: "hostname x"},
-		{hash: 2, drop: true, next: ResumeState{InBanner: true, BannerDelim: '^'}},
-		{hash: 3, out: "", next: ResumeState{Block: "interface Ethernet0"}},
-		{hash: 1<<64 - 1, out: " ip address 1.2.3.4 255.0.0.0", next: ResumeState{Block: "interface Ethernet0"}},
-		{hash: 5, drop: true, next: ResumeState{InBlockComment: true, Block: "interface Ethernet0"}},
-		{hash: 6, out: "end"},
-	}
 	c := &CorpusCache{saltFP: "s", optsFP: "o", files: map[string]*fileCache{
-		"r1":    newFileCache([32]byte{1}, lines),
-		"empty": newFileCache([32]byte{2}, nil),
-		"drops": newFileCache([32]byte{3}, []lineCache{{hash: 7, drop: true}}),
+		"r1":    {sum: [32]byte{1}, text: "hostname x\n ip address 1.2.3.4 255.0.0.0\nend\n"},
+		"empty": {sum: [32]byte{2}, text: "\n"},
+		"bytes": {sum: [32]byte{3, 0xff}, text: "\x00\x80\xff" + CorpusCacheSchema + "\n"},
+		"":      {sum: [32]byte{4}, text: ""},
 	}}
 	blob, err := c.Encode()
 	if err != nil {
@@ -489,20 +486,8 @@ func TestCorpusCacheRoundTrip(t *testing.T) {
 	}
 	for name, want := range c.files {
 		fc := got.files[name]
-		if fc == nil || fc.sum != want.sum || fc.text != want.text || fc.n != want.n {
-			t.Fatalf("%s: entry %+v, want %+v", name, fc, want)
-		}
-		dec, err := got.decodeLines(fc)
-		if err != nil {
-			t.Fatalf("%s: decodeLines: %v", name, err)
-		}
-		if len(dec) != len(want.lines) {
-			t.Fatalf("%s: %d lines, want %d", name, len(dec), len(want.lines))
-		}
-		for i := range dec {
-			if dec[i] != want.lines[i] {
-				t.Errorf("%s line %d: %+v, want %+v", name, i, dec[i], want.lines[i])
-			}
+		if fc == nil || fc.sum != want.sum || fc.text != want.text {
+			t.Fatalf("%q: entry %+v, want %+v", name, fc, want)
 		}
 	}
 	again, err := got.Encode()

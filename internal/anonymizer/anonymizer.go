@@ -198,7 +198,7 @@ func (a *Anonymizer) hit(r RuleID) {
 // It is fail-open: a panic propagates to the caller (SafeAnonymizeText is
 // the fail-closed form).
 func (a *Anonymizer) AnonymizeText(text string) (out string) {
-	failOpen(a.unit("", "", 0, func() error {
+	failOpen(a.unit("", "", func() error {
 		out = a.rewrite(text)
 		return nil
 	}))

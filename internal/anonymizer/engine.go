@@ -33,13 +33,13 @@ type fileState struct {
 
 // runLines is the engine's one line loop. It drives a file's lines,
 // read through next (which reports false when the file is exhausted),
-// from line number start — the count of lines already handled, so fault
-// locations stay file-absolute — with the cross-line state st, and hands
-// every line's outcome to emit: the input line, its rewrite, and whether
-// the rewrite is kept. It counts the file and times the rewrite stage.
-func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, bool), emit func(line, res string, keep bool)) {
+// from a fresh cross-line state, and hands every line's outcome to emit:
+// its rewrite, and whether the rewrite is kept. It counts the file and
+// times the rewrite stage.
+func (a *Anonymizer) runLines(next func() (string, bool), emit func(res string, keep bool)) {
 	a.stats.Files++
-	a.curLine = start
+	a.curLine = 0
+	st := &fileState{}
 	before := a.stats.ruleHits
 	t0 := time.Now()
 	for {
@@ -47,8 +47,7 @@ func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, boo
 		if !ok {
 			break
 		}
-		res, keep := a.runLine(line, st)
-		emit(line, res, keep)
+		emit(a.runLine(line, st))
 	}
 	d := time.Since(t0)
 	a.attribute(&before, d)
@@ -57,29 +56,14 @@ func (a *Anonymizer) runLines(start int, st *fileState, next func() (string, boo
 }
 
 // rewrite anonymizes one whole file's text: prescan, then every line
-// through the line loop (the body of AnonymizeText and of the tree
-// scheme's StreamText).
+// through the line loop (the body of AnonymizeText, of the tree
+// scheme's StreamText and of the census).
 func (a *Anonymizer) rewrite(text string) string {
-	outs, _ := a.rewriteLines(SplitLines(text), 0, &fileState{}, false)
-	return JoinOutputs(outs)
-}
-
-// rewriteLines runs lines through the line loop from line number start
-// with state st and returns the kept outputs, plus, when record is set,
-// every line's LineRecord. At start 0 — a whole file — the lines are
-// prescanned first; a resumed tail relies on the caller's census/replay
-// (shaped tree) or the salt-pure mapping (stateless) having resolved
-// every address it can reference.
-func (a *Anonymizer) rewriteLines(lines []string, start int, st *fileState, record bool) (outs []string, recs []LineRecord) {
-	if start == 0 {
-		a.prescan(lines)
-	}
-	outs = make([]string, 0, len(lines))
-	if record {
-		recs = make([]LineRecord, 0, len(lines))
-	}
+	lines := SplitLines(text)
+	a.prescan(lines)
+	outs := make([]string, 0, len(lines))
 	i := 0
-	a.runLines(start, st,
+	a.runLines(
 		func() (string, bool) {
 			if i == len(lines) {
 				return "", false
@@ -87,19 +71,22 @@ func (a *Anonymizer) rewriteLines(lines []string, start int, st *fileState, reco
 			i++
 			return lines[i-1], true
 		},
-		func(line, res string, keep bool) {
+		func(res string, keep bool) {
 			if keep {
 				outs = append(outs, res)
 			}
-			if record {
-				rec := LineRecord{Hash: LineHash(line), Drop: !keep, Next: exportState(st)}
-				if keep {
-					rec.Out = res
-				}
-				recs = append(recs, rec)
-			}
 		})
-	return outs, recs
+	return strings.Join(outs, "\n") + "\n"
+}
+
+// SplitLines splits file text exactly the way the engine iterates it:
+// on newlines, with the empty artifact after a trailing newline dropped.
+func SplitLines(text string) []string {
+	lines := strings.Split(text, "\n")
+	if n := len(lines); n > 0 && lines[n-1] == "" {
+		lines = lines[:n-1]
+	}
+	return lines
 }
 
 // runLine processes one line (untimed: runLines times the whole call).
@@ -112,7 +99,7 @@ func (a *Anonymizer) runLine(line string, st *fileState) (string, bool) {
 	}
 	res, keep := a.processLine(line, st)
 	if a.tmpl != nil {
-		a.tmpl.endLine(res, keep, &a.ctx)
+		a.tmpl.endLine(res, keep, &a.ctx, a.curLine)
 	}
 	if !keep && a.tracer != nil {
 		// A dropped line is one decision: the comment/banner rule that

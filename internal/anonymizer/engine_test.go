@@ -1,7 +1,6 @@
 package anonymizer
 
 import (
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -293,17 +292,5 @@ func TestJunosMessageQuirkPreserved(t *testing.T) {
 	}
 	if a.Stats().Hits(RuleBanner) != 1 {
 		t.Errorf("banner rule not hit: %+v", a.Stats().RuleHits())
-	}
-}
-
-// TestLineHashIsFNV64a: the incremental cache's line hash is FNV-64a, so
-// caches recorded by any build compare lines alike.
-func TestLineHashIsFNV64a(t *testing.T) {
-	for _, line := range []string{"", "hostname r1", " ip address 10.0.0.1 255.0.0.0", "\xff\x00"} {
-		h := fnv.New64a()
-		h.Write([]byte(line))
-		if got, want := LineHash(line), h.Sum64(); got != want {
-			t.Errorf("LineHash(%q) = %x, want %x", line, got, want)
-		}
 	}
 }

@@ -47,8 +47,8 @@ var faultHook func(name string, line int)
 // reach it.
 func SetFaultHook(h func(name string, line int)) { faultHook = h }
 
-// unit runs one per-file entry — a rewrite, prescan, stream, tail
-// rewrite or leak report — as the engine's single unit of commit. The
+// unit runs one per-file entry — a rewrite, prescan, stream or leak
+// report — as the engine's single unit of commit. The
 // worker's Stats hold only the file in flight: body counts into them,
 // and when it returns the unit either commits the file or drops it.
 //
@@ -63,10 +63,10 @@ func SetFaultHook(h func(name string, line int)) { faultHook = h }
 // mapping state an aborted file touched only ever adds recorder entries,
 // so it can widen later leak reports, never narrow them.
 //
-// op names the file span ("prescan", "rewrite", "rewrite-tail",
-// "stream"); the fail-open entries pass "" and open none.
-func (a *Anonymizer) unit(name, op string, start int, body func() error) (ferr *FileError) {
-	a.curFile, a.curLine = name, start
+// op names the file span ("prescan", "rewrite", "stream"); the
+// fail-open entries pass "" and open none.
+func (a *Anonymizer) unit(name, op string, body func() error) (ferr *FileError) {
+	a.curFile, a.curLine = name, 0
 	a.beginFileSpan(name, op)
 	defer func() {
 		if v := recover(); v != nil {
@@ -118,7 +118,7 @@ func failOpen(ferr *FileError) error {
 // rewrite becomes a *FileError and the file is dropped (see unit), so a
 // batch caller can report the file and carry on.
 func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *FileError) {
-	ferr = a.unit(name, "rewrite", 0, func() error {
+	ferr = a.unit(name, "rewrite", func() error {
 		out = a.rewrite(text)
 		return nil
 	})
@@ -128,7 +128,7 @@ func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *Fil
 // SafePrescan runs Prescan as a fail-closed unit like SafeAnonymizeText
 // (prescan walks attacker-controlled text too).
 func (a *Anonymizer) SafePrescan(name, text string) *FileError {
-	return a.unit(name, "prescan", 0, func() error {
+	return a.unit(name, "prescan", func() error {
 		a.prescan(SplitLines(text))
 		return nil
 	})

@@ -66,7 +66,7 @@ var innocuousIntContext = map[string]bool{
 // automatically. The report runs as one unit, fail-open: a panic
 // propagates, so a gate never reads a crashed scan as a clean one.
 func (a *Anonymizer) LeakReport(post string) (leaks []Leak) {
-	failOpen(a.unit("", "", 0, func() error {
+	failOpen(a.unit("", "", func() error {
 		leaks = a.leakReport(post)
 		return nil
 	}))

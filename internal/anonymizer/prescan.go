@@ -22,7 +22,7 @@ import (
 // orderings cannot break the shaping either. Like AnonymizeText it is
 // fail-open; SafePrescan is the fail-closed form.
 func (a *Anonymizer) Prescan(text string) {
-	failOpen(a.unit("", "", 0, func() error {
+	failOpen(a.unit("", "", func() error {
 		a.prescan(SplitLines(text))
 		return nil
 	}))

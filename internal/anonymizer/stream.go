@@ -29,7 +29,7 @@ import (
 // StreamText is fail-open like AnonymizeText: a panic propagates, and an
 // I/O error is returned. SafeStreamText is the fail-closed form.
 func (a *Anonymizer) StreamText(r io.Reader, w io.Writer) error {
-	return failOpen(a.unit("", "", 0, func() error { return a.stream(r, w) }))
+	return failOpen(a.unit("", "", func() error { return a.stream(r, w) }))
 }
 
 // SafeStreamText streams one file from r into the sink open returns, as
@@ -48,7 +48,7 @@ func (a *Anonymizer) StreamText(r io.Reader, w io.Writer) error {
 // publication was refused.
 func (a *Anonymizer) SafeStreamText(name string, r io.Reader, open func() (io.WriteCloser, error), gate func([]Leak) error) *FileError {
 	var withheld error
-	ferr := a.unit(name, "stream", 0, func() error {
+	ferr := a.unit(name, "stream", func() error {
 		var buf *bytes.Buffer
 		if gate != nil {
 			buf = new(bytes.Buffer)
@@ -106,7 +106,7 @@ func (a *Anonymizer) stream(r io.Reader, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	sc := token.NewLineScanner(r)
 	var werr error
-	a.runLines(0, &fileState{},
+	a.runLines(
 		func() (string, bool) {
 			if werr != nil || !sc.Scan() {
 				return "", false
@@ -115,7 +115,7 @@ func (a *Anonymizer) stream(r io.Reader, w io.Writer) error {
 			bytesIn += int64(len(line)) + 1
 			return line, true
 		},
-		func(_, line string, keep bool) {
+		func(line string, keep bool) {
 			if werr != nil || !keep {
 				return
 			}

@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"errors"
 	"strings"
 	"time"
 
@@ -26,9 +27,9 @@ import (
 // holes by walking the words and gaps the output line was joined from.
 // Every built-in rule that renders an address joins its line that way;
 // a line that was not — a rule that assembled its output some other way
-// — cannot have its holes placed, and the fill then rewrites the whole
-// file instead, which the replay has made a run of cache hits. Every
-// other lookup the fill makes — a hole, a decision's replacement, a
+// — cannot have its holes placed, and the fill then fails the file
+// closed rather than publish an address it cannot place. Every other
+// lookup the fill makes — a hole, a decision's replacement, a
 // noted original — reads the image the replay kept (Trace.Resolve).
 
 // A Template is what one file's census pass keeps for the fill.
@@ -62,9 +63,10 @@ type Template struct {
 	decHoles  []decHole
 
 	// line holds the current line's holes until the line is placed;
-	// unplaced marks a file whose holes could not all be placed.
+	// unplaced is the first line whose holes could not all be placed
+	// (0 when every line's were).
 	line     []lineHole
-	unplaced bool
+	unplaced int
 }
 
 // hole marks n bytes of Template.out, at pos, that stand for the image
@@ -187,12 +189,12 @@ func (t *Template) moveHoles(cores, words, leads []string) {
 	}
 }
 
-// endLine closes the census of one line: a kept line's holes are placed
+// endLine closes the census of line n: a kept line's holes are placed
 // in the output, and the line is counted into it.
-func (t *Template) endLine(res string, keep bool, c *lineCtx) {
+func (t *Template) endLine(res string, keep bool, c *lineCtx, n int) {
 	if len(t.line) > 0 {
-		if keep && !t.place(res, c.words, c.gaps) {
-			t.unplaced = true
+		if keep && !t.place(res, c.words, c.gaps) && t.unplaced == 0 {
+			t.unplaced = n
 		}
 		t.line = t.line[:0]
 	}
@@ -234,6 +236,10 @@ func (t *Template) place(res string, words, gaps []string) bool {
 	return placed == len(t.line) && res[pos:] == gaps[len(gaps)-1]
 }
 
+// errUnplaced is the cause a fill fails with when its census could not
+// place every address hole in the output.
+var errUnplaced = errors.New("census: an address could not be placed in the output line")
+
 // SafeFill completes a file from its census Template, once the
 // template's call log has been replayed into this worker's Session, as
 // one fail-closed "rewrite" unit: it adds the census's Stats and stage
@@ -242,13 +248,10 @@ func (t *Template) place(res string, words, gaps []string) bool {
 // replay kept, publishes the decisions and commits. A template whose
 // census failed fails here with the census's FileError, after
 // publishing what the census recorded before it died, as a failed
-// rewrite does. text is the file's input, rewritten in full only when
-// the census could not place the file's holes.
-func (a *Anonymizer) SafeFill(t *Template, text string) (out string, ferr *FileError) {
-	if t.unplaced {
-		return a.SafeAnonymizeText(t.name, text)
-	}
-	ferr = a.unit(t.name, "rewrite", 0, func() error {
+// rewrite does; so does a template whose holes could not all be placed,
+// with errUnplaced at the first such line.
+func (a *Anonymizer) SafeFill(t *Template) (out string, ferr *FileError) {
+	ferr = a.unit(t.name, "rewrite", func() error {
 		a.stats = t.stats
 		for _, st := range t.stages {
 			a.observeStage(st.stage, st.d)
@@ -267,6 +270,10 @@ func (a *Anonymizer) SafeFill(t *Template, text string) (out string, ferr *FileE
 		if t.err != nil {
 			a.curLine = t.err.Line
 			return t.err.Cause
+		}
+		if t.unplaced > 0 {
+			a.curLine = t.unplaced
+			return errUnplaced
 		}
 		out = a.fillHoles(t)
 		if a.tracer != nil {

@@ -1,11 +1,13 @@
 package anonymizer
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"testing"
 
 	"confanon/internal/ipanon"
+	"confanon/internal/store"
 	"confanon/internal/trace"
 )
 
@@ -44,7 +46,7 @@ func censusFill(s *Session, name, text string) (string, *FileError) {
 	s.Replay(tm.Calls())
 	wk := s.Acquire()
 	defer s.Release(wk)
-	return wk.SafeFill(tm, text)
+	return wk.SafeFill(tm)
 }
 
 // TestFillMatchesRewrite: a census filled from the replayed tree gives
@@ -92,23 +94,43 @@ func decisions(tr *trace.Tracer) []trace.Decision {
 	return out
 }
 
-// TestFillUnplacedRewrites: a template whose holes could not be placed
-// is rewritten in full, to the same bytes.
-func TestFillUnplacedRewrites(t *testing.T) {
+// countingLedger is a LedgerSink that counts what reaches it.
+type countingLedger struct{ appends, commits int }
+
+func (l *countingLedger) Append(recs ...store.Record) error { l.appends += len(recs); return nil }
+func (l *countingLedger) Commit() error                     { l.commits++; return nil }
+
+// TestFillUnplacedFailsClosed: a template whose holes could not be
+// placed fails its fill with a FileError at the first such line, and
+// publishes no output, commits no Stats and makes no ledger commit.
+func TestFillUnplacedFailsClosed(t *testing.T) {
 	text := templateInputs(t)["ios"]
 	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
-	want, _ := censusFill(s, "ios", text)
+	led := &countingLedger{}
+	s.SetLedger(led)
 
 	tm := s.Census("ios", text)
 	s.Replay(tm.Pins())
 	s.Replay(tm.Calls())
-	tm.unplaced = true
-	tm.out = "" // a placed fill would now produce nothing
+	tm.unplaced = 3
 	wk := s.Acquire()
 	defer s.Release(wk)
-	got, ferr := wk.SafeFill(tm, text)
-	if ferr != nil || got != want {
-		t.Errorf("unplaced fill = %q, %v; want the rewrite %q", got, ferr, want)
+	out, ferr := wk.SafeFill(tm)
+	if ferr == nil || !errors.Is(ferr, errUnplaced) || ferr.Line != 3 || ferr.Name != "ios" {
+		t.Fatalf("unplaced fill error = %v, want errUnplaced at ios line 3", ferr)
+	}
+	if out != "" {
+		t.Errorf("unplaced fill published %q", out)
+	}
+	if st := s.Stats(); st.Files != 0 || st.Lines != 0 {
+		t.Errorf("unplaced fill committed Stats: %d files, %d lines", st.Files, st.Lines)
+	}
+	if led.commits != 0 || led.appends != 0 {
+		t.Errorf("unplaced fill reached the ledger: %d records, %d commits", led.appends, led.commits)
+	}
+	tm.unplaced = 0 // the same template, placed, commits
+	if _, ferr := wk.SafeFill(tm); ferr != nil || led.commits != 1 {
+		t.Errorf("placed fill: error %v, %d ledger commits, want 1", ferr, led.commits)
 	}
 }
 

@@ -69,9 +69,9 @@ func (a *Anonymizer) decide(class, out string) {
 }
 
 // beginFileSpan opens the span covering one unit on one file. op names
-// the operation ("prescan", "rewrite", "rewrite-tail", "stream") — in a
-// serial corpus a file is prescanned and rewritten in separate units and
-// gets one span per; the fail-open entries pass "" and open none.
+// the operation ("prescan", "rewrite", "stream") — in a serial corpus
+// a file is prescanned and rewritten in separate units and gets one
+// span per; the fail-open entries pass "" and open none.
 func (a *Anonymizer) beginFileSpan(name, op string) {
 	if a.tracer == nil || op == "" {
 		return

@@ -19,41 +19,89 @@ import (
 // any worker count, and a traced run records the same decisions, rule
 // hits and counters whichever way the files were scheduled.
 
+// engineVisits counts the engine's per-line fault-hook calls made by
+// run, per "file:line".
+func engineVisits(t *testing.T, run func() (*CorpusResult, error)) map[string]int {
+	t.Helper()
+	var mu sync.Mutex
+	visits := map[string]int{}
+	anonymizer.SetFaultHook(func(name string, line int) {
+		mu.Lock()
+		visits[fmt.Sprintf("%s:%d", name, line)]++
+		mu.Unlock()
+	})
+	res, err := run()
+	anonymizer.SetFaultHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed()) != 0 {
+		t.Fatalf("failed files %v", res.Failed())
+	}
+	return visits
+}
+
+// checkVisits fails unless every line of every file that runs reached
+// the engine exactly once and no other line reached it.
+func checkVisits(t *testing.T, label string, files map[string]string, runs func(name string) bool, visits map[string]int) {
+	t.Helper()
+	want := 0
+	for name, text := range files {
+		n := 0
+		if runs(name) {
+			n = 1
+		}
+		for l := 1; l <= len(anonymizer.SplitLines(text)); l++ {
+			want += n
+			if got := visits[fmt.Sprintf("%s:%d", name, l)]; got != n {
+				t.Fatalf("%s: %s line %d went through the engine %d times, want %d", label, name, l, got, n)
+			}
+		}
+	}
+	if len(visits) != want {
+		t.Errorf("%s: %d (file, line) visits, want %d", label, len(visits), want)
+	}
+}
+
 // TestEngineVisitsEachLineOnce counts the engine's per-line fault-hook
 // calls over a strict ParallelCorpusContext run: one per (file, line) at
 // every worker count. At two or more workers the census is the only
-// engine pass; the fill rewrites no line.
+// engine pass; the fill rewrites no line. An incremental run over
+// mutateCorpus's edits, under both IP schemes, sends every line of a
+// changed file through the engine once and no line of a file the cache
+// serves.
 func TestEngineVisitsEachLineOnce(t *testing.T) {
 	n := netgen.Generate(netgen.Params{Seed: 1205, Kind: netgen.Backbone, Routers: 8})
 	files := n.RenderAll()
 	opts := Options{Salt: []byte(n.Salt), Strict: true}
+	all := func(string) bool { return true }
 	for _, workers := range []int{1, 2, 4} {
-		var mu sync.Mutex
-		visits := map[string]int{}
-		anonymizer.SetFaultHook(func(name string, line int) {
-			mu.Lock()
-			visits[fmt.Sprintf("%s:%d", name, line)]++
-			mu.Unlock()
+		visits := engineVisits(t, func() (*CorpusResult, error) {
+			return ParallelCorpusContext(context.Background(), opts, files, workers)
 		})
-		res, err := ParallelCorpusContext(context.Background(), opts, files, workers)
-		anonymizer.SetFaultHook(nil)
+		checkVisits(t, fmt.Sprintf("parallel workers=%d", workers), files, all, visits)
+	}
+
+	v2, appended, edited, _, added := mutateCorpus(t, files)
+	changed := func(name string) bool { return name == appended || name == edited || name == added }
+	for _, stateless := range []bool{false, true} {
+		opts := Options{Salt: []byte(n.Salt), Strict: true, StatelessIP: stateless}
+		rec := New(opts)
+		_, cache, err := rec.IncrementalCorpusContext(context.Background(), files, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Failed()) != 0 {
-			t.Fatalf("workers=%d: failed files %v", workers, res.Failed())
-		}
-		want := 0
-		for name, text := range files {
-			for l := 1; l <= len(anonymizer.SplitLines(text)); l++ {
-				want++
-				if got := visits[fmt.Sprintf("%s:%d", name, l)]; got != 1 {
-					t.Fatalf("workers=%d: %s line %d went through the engine %d times, want 1", workers, name, l, got)
-				}
+		state := rec.SaveMapping()
+		for _, workers := range []int{1, 2, 4} {
+			a := New(opts)
+			if err := a.LoadMapping(state); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(visits) != want {
-			t.Errorf("workers=%d: %d (file, line) visits, want %d", workers, len(visits), want)
+			visits := engineVisits(t, func() (*CorpusResult, error) {
+				res, _, err := a.IncrementalCorpusContext(context.Background(), v2, cache, workers)
+				return res, err
+			})
+			checkVisits(t, fmt.Sprintf("incremental stateless=%t workers=%d", stateless, workers), v2, changed, visits)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func newBatchMetrics(reg *metrics.Registry) *batchMetrics {
 		cancelled: reg.Counter("confanon_batch_cancelled_total",
 			"batch runs cut short by context cancellation"),
 		incremental: reg.CounterVec("confanon_incremental_files_total",
-			"incremental run file dispositions (reused, partial, full)", "mode"),
+			"incremental run file dispositions (reused, full)", "mode"),
 	}
 }
 
