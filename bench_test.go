@@ -1,10 +1,11 @@
 package confanon_test
 
 // The benchmark harness: one benchmark per experiment in DESIGN.md's
-// per-experiment index (E1–E9 reproduce the paper's quantitative claims;
-// A1–A3 are the design-choice ablations). Each benchmark drives the
-// corresponding function in internal/experiments and reports the headline
-// quantities as custom metrics, so
+// per-experiment index (E1–E10 reproduce the paper's quantitative claims;
+// A1–A3 are the design-choice ablations), except that E4, E5, E6 and E8
+// share BenchmarkPopulationStudy, the one pass that measures them. Each
+// benchmark drives the corresponding function in internal/experiments and
+// reports the headline quantities as custom metrics, so
 //
 //	go test -bench=. -benchmem
 //
@@ -53,33 +54,27 @@ func BenchmarkE3_CommentStripping(b *testing.B) {
 	b.ReportMetric(r.P90Pct, "p90-%")
 }
 
-func BenchmarkE4_RegexpRewrite(b *testing.B) {
-	var r experiments.E4Result
+// BenchmarkPopulationStudy is the one pass behind E4, E5, E6 and E8:
+// the standard population rendered, parsed, anonymized and parsed again
+// once, with every row's checks read from those artifacts.
+func BenchmarkPopulationStudy(b *testing.B) {
+	var st experiments.Study
 	for i := 0; i < b.N; i++ {
-		r = experiments.E4Regexps(0.1)
+		st = experiments.PopulationStudy(0.1)
 	}
-	if r.RewriteMismatches != 0 {
-		b.Fatalf("rewrite mismatches: %+v", r)
+	if st.E4.RewriteMismatches != 0 {
+		b.Fatalf("rewrite mismatches: %+v", st.E4)
 	}
-	b.ReportMetric(float64(r.RewritesVerified), "rewrites-verified")
-}
-
-func BenchmarkE5_Suite1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.E5Suite1(0.1)
-		if r.Passed != r.Networks {
-			b.Fatalf("suite 1 failures: %s", r)
-		}
+	if st.E5.Passed != st.E5.Networks {
+		b.Fatalf("suite 1 failures: %s", st.E5)
 	}
-}
-
-func BenchmarkE6_Suite2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.E6Suite2(0.1)
-		if r.Passed != r.Networks {
-			b.Fatalf("suite 2 failures: %s", r)
-		}
+	if st.E6.Passed != st.E6.Networks {
+		b.Fatalf("suite 2 failures: %s", st.E6)
 	}
+	b.ReportMetric(float64(st.E4.RewritesVerified), "rewrites-verified")
+	b.ReportMetric(float64(st.E8.SubnetUnique.Unique), "subnet-unique")
+	b.ReportMetric(st.E8.SubnetUnique.EntropyBits, "subnet-entropy-bits")
+	b.ReportMetric(float64(st.E8.PeeringUnique.Unique), "peering-unique")
 }
 
 func BenchmarkE7_LeakIteration(b *testing.B) {
@@ -91,16 +86,6 @@ func BenchmarkE7_LeakIteration(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(r.Iterations), "iterations")
-}
-
-func BenchmarkE8_Fingerprint(b *testing.B) {
-	var r experiments.E8Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.E8Fingerprint(0.1)
-	}
-	b.ReportMetric(float64(r.SubnetUnique.Unique), "subnet-unique")
-	b.ReportMetric(r.SubnetUnique.EntropyBits, "subnet-entropy-bits")
-	b.ReportMetric(float64(r.PeeringUnique.Unique), "peering-unique")
 }
 
 func BenchmarkE9_Throughput(b *testing.B) {

@@ -75,6 +75,12 @@ go test -run '^TestAllocsPerLine$' .
 echo "== go test -run '^\$' -bench 'LedgerOpen|UseStore' -benchtime 1x ."
 go test -run '^$' -bench 'LedgerOpen|UseStore' -benchtime 1x .
 
+# Reproduction harness row: BenchmarkPopulationStudy (the one pass over
+# the standard population behind E4, E5, E6 and E8) runs once, so a
+# change that breaks the harness or fails one of its checks fails here.
+echo "== go test -run '^\$' -bench 'PopulationStudy' -benchtime 1x ."
+go test -run '^$' -bench 'PopulationStudy' -benchtime 1x .
+
 # Observability drift gate (warn-only): re-run the golden corpus, emit a
 # run report, and diff it against the checked-in baseline with conftrace.
 # Rule-hit or outcome drift means the (salt, input) → decision contract

@@ -94,6 +94,7 @@ import (
 
 	"confanon"
 	"confanon/internal/retry"
+	"confanon/internal/store"
 )
 
 // Exit codes (documented above; keep DESIGN.md §"Failure semantics" in
@@ -184,7 +185,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	for _, path := range rulePacks {
 		var b []byte
-		if err := retryIO(func() (err error) { b, err = os.ReadFile(path); return }); err != nil {
+		if err := retry.Do(func() (err error) { b, err = os.ReadFile(path); return }); err != nil {
 			return fatal(stderr, fmt.Errorf("-rule-pack %s: %w", path, err))
 		}
 		p, err := confanon.LoadRulePack(b)
@@ -230,7 +231,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	if *mapFile != "" {
 		var snap []byte
-		err := retryIO(func() (err error) { snap, err = os.ReadFile(*mapFile); return })
+		err := retry.Do(func() (err error) { snap, err = os.ReadFile(*mapFile); return })
 		switch {
 		case err == nil:
 			if err := a.LoadMapping(snap); err != nil {
@@ -252,7 +253,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			}
 		}
 		if code == exitClean && *mapFile != "" {
-			if err := writeFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
+			if err := store.WriteFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
 				return fatal(stderr, err)
 			}
 		}
@@ -283,7 +284,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		var prior *confanon.CorpusCache
 		cachePath := filepath.Join(*stateDir, cacheFileName)
 		var blob []byte
-		rerr := retryIO(func() (err error) { blob, err = os.ReadFile(cachePath); return })
+		rerr := retry.Do(func() (err error) { blob, err = os.ReadFile(cachePath); return })
 		switch {
 		case rerr == nil:
 			if prior, rerr = confanon.DecodeCorpusCache(blob); rerr != nil {
@@ -315,7 +316,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		if err := writeFileAtomic(filepath.Join(*stateDir, cacheFileName), blob, 0o600); err != nil {
+		if err := store.WriteFileAtomic(filepath.Join(*stateDir, cacheFileName), blob, 0o600); err != nil {
 			return fatal(stderr, err)
 		}
 		sum := res.Incremental
@@ -339,7 +340,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	fmt.Fprintf(stdout, "anonymized %d of %d files (%d lines) into %s\n",
 		len(post), len(files), res.Stats.Lines, *outDir)
 	if *mapFile != "" {
-		if err := writeFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
+		if err := store.WriteFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
 			return fatal(stderr, err)
 		}
 	}
@@ -529,50 +530,13 @@ type nopCloser struct{ io.Writer }
 
 func (nopCloser) Close() error { return nil }
 
-// retryIO runs op under the shared transient-I/O retry policy
-// (internal/retry, which this helper's original inline implementation
-// was extracted into).
-func retryIO(op func() error) error { return retry.Do(op) }
-
 func writeFileRetry(path string, data []byte, perm os.FileMode) error {
-	return retryIO(func() error { return os.WriteFile(path, data, perm) })
+	return retry.Do(func() error { return os.WriteFile(path, data, perm) })
 }
 
 // cacheFileName is the incremental file cache inside -state-dir. The
 // cache is a binary confanon.filecache/v3 blob; the name predates it.
 const cacheFileName = "filecache.json"
-
-// writeFileAtomic writes data to path via fsynced temp file + rename in
-// the target's directory, so a crash mid-write can never leave a
-// truncated or interleaved file — the previous version survives intact.
-// Used for every state artifact a later run depends on (-mapping
-// snapshots, the incremental cache).
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return retryIO(func() error {
-		tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-		if err != nil {
-			return err
-		}
-		tmpName := tmp.Name()
-		defer os.Remove(tmpName) // no-op once renamed
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Chmod(perm); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmpName, path)
-	})
-}
 
 func printStats(stderr io.Writer, s confanon.Stats, aggregate, perRule bool) {
 	if aggregate {
@@ -600,7 +564,7 @@ func printStats(stderr io.Writer, s confanon.Stats, aggregate, perRule bool) {
 
 func readDir(dir string) (map[string]string, error) {
 	var entries []os.DirEntry
-	if err := retryIO(func() (err error) { entries, err = os.ReadDir(dir); return }); err != nil {
+	if err := retry.Do(func() (err error) { entries, err = os.ReadDir(dir); return }); err != nil {
 		return nil, err
 	}
 	files := make(map[string]string)
@@ -609,7 +573,7 @@ func readDir(dir string) (map[string]string, error) {
 			continue
 		}
 		var b []byte
-		if err := retryIO(func() (err error) { b, err = os.ReadFile(filepath.Join(dir, e.Name())); return }); err != nil {
+		if err := retry.Do(func() (err error) { b, err = os.ReadFile(filepath.Join(dir, e.Name())); return }); err != nil {
 			return nil, err
 		}
 		files[e.Name()] = string(b)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strings"
 
 	"confanon/internal/rulepack"
@@ -95,6 +96,31 @@ func (a *Anonymizer) cacheOptsFP() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// textHasher computes SHA-256 of strings without copying each one to a
+// []byte: the text goes through a fixed buffer. The digest has no
+// WriteString, so io.WriteString would still copy the whole string.
+// buf and out are fields because slices passed to the hash.Hash
+// interface escape: as locals they would be allocated on every call.
+type textHasher struct {
+	h   hash.Hash
+	buf [8 << 10]byte
+	out [sha256.Size]byte
+}
+
+func newTextHasher() *textHasher { return &textHasher{h: sha256.New()} }
+
+// sum returns sha256.Sum256 of text.
+func (t *textHasher) sum(text string) [sha256.Size]byte {
+	t.h.Reset()
+	for len(text) > 0 {
+		n := copy(t.buf[:], text)
+		t.h.Write(t.buf[:n])
+		text = text[n:]
+	}
+	t.h.Sum(t.out[:0])
+	return t.out
+}
+
 // lineCount is the number of lines the engine iterates in text.
 func lineCount(text string) int {
 	n := strings.Count(text, "\n")
@@ -135,8 +161,9 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 	// cache, everything else is changed.
 	served := make(map[string]string)
 	sums := make(map[string][sha256.Size]byte, len(files))
+	th := newTextHasher()
 	for n, text := range files {
-		sum := sha256.Sum256([]byte(text))
+		sum := th.sum(text)
 		if usable {
 			if fc := prior.files[n]; fc != nil && fc.sum == sum {
 				served[n] = fc.text

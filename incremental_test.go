@@ -2,6 +2,7 @@ package confanon
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -493,5 +494,21 @@ func TestCorpusCacheRoundTrip(t *testing.T) {
 	again, err := got.Encode()
 	if err != nil || string(again) != string(blob) {
 		t.Errorf("re-encoding a decoded cache changed its bytes (err=%v)", err)
+	}
+}
+
+func TestTextHasherMatchesSum256(t *testing.T) {
+	th := newTextHasher()
+	long := strings.Repeat("interface Serial0/0\n ip address 10.1.2.3 255.255.255.0\n", 500)
+	if len(long) <= len(th.buf) {
+		t.Fatalf("long input %d bytes does not exceed the %d-byte buffer", len(long), len(th.buf))
+	}
+	for _, text := range []string{"", "hostname r1\n", long, long + "!"} {
+		if got, want := th.sum(text), sha256.Sum256([]byte(text)); got != want {
+			t.Errorf("sum of %d bytes = %x, want %x", len(text), got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { th.sum(long) }); allocs != 0 {
+		t.Errorf("sum allocates %.1f times per call, want 0", allocs)
 	}
 }

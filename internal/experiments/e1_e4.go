@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"confanon/internal/asn"
+	"confanon/internal/config"
 	"confanon/internal/cregex"
 	"confanon/internal/netgen"
 )
@@ -128,7 +128,7 @@ func E3Comments(networks int, routersPer int) E3Result {
 			kind = netgen.Enterprise
 		}
 		n := netgen.Generate(netgen.Params{Seed: int64(3000 + i), Kind: kind, Routers: routersPer})
-		_, run := anonymizeNetwork(n)
+		_, run := anonymizeCorpus(n.Salt, n.RenderAll())
 		if s := run.Stats; s.WordsTotal > 0 {
 			fracs = append(fracs, float64(s.CommentWordsRemoved)/float64(s.WordsTotal))
 		}
@@ -180,86 +180,86 @@ func (r E4Result) String() string {
 		r.RegexpsRewritten, r.RewritesVerified, r.RewriteMismatches)
 }
 
-// E4Regexps measures prevalence over the standard population and verifies
-// every as-path rewrite end-to-end: for each pre-anonymization as-path
-// regexp, the post-anonymization regexp must accept exactly the permuted
-// language.
-func E4Regexps(scale float64) E4Result {
-	nets := population(1000, scale)
-	res := E4Result{Networks: len(nets)}
-	for _, n := range nets {
-		pubRange, privRange, alt, commRe, commRange := false, false, false, false, false
-		preCfgs := parseNetwork(n)
-		for _, c := range preCfgs {
-			for _, al := range c.ASPathLists {
-				for _, e := range al.Entries {
-					if strings.Contains(e.Regex, "|") {
-						alt = true
-					}
-					if strings.Contains(e.Regex, "[") {
-						if strings.Contains(e.Regex, "_645") {
-							privRange = true
-						} else {
-							pubRange = true
-						}
-					}
+// measure adds one network to the row: prevalence from its parsed
+// configs, and every as-path rewrite verified end-to-end — for each
+// pre-anonymization as-path regexp, the post-anonymization regexp must
+// accept exactly the language permuted by mapASN. pre and post hold the
+// same files in the same order.
+func (r *E4Result) measure(pre, post []*config.Config, rewritten int, mapASN func(uint32) uint32) {
+	pubRange, privRange, alt, commRe, commRange := false, false, false, false, false
+	for _, c := range pre {
+		for _, al := range c.ASPathLists {
+			for _, e := range al.Entries {
+				if strings.Contains(e.Regex, "|") {
+					alt = true
 				}
-			}
-			for _, cl := range c.CommunityLists {
-				for _, e := range cl.Entries {
-					if strings.ContainsAny(e.Expr, ".[") {
-						commRe = true
-					}
-					if strings.Contains(e.Expr, "[") {
-						commRange = true
-					}
-				}
-			}
-		}
-		if pubRange {
-			res.WithPublicRanges++
-		}
-		if privRange {
-			res.WithPrivateRanges++
-		}
-		if alt {
-			res.WithAlternation++
-		}
-		if commRe {
-			res.WithCommunityRegexp++
-		}
-		if commRange {
-			res.WithCommunityRange++
-		}
-
-		// Rewrite verification.
-		_, run := anonymizeNetwork(n)
-		res.RegexpsRewritten += int(run.Stats.RegexpsRewritten)
-		postCfgs := parseFiles(run.Outputs())
-		mapASN := asn.NewSalted([]byte(n.Salt)).ASN.Map
-		for ci, c := range preCfgs {
-			pc := postCfgs[ci]
-			for li, al := range c.ASPathLists {
-				if li >= len(pc.ASPathLists) {
-					res.RewriteMismatches++
-					continue
-				}
-				pal := pc.ASPathLists[li]
-				for ei, e := range al.Entries {
-					if ei >= len(pal.Entries) {
-						res.RewriteMismatches++
-						continue
-					}
-					if verifyRewrite(e.Regex, pal.Entries[ei].Regex, mapASN) {
-						res.RewritesVerified++
+				if strings.Contains(e.Regex, "[") {
+					if strings.Contains(e.Regex, "_645") {
+						privRange = true
 					} else {
-						res.RewriteMismatches++
+						pubRange = true
 					}
+				}
+			}
+		}
+		for _, cl := range c.CommunityLists {
+			for _, e := range cl.Entries {
+				if strings.ContainsAny(e.Expr, ".[") {
+					commRe = true
+				}
+				if strings.Contains(e.Expr, "[") {
+					commRange = true
 				}
 			}
 		}
 	}
-	return res
+	if pubRange {
+		r.WithPublicRanges++
+	}
+	if privRange {
+		r.WithPrivateRanges++
+	}
+	if alt {
+		r.WithAlternation++
+	}
+	if commRe {
+		r.WithCommunityRegexp++
+	}
+	if commRange {
+		r.WithCommunityRange++
+	}
+
+	r.RegexpsRewritten += rewritten
+	// A network's routers share their as-path lists, so each distinct
+	// (pre, post) pair is verified once and counted at every occurrence.
+	verified := make(map[[2]string]bool)
+	for ci, c := range pre {
+		pc := post[ci]
+		for li, al := range c.ASPathLists {
+			if li >= len(pc.ASPathLists) {
+				r.RewriteMismatches++
+				continue
+			}
+			pal := pc.ASPathLists[li]
+			for ei, e := range al.Entries {
+				if ei >= len(pal.Entries) {
+					r.RewriteMismatches++
+					continue
+				}
+				pair := [2]string{e.Regex, pal.Entries[ei].Regex}
+				ok, done := verified[pair]
+				if !done {
+					ok = verifyRewrite(pair[0], pair[1], mapASN)
+					verified[pair] = ok
+				}
+				if ok {
+					r.RewritesVerified++
+				} else {
+					r.RewriteMismatches++
+				}
+			}
+		}
+	}
 }
 
 // verifyRewrite checks the bijection property on one regexp pair.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"confanon/internal/anonymizer"
 	"confanon/internal/fingerprint"
 	"confanon/internal/netgen"
-	"confanon/internal/validate"
 )
 
 // E5Result reproduces validation suite 1 (§5): independent characteristics
@@ -27,24 +25,6 @@ func (r E5Result) String() string {
 	return s
 }
 
-// E5Suite1 anonymizes the population and compares characteristics.
-func E5Suite1(scale float64) E5Result {
-	nets := population(1000, scale)
-	res := E5Result{Networks: len(nets)}
-	for _, n := range nets {
-		pre := parseNetwork(n)
-		_, run := anonymizeNetwork(n)
-		post := parseFiles(run.Outputs())
-		diffs := validate.Suite1(pre, post)
-		if len(diffs) == 0 {
-			res.Passed++
-		} else {
-			res.Diffs = append(res.Diffs, diffs...)
-		}
-	}
-	return res
-}
-
 // E6Result reproduces validation suite 2 (§5): the routing design
 // extracted from anonymized configs is identical to the original's.
 type E6Result struct {
@@ -55,21 +35,6 @@ type E6Result struct {
 // String renders the paper-vs-measured row.
 func (r E6Result) String() string {
 	return fmt.Sprintf("E6 suite 2: %d/%d networks yield identical routing-design signatures pre/post (paper: designs match)", r.Passed, r.Networks)
-}
-
-// E6Suite2 extracts and compares routing designs across the population.
-func E6Suite2(scale float64) E6Result {
-	nets := population(1000, scale)
-	res := E6Result{Networks: len(nets)}
-	for _, n := range nets {
-		pre := parseNetwork(n)
-		_, run := anonymizeNetwork(n)
-		post := parseFiles(run.Outputs())
-		if validate.Suite2(pre, post).OK() {
-			res.Passed++
-		}
-	}
-	return res
 }
 
 // E7Result reproduces the iterative leak-closure claim (§6.1): "the
@@ -87,18 +52,18 @@ func (r E7Result) String() string {
 }
 
 // E7LeakIteration seeds a corpus with ASNs in contexts none of the 12 ASN
-// rules recognize (vendor-specific commands), then runs the §6.1 loop:
-// anonymize, collect the leak report, add a rule per dangerous token,
-// repeat until the report is clean.
+// rules recognize (vendor-specific commands), then runs the §6.1 loop
+// through the public driver: anonymize the corpus, collect the leak
+// report, AddRule each dangerous token, repeat until the report is clean.
 func E7LeakIteration(networks int) E7Result {
 	if networks <= 0 {
 		networks = 8
 	}
 	// Build a corpus with unusual ASN-bearing lines appended.
-	var files []string
+	files := make(map[string]string)
 	for i := 0; i < networks; i++ {
 		n := netgen.Generate(netgen.Params{Seed: int64(5000 + i), Routers: 8})
-		for _, text := range n.RenderAll() {
+		for name, text := range n.RenderAll() {
 			switch i % 4 {
 			case 0:
 				text += "vendor peer-monitor remote 701 enable\n"
@@ -107,32 +72,23 @@ func E7LeakIteration(networks int) E7Result {
 			case 2:
 				text += "custom probe target-as 7018 interval 30\n"
 			}
-			files = append(files, text)
+			files[fmt.Sprintf("n%d-%s", i, name)] = text
 		}
 	}
 	res := E7Result{SeededLeaks: 3}
 	var extraRules []string
 	for iter := 1; iter <= 6; iter++ {
-		a := anonymizer.New(anonymizer.Options{Salt: []byte("e7")})
-		for _, r := range extraRules {
-			a.AddSensitiveToken(r)
-		}
-		for _, f := range files {
-			a.Prescan(f)
-		}
+		a, run := anonymizeCorpus("e7", files, extraRules...)
 		dirty := 0
 		seen := map[string]bool{}
-		for _, f := range files {
-			out := a.AnonymizeText(f)
-			for _, l := range a.LeakReport(out) {
-				if l.LikelyFalsePositive {
-					continue
-				}
-				dirty++
-				if !seen[l.Tok] {
-					seen[l.Tok] = true
-					extraRules = append(extraRules, l.Tok)
-				}
+		for _, l := range a.Leaks(run.Outputs()) {
+			if l.LikelyFalsePositive {
+				continue
+			}
+			dirty++
+			if !seen[l.Tok] {
+				seen[l.Tok] = true
+				extraRules = append(extraRules, l.Tok)
 			}
 		}
 		res.Iterations = iter
@@ -163,31 +119,6 @@ func (r E8Result) String() string {
 		r.Compartmentalized, r.Networks)
 }
 
-// E8Fingerprint runs the attack study over the population.
-func E8Fingerprint(scale float64) E8Result {
-	nets := population(1000, scale)
-	res := E8Result{Networks: len(nets)}
-	var subnetKeys, peeringKeys []string
-	for _, n := range nets {
-		pre := parseNetwork(n)
-		_, run := anonymizeNetwork(n)
-		post := parseFiles(run.Outputs())
-		sPre, sPost := fingerprint.SubnetOf(pre).Key(), fingerprint.SubnetOf(post).Key()
-		pPre, pPost := fingerprint.PeeringOf(pre).Key(), fingerprint.PeeringOf(post).Key()
-		if sPre == sPost && pPre == pPost {
-			res.FingerprintsSurvive++
-		}
-		subnetKeys = append(subnetKeys, sPost)
-		peeringKeys = append(peeringKeys, pPost)
-		if fingerprint.Compartmentalized(post) {
-			res.Compartmentalized++
-		}
-	}
-	res.SubnetUnique = fingerprint.Analyze(subnetKeys)
-	res.PeeringUnique = fingerprint.Analyze(peeringKeys)
-	return res
-}
-
 // E9Result reproduces the scale claim: 4.3 million configuration lines
 // anonymized fully automatically.
 type E9Result struct {
@@ -216,7 +147,7 @@ func E9Throughput(targetLines int) E9Result {
 	for res.Lines < targetLines {
 		n := netgen.Generate(netgen.Params{Seed: seed, Routers: 60})
 		seed++
-		a, run := anonymizeNetwork(n)
+		a, run := anonymizeCorpus(n.Salt, n.RenderAll())
 		res.Lines += int(run.Stats.Lines)
 		res.Routers += int(run.Stats.Files)
 		for _, l := range a.Leaks(run.Outputs()) {

@@ -1,20 +1,21 @@
 // Package experiments implements the reproduction of every quantitative
-// claim in the paper's evaluation, one function per experiment (E1–E9 in
-// DESIGN.md), plus the ablations (A1–A3). Each returns a structured result
-// with a String() summary; bench_test.go at the repository root wraps them
-// as benchmarks, and cmd/confexp prints the full paper-vs-measured report
-// recorded in EXPERIMENTS.md.
+// claim in the paper's evaluation (E1–E10 in DESIGN.md), plus the
+// ablations (A1–A3). E4, E5, E6 and E8 measure one population and come
+// from one pass over it, PopulationStudy; every other experiment has its
+// own function. Each result has a String() summary; bench_test.go at the
+// repository root wraps them as benchmarks, and cmd/confexp prints the
+// full paper-vs-measured report recorded in EXPERIMENTS.md.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"confanon"
-	"confanon/internal/config"
+	"confanon/internal/asn"
+	"confanon/internal/fingerprint"
 	"confanon/internal/netgen"
+	"confanon/internal/validate"
 )
 
 // population builds the standard 31-network corpus used by several
@@ -61,34 +62,17 @@ func percentile(sorted []int, p float64) int {
 	return sorted[idx]
 }
 
-// parseNetwork parses every rendered config of a network.
-func parseNetwork(n *netgen.Network) []*config.Config {
-	files := n.RenderAll()
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*config.Config, 0, len(files))
-	for _, name := range names {
-		out = append(out, config.Parse(files[name]))
-	}
-	return out
-}
-
-// anonymizeNetwork anonymizes a network's rendered configs with the
-// network's own salt (see anonymizeCorpus).
-func anonymizeNetwork(n *netgen.Network) (*confanon.Anonymizer, *confanon.CorpusResult) {
-	return anonymizeCorpus(n.Salt, n.RenderAll())
-}
-
 // anonymizeCorpus runs a file set through the corpus driver
 // (CorpusContext): every file prescanned, then every file rewritten, in
-// sorted-name order. It returns the Session, whose recorder backs Leaks,
-// and the result, whose Stats and Outputs the experiments measure. Every
+// sorted-name order, with rules added as operator-supplied sensitive
+// tokens. It returns the Session, whose recorder backs Leaks, and the
+// result, whose Stats and Outputs the experiments measure. Every
 // experiment measures whole corpora, so a failed file panics.
-func anonymizeCorpus(salt string, files map[string]string) (*confanon.Anonymizer, *confanon.CorpusResult) {
+func anonymizeCorpus(salt string, files map[string]string, rules ...string) (*confanon.Anonymizer, *confanon.CorpusResult) {
 	a := confanon.New(confanon.Options{Salt: []byte(salt)})
+	for _, r := range rules {
+		a.AddRule(r)
+	}
 	res, err := a.CorpusContext(context.Background(), files)
 	if err != nil {
 		panic(err)
@@ -99,28 +83,60 @@ func anonymizeCorpus(salt string, files map[string]string) (*confanon.Anonymizer
 	return a, res
 }
 
-func parseFiles(files map[string]string) []*config.Config {
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*config.Config, 0, len(files))
-	for _, name := range names {
-		out = append(out, config.Parse(files[name]))
-	}
-	return out
+// Study holds the rows measured on the standard population: the
+// regexp checks (E4), validation suites 1 and 2 (E5, E6) and the
+// fingerprint study (E8).
+type Study struct {
+	E4 E4Result
+	E5 E5Result
+	E6 E6Result
+	E8 E8Result
 }
 
-func joinCounts(h map[int]int) string {
-	var keys []int
-	for k := range h {
-		keys = append(keys, k)
+// PopulationStudy walks the standard population one network at a time.
+// Each network is rendered, parsed, anonymized with its own salt and
+// its outputs parsed, once; E4, E5, E6 and E8 all read those artifacts.
+// A network's files are dropped before the next network is rendered,
+// so peak memory holds one network's text, never the population's.
+func PopulationStudy(scale float64) Study {
+	nets := population(1000, scale)
+	st := Study{
+		E4: E4Result{Networks: len(nets)},
+		E5: E5Result{Networks: len(nets)},
+		E6: E6Result{Networks: len(nets)},
+		E8: E8Result{Networks: len(nets)},
 	}
-	sort.Ints(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("/%d:%d", k, h[k]))
+	var subnetKeys, peeringKeys []string
+	for i, n := range nets {
+		files := n.RenderAll()
+		pre := validate.ParseAll(files)
+		_, run := anonymizeCorpus(n.Salt, files)
+		post := validate.ParseAll(run.Outputs())
+
+		st.E4.measure(pre, post, int(run.Stats.RegexpsRewritten), asn.NewSalted([]byte(n.Salt)).ASN.Map)
+
+		if diffs := validate.Suite1(pre, post); len(diffs) == 0 {
+			st.E5.Passed++
+		} else {
+			st.E5.Diffs = append(st.E5.Diffs, diffs...)
+		}
+		if validate.Suite2(pre, post).OK() {
+			st.E6.Passed++
+		}
+
+		sPre, sPost := fingerprint.SubnetOf(pre).Key(), fingerprint.SubnetOf(post).Key()
+		pPre, pPost := fingerprint.PeeringOf(pre).Key(), fingerprint.PeeringOf(post).Key()
+		if sPre == sPost && pPre == pPost {
+			st.E8.FingerprintsSurvive++
+		}
+		subnetKeys = append(subnetKeys, sPost)
+		peeringKeys = append(peeringKeys, pPost)
+		if fingerprint.Compartmentalized(post) {
+			st.E8.Compartmentalized++
+		}
+		nets[i] = nil // let the collector take its object model too
 	}
-	return strings.Join(parts, " ")
+	st.E8.SubnetUnique = fingerprint.Analyze(subnetKeys)
+	st.E8.PeeringUnique = fingerprint.Analyze(peeringKeys)
+	return st
 }

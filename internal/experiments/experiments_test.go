@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,8 +57,42 @@ func TestE3CommentStats(t *testing.T) {
 	}
 }
 
+// goldenRows reads testdata/study_rows.golden, the E4, E5, E6 and E8
+// rows at scale 0.2 and the E7 row at 6 networks, keyed by their first
+// word. The rows were recorded before the population experiments shared
+// one pass, so a diff means the pass moved a number.
+func goldenRows(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "study_rows.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		id, _, _ := strings.Cut(line, " ")
+		rows[id] = line
+	}
+	return rows
+}
+
+// study runs the population pass at scale 0.2 once; the E4, E5, E6
+// and E8 tests below each check their own rows of it.
+var study = sync.OnceValue(func() Study { return PopulationStudy(0.2) })
+
+func TestPopulationStudy(t *testing.T) {
+	st := study()
+	golden := goldenRows(t)
+	for _, row := range []fmt.Stringer{st.E4, st.E5, st.E6, st.E8} {
+		got := row.String()
+		id, _, _ := strings.Cut(got, " ")
+		if got != golden[id] {
+			t.Errorf("%s row moved:\n got %s\nwant %s", id, got, golden[id])
+		}
+	}
+}
+
 func TestE4RegexpPrevalenceAndCorrectness(t *testing.T) {
-	r := E4Regexps(0.2)
+	r := study().E4
 	if r.WithPublicRanges != 2 || r.WithPrivateRanges != 3 || r.WithCommunityRange != 2 {
 		t.Errorf("prevalence off: %+v", r)
 	}
@@ -73,11 +111,11 @@ func TestE4RegexpPrevalenceAndCorrectness(t *testing.T) {
 }
 
 func TestE5AndE6AllPass(t *testing.T) {
-	r5 := E5Suite1(0.15)
+	r5 := study().E5
 	if r5.Passed != r5.Networks {
 		t.Errorf("suite 1 failures: %s", r5)
 	}
-	r6 := E6Suite2(0.15)
+	r6 := study().E6
 	if r6.Passed != r6.Networks {
 		t.Errorf("suite 2 failures: %s", r6)
 	}
@@ -91,10 +129,13 @@ func TestE7Converges(t *testing.T) {
 	if r.Iterations >= 5 {
 		t.Errorf("took %d iterations, paper reports <5", r.Iterations)
 	}
+	if want := goldenRows(t)["E7"]; r.String() != want {
+		t.Errorf("E7 row moved:\n got %s\nwant %s", r, want)
+	}
 }
 
 func TestE8Fingerprints(t *testing.T) {
-	r := E8Fingerprint(0.15)
+	r := study().E8
 	if r.FingerprintsSurvive != r.Networks {
 		t.Errorf("fingerprints altered by anonymization: %s", r)
 	}

@@ -37,12 +37,6 @@ import (
 	"confanon/internal/token"
 )
 
-// Scheme is a prefix-preserving IPv4 address mapping.
-type Scheme interface {
-	// MapV4 maps one 32-bit IPv4 address.
-	MapV4(ip uint32) uint32
-}
-
 // IsSpecial reports whether an address has protocol-assigned meaning and
 // must therefore pass through anonymization unchanged (§4.3: "all special
 // IP addresses (e.g., netmasks, multicast) are passed through unchanged").

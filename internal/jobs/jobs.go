@@ -49,6 +49,7 @@ import (
 
 	"confanon/internal/metrics"
 	"confanon/internal/retry"
+	"confanon/internal/store"
 	"confanon/internal/trace"
 )
 
@@ -814,7 +815,7 @@ func (q *Queue) persistLocked(j *job) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(q.recordPath(j.ID), blob, 0o600)
+	return store.WriteFileAtomic(q.recordPath(j.ID), blob, 0o600)
 }
 
 // load replays the record directory: terminal jobs go straight into the
@@ -899,34 +900,4 @@ func randomHex(n int) string {
 		panic("jobs: no entropy: " + err.Error())
 	}
 	return hex.EncodeToString(b)
-}
-
-// writeFileAtomic writes data via fsynced temp file + rename so a crash
-// mid-write never leaves a torn record (mirrors cmd/confanon's state
-// writer; transient failures are retried under the shared policy).
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return retry.Do(func() error {
-		tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-		if err != nil {
-			return err
-		}
-		tmpName := tmp.Name()
-		defer os.Remove(tmpName) // no-op once renamed
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Chmod(perm); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmpName, path)
-	})
 }

@@ -131,8 +131,7 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 	}
 }
 
-// Do runs op under the Default policy with a background context — the
-// drop-in form of the old cmd/confanon retryIO helper.
+// Do runs op under the Default policy with a background context.
 func Do(op func() error) error {
 	return Default.Do(context.Background(), op)
 }

@@ -53,8 +53,7 @@
 // the old segments before the snapshot reproduces the identical state
 // (every record type is idempotent under re-application). Commit
 // triggers compaction automatically when the dead-weight ratio passes a
-// threshold; long-running services can also run MaybeCompact from a
-// background housekeeping loop.
+// threshold.
 //
 // # Sensitivity
 //
@@ -674,18 +673,6 @@ func (l *Ledger) shouldCompact() bool {
 	return onDisk >= l.compactFloor && float64(onDisk) > l.CompactThreshold*float64(live)
 }
 
-// MaybeCompact compacts when the dead-weight heuristic says so; the
-// no-op path is cheap, so background housekeeping loops can call it on
-// a timer.
-func (l *Ledger) MaybeCompact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || !l.shouldCompact() {
-		return nil
-	}
-	return l.compactLocked()
-}
-
 // Compact rewrites the ledger as one fresh committed snapshot segment
 // and removes the older segments. Uncommitted appends survive: they are
 // re-buffered onto the new active segment (still uncommitted).
@@ -802,6 +789,43 @@ func (l *Ledger) Close() error {
 		return err
 	}
 	return l.f.Close()
+}
+
+// WriteFileAtomic writes data to path through an fsynced temp file in
+// path's directory, renamed over path, and then fsyncs the directory so
+// the rename itself survives a power failure. A crash or a failed write
+// never leaves a truncated or interleaved file: the previous version
+// stays intact. Transient failures are retried under the shared policy.
+// It writes every state artifact a later run depends on: -mapping
+// snapshots, the incremental cache, the portal's job records.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return retry.Do(func() error {
+		tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+		if err != nil {
+			return err
+		}
+		tmpName := tmp.Name()
+		defer os.Remove(tmpName) // no-op once renamed
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			return err
+		}
+		if err := tmp.Chmod(perm); err != nil {
+			tmp.Close()
+			return err
+		}
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			return err
+		}
+		if err := tmp.Close(); err != nil {
+			return err
+		}
+		if err := os.Rename(tmpName, path); err != nil {
+			return err
+		}
+		return syncDir(filepath.Dir(path))
+	})
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are

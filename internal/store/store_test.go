@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -481,4 +482,73 @@ func TestCompactionRacesAppendCommit(t *testing.T) {
 	}
 	defer l2.Close()
 	check("replayed state", l2.State())
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec.json")
+	for _, content := range []string{"first\n", "second, longer than the first\n"} {
+		if err := WriteFileAtomic(path, []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != content {
+			t.Errorf("content = %q, want %q", got, content)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != 0o600 {
+			t.Errorf("perm = %v, want 0600", fi.Mode().Perm())
+		}
+		assertOnlyEntries(t, dir, "rec.json")
+	}
+}
+
+func TestWriteFileAtomicFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+
+	// A missing parent directory fails before anything is created.
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "rec.json"), []byte("x"), 0o600); err == nil {
+		t.Error("write into a missing directory succeeded")
+	}
+	assertOnlyEntries(t, dir)
+
+	// A rename that fails (the target is a non-empty directory) leaves
+	// the previous target and its content intact, and no temp file.
+	target := filepath.Join(dir, "rec.json")
+	if err := os.Mkdir(target, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(target, "keep"), []byte("previous"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("new"), 0o600); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	got, err := os.ReadFile(filepath.Join(target, "keep"))
+	if err != nil || string(got) != "previous" {
+		t.Errorf("previous content = %q, %v; want \"previous\"", got, err)
+	}
+	assertOnlyEntries(t, dir, "rec.json")
+}
+
+// assertOnlyEntries fails unless dir holds exactly the named entries.
+func assertOnlyEntries(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s holds %q, want %q", dir, got, want)
+	}
 }
