@@ -195,9 +195,9 @@ func spanID(sp *trace.Span) trace.SpanID {
 }
 
 // traceCensusFailure publishes a failed file span for a file whose
-// parallel census failed in its prescan. Such a file never reaches a
-// fill, and the census opens no span, so without this the file would
-// vanish from the span tree — and failures are traced, never dropped.
+// census failed in its prescan. Such a file never reaches a fill, and
+// the census opens no span, so without this the file would vanish from
+// the span tree — and failures are traced, never dropped.
 func (a *Anonymizer) traceCensusFailure(sp *trace.Span, ferr *FileError) {
 	if sp == nil {
 		return
@@ -260,9 +260,8 @@ func (r *corpusRun) fail(name string, ferr *FileError) {
 
 // phase runs one phase of the run and, when the run is traced, records
 // it as a stage span under the corpus span, beside the file spans. The
-// phases are "pin" (the one-worker prescan), "census", "replay", "fill"
-// (or "engine" when files run through the engine instead of filling a
-// census template) and "gate".
+// phases are "census", "replay", "fill" (or "engine" when files run
+// through the engine instead of filling a census template) and "gate".
 func (r *corpusRun) phase(name string, f func()) {
 	if r.sp == nil {
 		f()
@@ -368,30 +367,6 @@ func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[
 	return tmpls, nil
 }
 
-// prescanInPlace is censusReplay's one-worker form: every file's prescan
-// pins the real tree in sorted-name order, and the single rewrite worker
-// that follows visits the surviving files in that same order — the
-// mapper-call sequence a census replay would feed the tree, without a
-// census. A file whose prescan fails is marked
-// failed (the real worker traced its span); its partial pins stay, as
-// they do in the census.
-func (r *corpusRun) prescanInPlace(ctx context.Context, names []string, files map[string]string) (err error) {
-	wk := r.a.sess.Acquire()
-	defer r.a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(r.sp))
-	r.phase("pin", func() {
-		for _, n := range names {
-			if err = ctx.Err(); err != nil {
-				return
-			}
-			if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
-				r.fail(n, ferr)
-			}
-		}
-	})
-	return err
-}
-
 // rewriteAndGate is the phase every corpus run ends with. job(wk, i)
 // produces file i's result on one of workers goroutines, each holding
 // its own Session worker nested under the run's span; phase names the
@@ -456,15 +431,14 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase st
 //
 // Under the default shaped-tree scheme the mapping depends on the order
 // addresses first reach the tree, so the run is split into three phases:
-// a parallel census runs each file's one engine pass against throwaway
-// state, keeping its output with every address left as a hole and its
-// exact mapper-call sequence; the call logs are then replayed into the
-// shared tree serially (every file's prescan pins in sorted-name order,
-// then every surviving file's full sequence), each trace keeping the
-// images the tree answered; finally each file's holes are filled in
-// parallel from those images, without touching the tree. At one worker
-// the census is skipped: the prescans pin the tree in place and the
-// in-order rewrite is itself the replay.
+// a census, spread over the workers, runs each file's one engine pass
+// against throwaway state, keeping its output with every address left
+// as a hole and its exact mapper-call sequence; the call logs are then
+// replayed into the shared tree serially (every file's prescan pins in
+// sorted-name order, then every surviving file's full sequence), each
+// trace keeping the images the tree answered; finally each file's holes
+// are filled in parallel from those images, without touching the tree.
+// The pipeline is the same at every worker count, one included.
 // Under Options.StatelessIP mappings are pure functions of the salt and
 // neither is needed.
 //
@@ -480,15 +454,15 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 	return run.finish(err)
 }
 
-// anonymize is the corpus pipeline both batch drivers run: pin or
-// census and replay, then the engine or the fill, then the gate (see
-// ParallelCorpusContext). served holds the outputs of the files a cache
-// serves (nil for none). Those files skip every phase but the gate —
-// their jobs return the cached text — which is sound only when they add
-// no tree insertions: their addresses must already be resolved in the
-// Session's restored state, as IncrementalCorpusContext's are. It
-// returns rewriteAndGate's ungated results, or a run-fatal error
-// (cancellation).
+// anonymize is the corpus pipeline both batch drivers run: census,
+// replay and fill under the shaped tree, the engine alone under
+// Options.StatelessIP, then the gate (see ParallelCorpusContext). served
+// holds the outputs of the files a cache serves (nil for none). Those
+// files skip every phase but the gate — their jobs return the cached
+// text — which is sound only when they add no tree insertions: their
+// addresses must already be resolved in the Session's restored state,
+// as IncrementalCorpusContext's are. It returns rewriteAndGate's ungated
+// results, or a run-fatal error (cancellation).
 func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]string, workers int) ([]*FileResult, error) {
 	names := sortedNames(files)
 	changed := names
@@ -501,16 +475,11 @@ func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]stri
 		}
 	}
 	var tmpls []*anonymizer.Template
-	var err error
-	switch {
-	case r.a.prog.opts.StatelessIP || len(changed) == 0:
-	case workers == 1:
-		err = r.prescanInPlace(ctx, changed, files)
-	default:
-		tmpls, err = r.censusReplay(ctx, changed, files, workers)
-	}
-	if err != nil {
-		return nil, err
+	if !r.a.prog.opts.StatelessIP && len(changed) > 0 {
+		var err error
+		if tmpls, err = r.censusReplay(ctx, changed, files, workers); err != nil {
+			return nil, err
+		}
 	}
 
 	// With templates every mapper call was replayed above and its image

@@ -137,7 +137,7 @@ func BenchmarkE10_JunOS(b *testing.B) {
 
 // BenchmarkAnonymizeCorpus is the end-to-end pipeline microbenchmark: one
 // 40-router network through CorpusContext — the one-worker row of the
-// corpus driver (prescan in place, rewrite, gate).
+// corpus driver (census, replay, fill, gate).
 func BenchmarkAnonymizeCorpus(b *testing.B) {
 	n := netgen.Generate(netgen.Params{Seed: 4242, Kind: netgen.Backbone, Routers: 40})
 	files := n.RenderAll()

@@ -379,9 +379,10 @@ func TestStreamCorpusContextStrictQuarantine(t *testing.T) {
 
 // TestChaosRollbackLeavesNoLedgerEntries: a file that dies mid-way must
 // leave zero provenance records — its decisions are dropped with its
-// counts — while its span survives, marked failed. Checked on both
-// batch paths: the parallel census records the panic and the fill fails
-// the file; the serial rewrite fails it directly.
+// counts — while its span survives, marked failed. Checked on the
+// corpus driver at one and four workers, where the census records the
+// panic and the fill fails the file, and on the serial reference, where
+// the rewrite fails it directly.
 func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 	armPoison(t, "poison", 2)
 	files := chaosCorpus()
@@ -419,32 +420,30 @@ func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 		}
 	}
 
-	t.Run("parallel", func(t *testing.T) {
-		tr := NewTracer()
-		_, err := ParallelCorpusContext(context.Background(),
-			Options{Salt: []byte("chaos"), Tracer: tr}, files, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The census keeps the panic in the file's template; the traced
-		// fill fails the file as a "rewrite" unit at the census's line.
-		check(t, tr, "rewrite")
-	})
+	for name, workers := range map[string]int{"parallel": 4, "one-worker": 1} {
+		t.Run(name, func(t *testing.T) {
+			tr := NewTracer()
+			_, err := ParallelCorpusContext(context.Background(),
+				Options{Salt: []byte("chaos"), Tracer: tr}, files, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The census keeps the panic in the file's template; the traced
+			// fill fails the file as a "rewrite" unit at the census's line.
+			check(t, tr, "rewrite")
+		})
+	}
 	t.Run("serial", func(t *testing.T) {
 		tr := NewTracer()
-		a := New(Options{Salt: []byte("chaos"), Tracer: tr})
-		_, err := a.CorpusContext(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serialCorpus(New(Options{Salt: []byte("chaos"), Tracer: tr}), files)
 		// Serially the prescan survives (the fault hook fires per rewritten
 		// line) and the rewrite dies at line 2, inside the engine.
 		check(t, tr, "rewrite")
 	})
 }
 
-// TestCensusFailureSpanSynthesized: when a file dies in the parallel
-// census's prescan (the census opens no span, and the file reaches no
+// TestCensusFailureSpanSynthesized: when a file dies in the census's
+// prescan (the census opens no span, and the file reaches no
 // fill), the batch layer must synthesize its failed span so the file
 // does not vanish from the span tree.
 func TestCensusFailureSpanSynthesized(t *testing.T) {

@@ -136,9 +136,10 @@ go run ./cmd/confvalidate $packargs
 # SplitWord (FuzzNextSegmentMatchesSplitWord), over the leak report's
 # in-place scan against a Split/Fields reference (same leaks), over the
 # regexp language enumeration against direct NFA simulation, over the
-# parallel driver's census → replay → fill
-# against the serial driver (byte-identical outputs, same quarantine
-# set), over the incremental driver against a full run from the same
+# minimal-DFA regexp form (FuzzMinimalRegexp: the same pattern twice,
+# parsing back to exactly the language), over the corpus driver's
+# census → replay → fill against the serial reference (byte-identical
+# outputs, same quarantine set), over the incremental driver against a full run from the same
 # restored state after random edit scripts (FuzzIncrementalMatchesFull:
 # same outputs, statuses and quarantine set), over the ledger's
 # byte-level line decoder against encoding/json (same Record, same
@@ -154,6 +155,8 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
 	echo "== fuzz smoke: internal/cregex FuzzLanguageMatchesNFA (10s)"
 	go test -run '^$' -fuzz '^FuzzLanguageMatchesNFA$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: internal/cregex FuzzMinimalRegexp (10s)"
+	go test -run '^$' -fuzz '^FuzzMinimalRegexp$' -fuzztime 10s ./internal/cregex
 	echo "== fuzz smoke: internal/token FuzzFieldsJoin (10s)"
 	go test -run '^$' -fuzz '^FuzzFieldsJoin$' -fuzztime 10s ./internal/token
 	echo "== fuzz smoke: internal/token FuzzNextWordMatchesFields (10s)"

@@ -11,16 +11,15 @@ import (
 )
 
 // FuzzParallelMatchesSerial checks the census → replay → fill pipeline
-// against the serial driver: a strict ParallelCorpusContext run at two
-// workers must publish byte-identical outputs and quarantine and fail
-// the same files as CorpusContext. The corpus is two netgen routers, one
+// against the serial reference: a strict ParallelCorpusContext run at
+// one and at two workers must publish byte-identical outputs and
+// quarantine and fail the same files as serialCorpus. The corpus is two netgen routers, one
 // of them with the fuzzed fragment spliced in at a fuzzed line, plus the
 // fragment as a file of its own. The seeds plant what the fill must get
 // right: addresses and prefixes inside banners, descriptions and
 // comments, control bytes next to addresses, and ^C banners. A file
-// whose census cannot place an address in its output fails its fill at
-// two workers, so a rule that reaches that path shows up here as a
-// status divergence.
+// whose census cannot place an address in its output fails its fill, so
+// a rule that reaches that path shows up here as a status divergence.
 func FuzzParallelMatchesSerial(f *testing.F) {
 	gen := netgen.Generate(netgen.Params{Seed: 7, Kind: netgen.Enterprise, Routers: 2}).RenderAll()
 	names := sortedNames(gen)
@@ -55,25 +54,24 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			"c-confg": frag,
 		}
 		opts := Options{Salt: []byte("fuzz"), Strict: true}
-		serial, err := New(opts).CorpusContext(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := ParallelCorpusContext(context.Background(), opts, files, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, want := range serial.Files {
-			got := par.Files[name]
-			if got.Status != want.Status {
-				t.Fatalf("%s: status %v at 2 workers, %v serially", name, got.Status, want.Status)
+		serial := serialCorpus(New(opts), files)
+		for _, workers := range []int{1, 2} {
+			par, err := ParallelCorpusContext(context.Background(), opts, files, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got.Text != want.Text {
-				t.Fatalf("%s: output differs at 2 workers:\n got %q\nwant %q", name, got.Text, want.Text)
+			for name, want := range serial.Files {
+				got := par.Files[name]
+				if got.Status != want.Status {
+					t.Fatalf("%s: status %v at %d workers, %v serially", name, got.Status, workers, want.Status)
+				}
+				if got.Text != want.Text {
+					t.Fatalf("%s: output differs at %d workers:\n got %q\nwant %q", name, workers, got.Text, want.Text)
+				}
 			}
-		}
-		if !reflect.DeepEqual(par.Quarantined(), serial.Quarantined()) {
-			t.Fatalf("quarantined %v at 2 workers, %v serially", par.Quarantined(), serial.Quarantined())
+			if !reflect.DeepEqual(par.Quarantined(), serial.Quarantined()) {
+				t.Fatalf("quarantined %v at %d workers, %v serially", par.Quarantined(), workers, serial.Quarantined())
+			}
 		}
 	})
 }

@@ -194,7 +194,7 @@ func (a *Anonymizer) hit(r RuleID) {
 }
 
 // AnonymizeText anonymizes one configuration file. The input is prescanned
-// first so subnet addresses resolve shortest-prefix-first (see Prescan).
+// first so subnet addresses resolve shortest-prefix-first (see prescan).
 // It is fail-open: a panic propagates to the caller (SafeAnonymizeText is
 // the fail-closed form).
 func (a *Anonymizer) AnonymizeText(text string) (out string) {

@@ -100,7 +100,7 @@ func (a *Anonymizer) endFile(ferr *FileError) {
 }
 
 // failOpen turns the result of a fail-open entry's unit (AnonymizeText,
-// Prescan, StreamText, LeakReport) back into that entry's contract: a
+// StreamText, LeakReport) back into that entry's contract: a
 // recovered panic panics again — the file's counts are already dropped —
 // and an I/O error is returned as is.
 func failOpen(ferr *FileError) error {
@@ -125,8 +125,9 @@ func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *Fil
 	return out, ferr
 }
 
-// SafePrescan runs Prescan as a fail-closed unit like SafeAnonymizeText
-// (prescan walks attacker-controlled text too).
+// SafePrescan pins one file's subnets into the Session's mapping ahead
+// of any rewrite (see prescan), as a fail-closed unit like
+// SafeAnonymizeText: prescan walks attacker-controlled text too.
 func (a *Anonymizer) SafePrescan(name, text string) *FileError {
 	return a.unit(name, "prescan", func() error {
 		a.prescan(SplitLines(text))

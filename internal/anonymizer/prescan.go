@@ -8,7 +8,7 @@ import (
 	"confanon/internal/token"
 )
 
-// Prescan walks configuration text without rewriting it and pins every
+// prescan walks a file's lines without rewriting them and pins every
 // subnet address it can recognize (address+netmask pairs, wildcard pairs,
 // classful network statements, slash prefixes) into the IP mapping tree,
 // shortest prefix first.
@@ -17,18 +17,9 @@ import (
 // of §4.3: by resolving the /8 before the /24s it contains, and the /24s
 // before their hosts, every subnet address maps to a subnet address
 // regardless of the order addresses happen to appear in the files.
-// AnonymizeText prescans its own input automatically; callers anonymizing
-// a multi-file network should Prescan every file first so cross-file
-// orderings cannot break the shaping either. Like AnonymizeText it is
-// fail-open; SafePrescan is the fail-closed form.
-func (a *Anonymizer) Prescan(text string) {
-	failOpen(a.unit("", "", func() error {
-		a.prescan(SplitLines(text))
-		return nil
-	}))
-}
-
-// prescan is Prescan's body over a file's lines.
+// Every rewrite prescans its own input first; callers anonymizing a
+// multi-file network should SafePrescan every file first so cross-file
+// orderings cannot break the shaping either.
 func (a *Anonymizer) prescan(lines []string) {
 	start := time.Now()
 	defer func() { a.observeStage(stagePrescan, time.Since(start)) }()

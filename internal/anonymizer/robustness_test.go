@@ -97,8 +97,10 @@ func TestRandomNetworksValidateProperty(t *testing.T) {
 		a := New(Options{Salt: []byte(n.Salt)})
 		files := n.RenderAll()
 		var pre, post []*config.Config
-		for _, text := range files {
-			a.Prescan(text)
+		for name, text := range files {
+			if ferr := a.SafePrescan(name, text); ferr != nil {
+				t.Fatalf("seed %d: %v", seed, ferr)
+			}
 		}
 		for _, text := range files {
 			pre = append(pre, config.Parse(text))

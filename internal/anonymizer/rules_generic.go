@@ -161,14 +161,11 @@ func (a *Anonymizer) mapNet(addr uint32, length int) uint32 {
 
 // noteIP records an original address in the leak recorder when its
 // image differs from it. This is the one place a mapper output feeds
-// back into the engine. A census does not know the image yet, so it
-// notes the call instead and the fill makes the check (template.go).
+// back into the engine. A census does not know the image yet: its
+// fill makes the check for every call past the prescan, each of which
+// came through here (template.go).
 func (a *Anonymizer) noteIP(in, out uint32) {
-	if a.tmpl != nil {
-		a.tmpl.noteIP(in)
-		return
-	}
-	if out != in {
+	if out != in && a.tmpl == nil {
 		a.seenIPs[in] = true
 	}
 }

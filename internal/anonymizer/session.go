@@ -82,7 +82,10 @@ type Session struct {
 	recLog    []store.Record
 	ledErr    error
 
-	pool sync.Pool
+	// pool holds the workers Acquire hands out; census holds the
+	// workers Census runs on, which map through a recording trace and
+	// commit nothing.
+	pool, census sync.Pool
 }
 
 // LedgerSink is the durable-store surface the Session commits into:

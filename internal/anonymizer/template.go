@@ -29,8 +29,9 @@ import (
 // a line that was not — a rule that assembled its output some other way
 // — cannot have its holes placed, and the fill then fails the file
 // closed rather than publish an address it cannot place. Every other
-// lookup the fill makes — a hole, a decision's replacement, a
-// noted original — reads the image the replay kept (Trace.Resolve).
+// lookup the fill makes — a hole, a decision's replacement, a call
+// whose original the recorder keeps — reads the image the replay kept
+// (Trace.Resolve).
 
 // A Template is what one file's census pass keeps for the fill.
 type Template struct {
@@ -50,9 +51,6 @@ type Template struct {
 	out   string
 	size  int
 	holes []hole
-	// recs are the calls whose original the leak recorder keeps when the
-	// image differs from it (noteIP).
-	recs []ipRec
 
 	stats       Stats
 	words, asns map[string]bool
@@ -70,13 +68,12 @@ type Template struct {
 }
 
 // hole marks n bytes of Template.out, at pos, that stand for the image
-// of mapper call call.
-type hole struct{ pos, n, call int }
-
-// ipRec is one noted original: in is recorded when call's image differs.
-type ipRec struct {
-	call int
-	in   uint32
+// of mapper call call. A census keeps one per rendered address until
+// its fill, so n and call are 32 bits: n is at most an address's
+// length, and a file with 2^31 mapper calls could not be held.
+type hole struct {
+	pos     int
+	n, call int32
 }
 
 // decHole marks decision dec's replacement as call's image plus suffix.
@@ -101,19 +98,25 @@ type lineHole struct {
 	text   string
 }
 
-// Census runs one file's only engine pass, on throwaway state: the
-// worker shares this Session's Program and sensitive tokens, maps
-// through a recording ipanon.Trace, and keeps its output, Stats,
-// recorder entries, stage times and (when the Session is traced)
-// decisions in the returned Template instead of committing them. It
-// emits no spans. Census touches only throwaway state, so any number of
-// calls may run concurrently. A panic is recovered into the Template's
-// error, with the call log truncated where the file died.
+// Census runs one file's only engine pass, on throwaway state: a
+// pooled census worker shares this Session's Program and sensitive
+// tokens, maps through a fresh recording ipanon.Trace, and keeps its
+// output, Stats, recorder entries, stage times and (when the Session is
+// traced) decisions in the returned Template instead of committing them.
+// It emits no spans and pushes no metrics. Census touches only throwaway
+// state, so any number of calls may run concurrently. A panic is
+// recovered into the Template's error, with the call log truncated
+// where the file died.
 func (s *Session) Census(name, text string) (t *Template) {
+	a, _ := s.census.Get().(*Anonymizer)
+	if a == nil {
+		a = s.newWorker()
+		a.metrics = nil
+	}
 	tr := &ipanon.Trace{}
-	mute := s.prog.newSession(tr)
-	mute.sensTok.Store(s.sensTok.Load())
-	a := mute.Acquire()
+	a.ip, a.sensitiveTokens = tr, *s.sensTok.Load()
+	// The Template keeps the recorder sets, so each file gets its own.
+	a.seenWords, a.seenASNs = make(map[string]bool), make(map[string]bool)
 	t = &Template{name: name, calls: tr, pins: -1}
 	a.tmpl = t
 	a.curFile, a.curLine = name, 0
@@ -126,6 +129,8 @@ func (s *Session) Census(name, text string) (t *Template) {
 		}
 		t.stats, t.words, t.asns, t.decisions = a.stats, a.seenWords, a.seenASNs, a.pending
 		t.line = nil
+		a.stats, a.pending, a.tmpl, a.ip = Stats{}, nil, nil, nil
+		s.census.Put(a)
 	}()
 	t.out = a.rewrite(text)
 	return t
@@ -146,12 +151,6 @@ func (t *Template) PinErr() *FileError {
 		return t.err
 	}
 	return nil
-}
-
-// noteIP notes that the call just made records in when its image
-// differs from it.
-func (t *Template) noteIP(in uint32) {
-	t.recs = append(t.recs, ipRec{call: t.calls.Len() - 1, in: in})
 }
 
 // hole notes the address just rendered into the word slot w: n bytes of
@@ -227,7 +226,7 @@ func (t *Template) place(res string, words, gaps []string) bool {
 				if h.off > len(w) || !strings.HasPrefix(w[h.off:], h.text) {
 					return false
 				}
-				t.holes = append(t.holes, hole{pos: t.size + pos + h.off, n: h.n, call: h.call})
+				t.holes = append(t.holes, hole{pos: t.size + pos + h.off, n: int32(h.n), call: int32(h.call)})
 				placed++
 			}
 		}
@@ -243,13 +242,13 @@ var errUnplaced = errors.New("census: an address could not be placed in the outp
 // SafeFill completes a file from its census Template, once the
 // template's call log has been replayed into this worker's Session, as
 // one fail-closed "rewrite" unit: it adds the census's Stats and stage
-// times, publishes its recorder entries — recording each noted
-// original whose image differs — fills every hole from the images the
-// replay kept, publishes the decisions and commits. A template whose
-// census failed fails here with the census's FileError, after
-// publishing what the census recorded before it died, as a failed
-// rewrite does; so does a template whose holes could not all be placed,
-// with errUnplaced at the first such line.
+// times, publishes its recorder entries — recording the original of
+// each call past the prescan whose image differs — fills every hole
+// from the images the replay kept, publishes the decisions and commits.
+// A template whose census failed fails here with the census's
+// FileError, after publishing what the census recorded before it died,
+// as a failed rewrite does; so does a template whose holes could not
+// all be placed, with errUnplaced at the first such line.
 func (a *Anonymizer) SafeFill(t *Template) (out string, ferr *FileError) {
 	ferr = a.unit(t.name, "rewrite", func() error {
 		a.stats = t.stats
@@ -262,9 +261,9 @@ func (a *Anonymizer) SafeFill(t *Template) (out string, ferr *FileError) {
 		for v := range t.asns {
 			a.seenASNs[v] = true
 		}
-		for _, r := range t.recs {
-			if t.calls.Resolve(r.call, a.ip) != r.in {
-				a.seenIPs[r.in] = true
+		for i := t.pins; i < t.calls.Len(); i++ {
+			if in := t.calls.In(i); t.calls.Resolve(i, a.ip) != in {
+				a.seenIPs[in] = true
 			}
 		}
 		if t.err != nil {
@@ -292,8 +291,8 @@ func (a *Anonymizer) fillHoles(t *Template) string {
 	prev := 0
 	for _, h := range t.holes {
 		b.WriteString(t.out[prev:h.pos])
-		b.Write(token.AppendIPv4(ip[:0], t.calls.Resolve(h.call, a.ip)))
-		prev = h.pos + h.n
+		b.Write(token.AppendIPv4(ip[:0], t.calls.Resolve(int(h.call), a.ip)))
+		prev = h.pos + int(h.n)
 	}
 	b.WriteString(t.out[prev:])
 	return b.String()

@@ -543,3 +543,29 @@ func TestDecomposabilityKnownCases(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimalRegexpDeterministic: state elimination breaks cost ties by
+// state number and merges edges in state order, so one language always
+// yields one pattern.
+func TestMinimalRegexpDeterministic(t *testing.T) {
+	every := func(step, below uint32) []uint32 {
+		var lang []uint32
+		for v := uint32(0); v < below; v += step {
+			lang = append(lang, v)
+		}
+		return lang
+	}
+	for _, lang := range [][]uint32{
+		every(13, 2000),
+		every(7, 5000),
+		{701, 702, 703, 1239, 3356, 7018, 65000, 65001, 65535},
+		every(97, 65536),
+	} {
+		want := MinimalRegexp(lang)
+		for i := 0; i < 50; i++ {
+			if got := MinimalRegexp(lang); got != want {
+				t.Fatalf("%d-value language: call %d gave %q, first call %q", len(lang), i, got, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cregex
 
 import (
+	"container/heap"
 	"sort"
 	"strconv"
 	"strings"
@@ -265,8 +266,22 @@ func (g *gnfa) cost(s int) int {
 	return in * out
 }
 
+// elimQueue is toRegexp's min-heap of cost*n+state keys, n the number
+// of states: cheapest first, ties to the lowest state number. A state
+// whose cost changes is pushed again, so a popped key is stale unless
+// it carries the state's current cost.
+type elimQueue struct{ sort.IntSlice }
+
+func (q *elimQueue) Push(x any) { q.IntSlice = append(q.IntSlice, x.(int)) }
+func (q *elimQueue) Pop() any {
+	x := q.IntSlice[len(q.IntSlice)-1]
+	q.IntSlice = q.IntSlice[:len(q.IntSlice)-1]
+	return x
+}
+
 // toRegexp converts the DFA to a pattern by eliminating states in an order
-// chosen to keep intermediate labels small.
+// chosen to keep intermediate labels small. The order is fixed, so one
+// language always yields one pattern.
 func (d *dawg) toRegexp() string {
 	n := len(d.states)
 	g := newGNFA()
@@ -288,19 +303,24 @@ func (d *dawg) toRegexp() string {
 			g.setEdge(s, to, classLabel(set))
 		}
 	}
-	alive := make(map[int]bool, n)
-	for s := 0; s < n; s++ {
-		alive[s] = true
+	q := &elimQueue{make(sort.IntSlice, n)}
+	for s := range q.IntSlice {
+		q.IntSlice[s] = g.cost(s)*n + s
 	}
-	for len(alive) > 0 {
-		best, bestCost := -1, int(^uint(0)>>1)
-		for s := range alive {
-			if c := g.cost(s); c < bestCost {
-				best, bestCost = s, c
+	heap.Init(q)
+	gone := make([]bool, n)
+	for q.Len() > 0 {
+		key := heap.Pop(q).(int)
+		s := key % n
+		if gone[s] || key/n != g.cost(s) {
+			continue
+		}
+		gone[s] = true
+		for _, t := range g.eliminate(s) {
+			if t < n && !gone[t] {
+				heap.Push(q, g.cost(t)*n+t)
 			}
 		}
-		g.eliminate(best)
-		delete(alive, best)
 	}
 	l, ok := g.edges[[2]int{start, accept}]
 	if !ok {
@@ -312,41 +332,38 @@ func (d *dawg) toRegexp() string {
 	return e
 }
 
-func (g *gnfa) eliminate(s int) {
-	var loop label
-	hasLoop := false
+// eliminate removes s, joining each in-edge to each out-edge through
+// s's loop, and returns the neighbours whose cost changed. Edges are
+// visited in ascending state order, so labels merging into one edge
+// always merge in the same order.
+func (g *gnfa) eliminate(s int) []int {
+	loop := emptyLabel
 	if l, ok := g.edges[[2]int{s, s}]; ok {
 		loop = starLabel(l)
-		hasLoop = true
 		g.delEdge(s, s)
 	}
-	type io struct {
-		other int
-		l     label
-	}
-	var ins, outs []io
-	for from := range g.in[s] {
-		ins = append(ins, io{from, g.edges[[2]int{from, s}]})
-	}
-	for to := range g.out[s] {
-		outs = append(outs, io{to, g.edges[[2]int{s, to}]})
-	}
-	for _, e := range ins {
-		g.delEdge(e.other, s)
-	}
-	for _, e := range outs {
-		g.delEdge(s, e.other)
-	}
-	for _, in := range ins {
-		for _, out := range outs {
-			l := in.l
-			if hasLoop {
-				l = concatLabels(l, loop)
-			}
-			l = concatLabels(l, out.l)
-			g.setEdge(in.other, out.other, l)
+	ins, outs := sortedKeys(g.in[s]), sortedKeys(g.out[s])
+	for _, from := range ins {
+		l := concatLabels(g.edges[[2]int{from, s}], loop)
+		for _, to := range outs {
+			g.setEdge(from, to, concatLabels(l, g.edges[[2]int{s, to}]))
 		}
+		g.delEdge(from, s)
 	}
+	for _, to := range outs {
+		g.delEdge(s, to)
+	}
+	return append(ins, outs...)
+}
+
+// sortedKeys returns a state set's members in ascending order.
+func sortedKeys(set map[int]bool) []int {
+	keys := make([]int, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // MinimalRegexp builds a compact pattern accepting exactly the given set

@@ -21,8 +21,8 @@ type Trace struct {
 }
 
 // traceOp is one recorded call: MapV4(addr), or MapPrefix(addr, length)
-// when prefix is set, with length clamped to 0..32 (every Mapper masks
-// alike outside that range).
+// when prefix is set, with length clamped to 0..32 and addr masked to it
+// (every Mapper masks alike, so the call is the same).
 type traceOp struct {
 	addr   uint32
 	length uint8
@@ -39,12 +39,14 @@ func (tr *Trace) MapV4(ip uint32) uint32 {
 // unchanged, mirroring the masking every real Mapper performs.
 func (tr *Trace) MapPrefix(addr uint32, length int) uint32 {
 	length = min(max(length, 0), 32)
+	addr &^= ^uint32(0) >> length
 	tr.ops = append(tr.ops, traceOp{addr: addr, length: uint8(length), prefix: true})
-	if length == 0 {
-		return 0
-	}
-	return addr &^ (1<<(32-length) - 1)
+	return addr
 }
+
+// In returns recorded call i's input address, masked for a prefix call:
+// what the Trace answered it.
+func (tr *Trace) In(i int) uint32 { return tr.ops[i].addr }
 
 // Mapping returns nil: a Trace resolves nothing.
 func (tr *Trace) Mapping() []Pair { return nil }

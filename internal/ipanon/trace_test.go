@@ -114,3 +114,25 @@ func TestTraceResolveAfterReplay(t *testing.T) {
 		checkResolve(t, "a mapper never replayed into", tr, calls, NewTree(DefaultOptions([]byte("three"))))
 	})
 }
+
+// TestTraceInIsItsAnswer: In returns what the Trace answered each call
+// — the address, masked to the clamped length for a prefix call — which
+// is the original a census fill checks the replayed image against.
+func TestTraceInIsItsAnswer(t *testing.T) {
+	tr := &Trace{}
+	for i, c := range traceCalls(1) {
+		got := c.on(tr)
+		want := c.addr
+		if c.prefix {
+			switch l := min(max(c.length, 0), 32); {
+			case l == 0:
+				want = 0
+			case l < 32:
+				want &= ^uint32(0) << (32 - l)
+			}
+		}
+		if got != want || tr.In(i) != want {
+			t.Fatalf("call %d %+v: answered %08x, In %08x, want %08x", i, c, got, tr.In(i), want)
+		}
+	}
+}

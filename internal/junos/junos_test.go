@@ -95,8 +95,10 @@ func TestAnonymizeJunOSEndToEnd(t *testing.T) {
 	files := renderNetwork(n)
 	a := anonymizer.New(anonymizer.Options{Salt: []byte(n.Salt)})
 	post := make(map[string]string, len(files))
-	for _, text := range files {
-		a.Prescan(text)
+	for name, text := range files {
+		if ferr := a.SafePrescan(name, text); ferr != nil {
+			t.Fatal(ferr)
+		}
 	}
 	joined := &strings.Builder{}
 	for name, text := range files {
@@ -140,8 +142,10 @@ func TestJunOSValidationSuites(t *testing.T) {
 		UseASPathAlternation: true})
 	files := renderNetwork(n)
 	a := anonymizer.New(anonymizer.Options{Salt: []byte(n.Salt)})
-	for _, text := range files {
-		a.Prescan(text)
+	for name, text := range files {
+		if ferr := a.SafePrescan(name, text); ferr != nil {
+			t.Fatal(ferr)
+		}
 	}
 	var pre, post []*config.Config
 	names := make([]string, 0, len(files))

@@ -15,8 +15,10 @@ func anonymizeNetwork(t *testing.T, n *netgen.Network) (pre, post []*config.Conf
 	t.Helper()
 	a := anonymizer.New(anonymizer.Options{Salt: []byte(n.Salt)})
 	texts := n.RenderAll()
-	for _, text := range texts {
-		a.Prescan(text)
+	for name, text := range texts {
+		if ferr := a.SafePrescan(name, text); ferr != nil {
+			t.Fatal(ferr)
+		}
 	}
 	postTexts := make(map[string]string, len(texts))
 	for name, text := range texts {

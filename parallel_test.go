@@ -11,6 +11,50 @@ import (
 	"confanon/internal/netgen"
 )
 
+// serialCorpus is the serial reference the census pipeline is checked
+// against: the §4.3 shaped tree pinned without a census. One worker of
+// a's Session prescans every file in sorted-name order, then rewrites
+// the files whose prescan survived in that order, and under
+// Options.Strict each output is then leak-gated against the values
+// recorded from the whole corpus. Its mapper calls are the sequence the
+// census replay must reproduce, so ParallelCorpusContext must match its
+// outputs, statuses and quarantine set at every worker count.
+func serialCorpus(a *Anonymizer, files map[string]string) *CorpusResult {
+	wk := a.sess.Acquire()
+	defer a.sess.Release(wk)
+	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
+	names := sortedNames(files)
+	for _, n := range names {
+		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
+			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
+		}
+	}
+	for _, n := range names {
+		if _, failed := res.Files[n]; failed {
+			continue
+		}
+		out, ferr := wk.SafeAnonymizeText(n, files[n])
+		if ferr != nil {
+			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
+			continue
+		}
+		res.Files[n] = FileResult{Name: n, Status: FileOK, Text: out}
+	}
+	if a.strict {
+		for _, n := range names {
+			fr := res.Files[n]
+			if fr.Status != FileOK {
+				continue
+			}
+			if leaks := confirmedLeaks(wk.LeakReport(fr.Text)); len(leaks) > 0 {
+				res.Files[n] = FileResult{Name: n, Status: FileQuarantined, Leaks: leaks}
+			}
+		}
+	}
+	res.Stats = a.Stats()
+	return res
+}
+
 func TestParallelCorpusMatchesSequential(t *testing.T) {
 	n := netgen.Generate(netgen.Params{Seed: 1200, Kind: netgen.Backbone, Routers: 20})
 	files := n.RenderAll()
@@ -74,7 +118,7 @@ func TestParallelCorpusValidates(t *testing.T) {
 // TestParallelShapedByteIdentical is the determinism contract of the
 // census/replay pipeline: under the shaped tree — whose mapping depends
 // on the order addresses first reach it — a ParallelCorpusContext run
-// must be byte-identical to a sequential CorpusContext run at every
+// must be byte-identical to the serial reference (serialCorpus) at every
 // worker count, across repeated runs (goroutine scheduling must not
 // matter).
 func TestParallelShapedByteIdentical(t *testing.T) {
@@ -82,10 +126,7 @@ func TestParallelShapedByteIdentical(t *testing.T) {
 	files := n.RenderAll()
 	opts := Options{Salt: []byte(n.Salt)} // shaped tree
 
-	serial, err := New(opts).CorpusContext(context.Background(), files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialCorpus(New(opts), files)
 	if !serial.Ok() {
 		t.Fatalf("serial run not clean: %v", serial.Failed())
 	}
@@ -123,13 +164,8 @@ func TestParallelShapedSessionReuse(t *testing.T) {
 	opts := Options{Salt: []byte(n.Salt)}
 
 	serial := New(opts)
-	if _, err := serial.CorpusContext(context.Background(), files); err != nil {
-		t.Fatal(err)
-	}
-	wantSecond, err := serial.CorpusContext(context.Background(), files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialCorpus(serial, files)
+	wantSecond := serialCorpus(serial, files)
 
 	par := New(opts)
 	if _, err := par.ParallelCorpusContext(context.Background(), files, 4); err != nil {
@@ -150,7 +186,7 @@ func TestParallelShapedSessionReuse(t *testing.T) {
 // buffers from file to file, so a corpus whose files alternate very
 // wide lines (dozens of compound words) and narrow ones must still
 // come out of the two-worker census → replay → fill pipeline, and of
-// the stateless pool, byte-identical to the serial run.
+// the stateless pool, byte-identical to the serial reference.
 func TestParallelWideNarrowMatchesSerial(t *testing.T) {
 	files := map[string]string{}
 	for f := 0; f < 12; f++ {
@@ -169,10 +205,7 @@ func TestParallelWideNarrowMatchesSerial(t *testing.T) {
 		files[fmt.Sprintf("r%02d-confg", f)] = b.String()
 	}
 	for _, opts := range []Options{{Salt: []byte("wide")}, {Salt: []byte("wide"), StatelessIP: true}} {
-		serial, err := New(opts).CorpusContext(context.Background(), files)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := serialCorpus(New(opts), files)
 		got, _ := mustParallel(t, opts, files, 2)
 		for name, want := range serial.Outputs() {
 			if got[name] != want {
@@ -222,8 +255,8 @@ func BenchmarkParallelShapedTree(b *testing.B) {
 
 // TestParallelStrictGateSameAtAnyWorkerCount: -strict gates every file
 // against the values recorded from the whole corpus, so the quarantine
-// set cannot depend on the worker count or on which driver entry point
-// ran the corpus. The corpus is an ASN collision: b-confg peers with the
+// set cannot depend on the worker count, and it is the serial
+// reference's. The corpus is an ASN collision: b-confg peers with the
 // AS that 701 (a-confg's peer) anonymizes to, so a-confg's output carries
 // a value recorded from b-confg and must be quarantined — including when
 // a-confg is rewritten before b-confg has been seen.
@@ -243,13 +276,10 @@ func TestParallelStrictGateSameAtAnyWorkerCount(t *testing.T) {
 		"b-confg": "router bgp 65002\n neighbor 12.2.2.2 remote-as " + image + "\n",
 	}
 
-	serial, err := New(opts).CorpusContext(context.Background(), files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialCorpus(New(opts), files)
 	want := serial.Quarantined()
 	if len(want) != 1 || want[0] != "a-confg" {
-		t.Fatalf("CorpusContext quarantined %v, want [a-confg]", want)
+		t.Fatalf("serial reference quarantined %v, want [a-confg]", want)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		res, err := ParallelCorpusContext(context.Background(), opts, files, workers)
@@ -260,7 +290,37 @@ func TestParallelStrictGateSameAtAnyWorkerCount(t *testing.T) {
 			t.Errorf("workers=%d: quarantined %v, want %v", workers, got, want)
 		}
 		if got, wantText := res.Files["b-confg"].Text, serial.Files["b-confg"].Text; got != wantText {
-			t.Errorf("workers=%d: published b-confg differs from CorpusContext", workers)
+			t.Errorf("workers=%d: published b-confg differs from the serial reference", workers)
+		}
+	}
+}
+
+// TestMinimalStyleDeterministic: under Style: Minimal a rewritten
+// regexp is rebuilt from the minimal DFA of its permuted language, so
+// its text must be a function of that language alone. The same file
+// through two fresh Programs, at one and at four workers, comes out
+// byte-identical.
+func TestMinimalStyleDeterministic(t *testing.T) {
+	files := map[string]string{"r1-confg": "hostname r1\n" +
+		"router bgp 701\n neighbor 12.1.1.2 remote-as 1239\n" +
+		"ip as-path access-list 10 permit _1[0-9][0-9][0-9]_\n" +
+		"ip as-path access-list 20 permit ^(70[1-9]|3[0-9][0-9]|65[0-5][0-9][0-9])$\n" +
+		"ip community-list 100 permit 701:[1-4][0-9][0-9]\n"}
+	alt, _ := mustParallel(t, Options{Salt: []byte("minimal")}, files, 1)
+	var want string
+	for _, workers := range []int{1, 4} {
+		for run := 0; run < 2; run++ {
+			got, _ := mustParallel(t, Options{Salt: []byte("minimal"), Style: Minimal}, files, workers)
+			if want == "" {
+				want = got["r1-confg"]
+				if want == alt["r1-confg"] {
+					t.Fatalf("Style: Minimal gave the alternation form:\n%s", want)
+				}
+				continue
+			}
+			if got["r1-confg"] != want {
+				t.Fatalf("workers=%d run %d: output differs:\n got %s\nwant %s", workers, run, got["r1-confg"], want)
+			}
 		}
 	}
 }
