@@ -257,7 +257,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				return fatal(stderr, err)
 			}
 		}
-		printStats(stderr, a.Stats(), *statsOut, *ruleStats)
+		printStats(stderr, a.Stats(), prog.Rules(), *statsOut, *ruleStats)
 		if *metricsOut != "" {
 			if err := writeRunReport(*metricsOut, a.Report()); err != nil {
 				return fatal(stderr, err)
@@ -396,7 +396,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			code = exitWithheld
 		}
 	}
-	printStats(stderr, a.Stats(), *statsOut, *ruleStats)
+	printStats(stderr, a.Stats(), prog.Rules(), *statsOut, *ruleStats)
 	if *metricsOut != "" {
 		// Rebuild the report at the very end so the counters include the
 		// leak-report pass above; the per-status outcome counts come from
@@ -538,7 +538,7 @@ func writeFileRetry(path string, data []byte, perm os.FileMode) error {
 // cache is a binary confanon.filecache/v3 blob; the name predates it.
 const cacheFileName = "filecache.json"
 
-func printStats(stderr io.Writer, s confanon.Stats, aggregate, perRule bool) {
+func printStats(stderr io.Writer, s confanon.Stats, rules []confanon.RuleInfo, aggregate, perRule bool) {
 	if aggregate {
 		fmt.Fprintf(stderr,
 			"stats: lines=%d words=%d comment-words-removed=%d hashed=%d passed=%d ips=%d asns=%d communities=%d regexps-rewritten=%d\n",
@@ -549,7 +549,7 @@ func printStats(stderr io.Writer, s confanon.Stats, aggregate, perRule bool) {
 		fmt.Fprintf(stderr, "%-34s %8s %12s\n", "rule", "hits", "time")
 		var hits int64
 		var total time.Duration
-		for _, info := range confanon.Rules() {
+		for _, info := range rules {
 			h, d := s.Hits(info.ID), s.Time(info.ID)
 			if h == 0 && d == 0 {
 				continue

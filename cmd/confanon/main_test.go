@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -537,6 +538,28 @@ func TestRunRulePackFlag(t *testing.T) {
 	code, _, stderr = runCLI(t, "-salt", "s", "-in", in, "-out", t.TempDir(), "-rule-pack", bad)
 	if code != exitFatal || !strings.Contains(stderr, "rule-pack") {
 		t.Errorf("bad pack: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestRunRuleStatsListsPackRules: -rule-stats reports the rules the
+// loaded pack defines, from the run's own Program. Two runs in one
+// process load packs that define cli-widget differently; each compiles
+// and reports its own hits.
+func TestRunRuleStatsListsPackRules(t *testing.T) {
+	in := writeInput(t, map[string]string{"r1.conf": cleanConf + "widget alpha\nwidget beta\n"})
+	for _, class := range []string{"name", "misc"} {
+		pack := filepath.Join(t.TempDir(), "widget.json")
+		if err := os.WriteFile(pack, []byte(`{"schema": "confanon.rulepack/v1", "name": "widget", "version": "1", "rules": [
+			{"id": "cli-widget", "class": "`+class+`", "scope": "line", "keys": ["widget"], "action": "hash", "doc": "widget names"}]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", t.TempDir(), "-rule-stats", "-rule-pack", pack)
+		if code != exitClean {
+			t.Fatalf("class %s: exit %d, want %d; stderr:\n%s", class, code, exitClean, stderr)
+		}
+		if !regexp.MustCompile(`(?m)^cli-widget +2 `).MatchString(stderr) {
+			t.Errorf("class %s: no cli-widget row with 2 hits in the rule table:\n%s", class, stderr)
+		}
 	}
 }
 

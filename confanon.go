@@ -99,16 +99,17 @@ const (
 // counters; a Session's Stats merge every worker's.
 type Stats = anonymizer.Stats
 
-// RuleID names one rule in the engine's registry.
+// RuleID names one rule in a Program's rule inventory.
 type RuleID = anonymizer.RuleID
 
-// RuleInfo describes one registry rule: its ID, class, scope, and a
+// RuleInfo describes one inventory rule: its ID, class, scope, and a
 // one-line account of what it recognizes.
 type RuleInfo = anonymizer.RuleInfo
 
-// Rules returns the engine's rule inventory — the paper's 28 context
-// rules plus documented extensions — in canonical order. Pair it with
-// Stats.RuleHits and Stats.RuleTime to report per-rule activity.
+// Rules returns the engine's built-in rule inventory — the paper's 28
+// context rules plus documented extensions — in canonical order.
+// Program.Rules adds the rules a Program's packs define. Pair either
+// with Stats.RuleHits and Stats.RuleTime to report per-rule activity.
 func Rules() []RuleInfo { return anonymizer.Rules() }
 
 // Leak is one suspicious token in anonymized output.
@@ -163,7 +164,7 @@ type Options struct {
 	// and decline (the built-in pipeline still runs afterwards), so a
 	// loaded pack can only strengthen the output, never weaken the
 	// built-in coverage or strict gating. Merge failures — duplicate
-	// rule IDs across packs, registry conflicts — panic in Compile;
+	// rule IDs across packs, taxonomy conflicts — panic in Compile;
 	// callers loading operator-supplied packs should use CompileChecked.
 	RulePacks []*RulePack
 	// StatelessIP selects the Crypto-PAn IP scheme: the mapping depends
@@ -228,7 +229,8 @@ func Compile(opts Options) *Program {
 
 // CompileChecked is Compile with pack-merge errors reported instead of
 // panicking: a pack that passed LoadRulePack can still fail to merge
-// (duplicate rule IDs across packs, registry conflicts).
+// (duplicate rule IDs across packs, a rule contradicting a built-in
+// one, more rules than one Program holds).
 func CompileChecked(opts Options) (*Program, error) {
 	inner, err := anonymizer.CompileChecked(anonymizer.Options{
 		Salt:         opts.Salt,
@@ -248,6 +250,11 @@ func CompileChecked(opts Options) (*Program, error) {
 // Program: the canonical built-in pack first, then Options.RulePacks in
 // load order.
 func (p *Program) Packs() []PackMeta { return p.inner.Packs() }
+
+// Rules returns the Program's rule inventory: the built-in rules in
+// canonical order (as Rules), then the rules its packs define, in load
+// order.
+func (p *Program) Rules() []RuleInfo { return p.inner.Rules() }
 
 // NewSession derives a fresh Session from the Program: an Anonymizer with
 // its own IP mapping, leak recorder, and statistics, sharing the compiled

@@ -23,6 +23,10 @@ import (
 // block, so edits land inside both. The script is read three bytes per
 // edit (operation, file, line): replace, insert or delete a line, append
 // to a file, drop a file or add one; frag is the text an edit writes.
+// Trailing script bytes that make no whole edit select the regexp
+// style: a script whose length is not a multiple of three runs under
+// Style: Minimal, against a recording made under that style. Every seed
+// runs under both styles.
 func FuzzIncrementalMatchesFull(f *testing.F) {
 	v1 := netgen.Generate(netgen.Params{Seed: 11, Kind: netgen.Enterprise, Routers: 2}).RenderAll()
 	maps.Copy(v1, netgen.Generate(netgen.Params{Seed: 12, Kind: netgen.Backbone, Routers: 2, JunOS: true}).RenderAll())
@@ -34,20 +38,25 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 	salt := []byte("fuzz-incremental")
 	ctx := context.Background()
 
-	// One recording per IP scheme: the cache (through its codec) and the
-	// ledger's state, which every run below restores.
+	// One recording per IP scheme and regexp style: the cache (through
+	// its codec) and the ledger's state, which every run below restores.
 	type recording struct {
 		cache *CorpusCache
 		state store.State
 	}
-	var recs [2]recording
-	for i, stateless := range []bool{false, true} {
+	type scheme struct {
+		stateless bool
+		style     Style
+	}
+	recs := make(map[scheme]recording)
+	for _, sc := range []scheme{{false, Alternation}, {true, Alternation}, {false, Minimal}, {true, Minimal}} {
+		var rec recording
 		dir := f.TempDir()
 		ms, err := OpenMappingStore(dir, salt)
 		if err != nil {
 			f.Fatal(err)
 		}
-		a := New(Options{Salt: salt, Strict: true, StatelessIP: stateless})
+		a := New(Options{Salt: salt, Strict: true, StatelessIP: sc.stateless, Style: sc.style})
 		if err := a.UseStore(ms); err != nil {
 			f.Fatal(err)
 		}
@@ -63,7 +72,7 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		}
 		blob, err := cache.Encode()
 		if err == nil {
-			recs[i].cache, err = DecodeCorpusCache(blob)
+			rec.cache, err = DecodeCorpusCache(blob)
 		}
 		if err != nil {
 			f.Fatal(err)
@@ -72,10 +81,11 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		recs[i].state = led.State()
+		rec.state = led.State()
 		if err := led.Close(); err != nil {
 			f.Fatal(err)
 		}
+		recs[sc] = rec
 	}
 
 	// Files sort as a-banner-confg (0), b-junos (1), then the netgen
@@ -96,10 +106,17 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		{[]byte{0, 4, 9, 1, 5, 20, 2, 2, 7}, " neighbor 12.7.7.7 remote-as 65001"},
 		{[]byte{0, 2, 1, 0, 2, 1}, "banner exec #12.4.4.4"},
 	} {
-		f.Add(seed.script, seed.frag, false)
-		f.Add(seed.script, seed.frag, true)
+		minimal := append(slices.Clip(seed.script), 0)
+		for _, stateless := range []bool{false, true} {
+			f.Add(seed.script, seed.frag, stateless)
+			f.Add(minimal, seed.frag, stateless)
+		}
 	}
 	f.Fuzz(func(t *testing.T, script []byte, frag string, stateless bool) {
+		sc := scheme{stateless, Alternation}
+		if len(script)%3 != 0 {
+			sc.style = Minimal
+		}
 		v2 := maps.Clone(v1)
 		for e := 0; len(script) >= 3 && e < 8; e++ {
 			op, fi, li := script[0]%6, int(script[1]), int(script[2])
@@ -130,11 +147,8 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 			v2[name] = strings.Join(lines, "\n")
 		}
 
-		rec := recs[0]
-		if stateless {
-			rec = recs[1]
-		}
-		opts := Options{Salt: salt, Strict: true, StatelessIP: stateless}
+		rec := recs[sc]
+		opts := Options{Salt: salt, Strict: true, StatelessIP: stateless, Style: sc.style}
 		for _, workers := range []int{1, 2} {
 			full := New(opts)
 			inc := New(opts)

@@ -20,6 +20,9 @@ import (
 // comments, control bytes next to addresses, and ^C banners. A file
 // whose census cannot place an address in its output fails its fill, so
 // a rule that reaches that path shows up here as a status divergence.
+// The high bit of at selects the regexp style: set, the corpus (whose
+// second router carries as-path and community lists) runs under
+// Style: Minimal. Every seed runs under both styles.
 func FuzzParallelMatchesSerial(f *testing.F) {
 	gen := netgen.Generate(netgen.Params{Seed: 7, Kind: netgen.Enterprise, Routers: 2}).RenderAll()
 	names := sortedNames(gen)
@@ -41,8 +44,10 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		"set interfaces ge-0/0/0 unit 0 family inet address 12.0.0.1/30;",
 		"ntp server 12.7.7.7;\nsnmp-server host 12.7.7.8 public",
 		"hostname 12.6.6.6\nip domain-name 12.6.6.0/24.example.com",
+		"ip as-path access-list 60 permit ^701_(1239|3356)_[0-9]*$\nip community-list 70 permit 701:1[0-9]",
 	} {
 		f.Add(s, uint8(3))
+		f.Add(s, uint8(0x80|3))
 	}
 	f.Fuzz(func(t *testing.T, frag string, at uint8) {
 		lines := append([]string(nil), base...)
@@ -54,6 +59,9 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 			"c-confg": frag,
 		}
 		opts := Options{Salt: []byte("fuzz"), Strict: true}
+		if at&0x80 != 0 {
+			opts.Style = Minimal
+		}
 		serial := serialCorpus(New(opts), files)
 		for _, workers := range []int{1, 2} {
 			par, err := ParallelCorpusContext(context.Background(), opts, files, workers)

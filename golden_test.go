@@ -72,6 +72,19 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
+// TestGoldenMinimal pins Style: Minimal: the corpus through CorpusContext
+// under the default scheme, with every rewritten regexp in its
+// minimal-DFA form. Its community and as-path lists differ from want/.
+func TestGoldenMinimal(t *testing.T) {
+	in := readGoldenDir(t, "testdata/golden/in")
+	want := readGoldenDir(t, "testdata/golden/want-minimal")
+	a := New(Options{Salt: []byte(goldenSalt), Style: Minimal})
+	got := mustCorpus(t, a, in)
+	for name := range want {
+		diffGolden(t, name, got[name], want[name])
+	}
+}
+
 // TestGoldenStateless pins the stateless (Crypto-PAn) scheme with files
 // anonymized one at a time in name order — the exact contract the
 // streaming layer and the stateless ParallelCorpusContext promise to match.

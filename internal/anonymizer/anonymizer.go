@@ -21,8 +21,6 @@ type Options struct {
 	// Style selects alternation (paper default) or minimal-DFA output
 	// for rewritten regexps.
 	Style cregex.Style
-	// PassList overrides the built-in pass-list.
-	PassList *passlist.List
 	// RulePacks are additional declarative rule packs (parsed and
 	// validated by internal/rulepack) merged into the Program's dispatch
 	// inventory ahead of the built-ins. Merge failures — duplicate rule
@@ -181,16 +179,14 @@ func (a *Anonymizer) AddSensitiveToken(tok string) {
 }
 
 // hit records one firing of a rule in its hit counter, which the
-// engine's wall-time attribution also reads. Registry lookup (one
-// atomic load, one map read) then one array write — no map mutation on
-// the per-token path.
+// engine's wall-time attribution also reads: one read of the Program's
+// taxonomy index, then one array write — no map mutation on the
+// per-token path.
 func (a *Anonymizer) hit(r RuleID) {
 	a.curRule = r
-	i, ok := lookupRule(r)
-	if !ok {
-		return
+	if i, ok := a.rules.index[r]; ok {
+		a.stats.ruleHits[i]++
 	}
-	a.stats.ruleHits[i]++
 }
 
 // AnonymizeText anonymizes one configuration file. The input is prescanned

@@ -19,7 +19,7 @@ import (
 //
 //  1. structural rules — banner bodies and JunOS comment state, which
 //     span lines and run before (or instead of) tokenized dispatch;
-//  2. the keyed line-rule dispatch table (rule.go), in registry order;
+//  2. the keyed line-rule dispatch table (rule.go), in dispatch order;
 //  3. the generic word pass (rules_generic.go), where the token-scoped
 //     rules (segmentation, IP pairs, bare communities) fire.
 
@@ -76,7 +76,11 @@ func (a *Anonymizer) rewrite(text string) string {
 				outs = append(outs, res)
 			}
 		})
-	return strings.Join(outs, "\n") + "\n"
+	if len(outs) == 0 {
+		return "\n"
+	}
+	// The empty last element gives the trailing newline in Join's one copy.
+	return strings.Join(append(outs, ""), "\n")
 }
 
 // SplitLines splits file text exactly the way the engine iterates it:

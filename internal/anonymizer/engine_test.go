@@ -294,3 +294,21 @@ func TestJunosMessageQuirkPreserved(t *testing.T) {
 		t.Errorf("banner rule not hit: %+v", a.Stats().RuleHits())
 	}
 }
+
+// TestRewriteTrailingNewline: a file's output is its kept lines, each
+// ending in a newline; a file with no kept line is a single newline.
+func TestRewriteTrailingNewline(t *testing.T) {
+	a := New(Options{Salt: []byte("s")})
+	for in, want := range map[string]string{
+		"":                                 "\n",
+		"! a free-text comment\n":          "\n",
+		"!\n":                              "!\n",
+		"interface Loopback0\n!\n":         "interface Loopback0\n!\n",
+		"!\n! dropped comment\nend":        "!\nend\n",
+		"! dropped\n! also dropped\n!\n\n": "!\n\n",
+	} {
+		if got := a.AnonymizeText(in); got != want {
+			t.Errorf("AnonymizeText(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

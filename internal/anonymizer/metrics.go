@@ -107,10 +107,8 @@ func (s *Session) SetMetrics(reg *metrics.Registry) {
 		for i, sc := range statScalars {
 			add(scalars[i], sc.get(&st))
 		}
-		// Pack rules registered after wiring get their series the first
-		// time they fire.
-		rr := ruleReg.Load()
-		for i, info := range rr.infos {
+		// A pack rule's series appears the first time it fires.
+		for i, info := range s.prog.rules.infos {
 			if n := st.ruleHits[i]; n != 0 {
 				add(hits.With(string(info.ID)), n)
 			}

@@ -14,7 +14,7 @@ import (
 // references (ACL and list numbers) are local identifiers and stay.
 //
 // These entries share the extension RuleID RuleNamePosition — they are
-// not one of the paper's 28 numbered rules, but the registry instruments
+// not one of the paper's 28 numbered rules, but the inventory instruments
 // them identically.
 
 // forceHashName hashes a user-chosen identifier; integers pass through.

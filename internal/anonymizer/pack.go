@@ -3,6 +3,7 @@ package anonymizer
 import (
 	_ "embed"
 	"fmt"
+	"slices"
 
 	"confanon/internal/rulepack"
 	"confanon/internal/token"
@@ -101,10 +102,18 @@ type reportRule struct {
 	m    *rulepack.Match
 }
 
-// ruleSet is a Program's compiled rule inventory: the line dispatch
-// tables plus the declarative token and report rules, and the identity
-// of every pack that contributed.
+// ruleSet is a Program's compiled rule inventory: its taxonomy (the
+// built-in entries at the same indices in every set, then the rules its
+// packs define, in load order), the line dispatch tables, the
+// declarative token and report rules, and the identity of every pack
+// that contributed. The taxonomy index is what the engine's hit
+// counters and the Program's Stats are indexed by.
 type ruleSet struct {
+	infos []RuleInfo
+	index map[RuleID]int
+	// keyed holds, for each trigger word, the entries keyed on it merged
+	// with the key-less entries in dispatch order; unkeyed serves every
+	// other first word.
 	keyed   map[string][]*lineRule
 	unkeyed []*lineRule
 	token   []*tokenRule
@@ -121,12 +130,18 @@ type ruleSet struct {
 // afterwards, which is what keeps a loaded pack unable to weaken the
 // built-in coverage. A rule ID appearing in two merged packs is a
 // conflict, not an override.
-//
-// register controls whether new taxonomy entries are installed in the
-// global rule registry (Compile) or only checked for conflicts
-// (CheckPack / confvalidate).
-func compileRuleSet(userPacks []*rulepack.Pack, register bool) (*ruleSet, error) {
-	rs := &ruleSet{keyed: make(map[string][]*lineRule)}
+func compileRuleSet(userPacks []*rulepack.Pack) (*ruleSet, error) {
+	rs := &ruleSet{
+		infos: slices.Clip(ruleInfos),
+		index: make(map[RuleID]int, len(ruleInfos)),
+		keyed: make(map[string][]*lineRule),
+	}
+	for i, info := range ruleInfos {
+		if _, dup := rs.index[info.ID]; dup {
+			return nil, fmt.Errorf("anonymizer: duplicate built-in rule id %q", info.ID)
+		}
+		rs.index[info.ID] = i
+	}
 	ids := make(map[string]string) // rule id → pack name
 	var line []*lineRule
 
@@ -180,7 +195,7 @@ func compileRuleSet(userPacks []*rulepack.Pack, register bool) (*ruleSet, error)
 
 			// Declarative rule: resolve its taxonomy identity, then compile
 			// the scope-specific artifact.
-			id, err := resolveRuleID(r, register)
+			id, err := rs.resolveRuleID(r)
 			if err != nil {
 				return nil, fmt.Errorf("anonymizer: pack %s rule %q: %v", p.Name, r.ID, err)
 			}
@@ -212,10 +227,20 @@ func compileRuleSet(userPacks []*rulepack.Pack, register bool) (*ruleSet, error)
 		}
 	}
 
+	// Every trigger word's list holds its keyed entries merged with the
+	// key-less ones in sequence order, so dispatch is one loop.
+	for _, r := range line {
+		for _, k := range r.keys {
+			rs.keyed[k] = nil
+		}
+	}
 	for i, r := range line {
 		r.seq = i
 		if len(r.keys) == 0 {
 			rs.unkeyed = append(rs.unkeyed, r)
+			for k := range rs.keyed {
+				rs.keyed[k] = append(rs.keyed[k], r)
+			}
 			continue
 		}
 		for _, k := range r.keys {
@@ -225,27 +250,31 @@ func compileRuleSet(userPacks []*rulepack.Pack, register bool) (*ruleSet, error)
 	return rs, nil
 }
 
-// resolveRuleID maps a declarative pack rule onto the registry: a rule
-// that names an existing taxonomy entry via rule_id counts there; a
-// rule without one registers (or dry-run checks) its own entry.
-func resolveRuleID(r *rulepack.Rule, register bool) (RuleID, error) {
+// resolveRuleID maps a declarative pack rule onto the set's taxonomy. A
+// rule_id must name a built-in rule or one an earlier pack rule of this
+// set defined, and the rule counts there. A rule without one defines
+// its own entry, which must not contradict a built-in entry of the same
+// ID and must fit within maxRules.
+func (rs *ruleSet) resolveRuleID(r *rulepack.Rule) (RuleID, error) {
 	if r.RuleID != "" {
 		id := RuleID(r.RuleID)
-		if _, ok := lookupRule(id); !ok {
-			return "", fmt.Errorf("rule_id %q does not name a registered rule", r.RuleID)
+		if _, ok := rs.index[id]; !ok {
+			return "", fmt.Errorf("rule_id %q names neither a built-in rule nor one defined earlier in this Program's packs", r.RuleID)
 		}
 		return id, nil
 	}
 	info := RuleInfo{ID: RuleID(r.ID), Class: Class(r.Class), Scope: Scope(r.Scope), Doc: r.Doc}
-	var err error
-	if register {
-		err = registerRule(info)
-	} else {
-		err = checkRule(info)
+	if i, ok := rs.index[info.ID]; ok {
+		if rs.infos[i] != info {
+			return "", fmt.Errorf("rule %q contradicts the built-in rule of that id", info.ID)
+		}
+		return info.ID, nil
 	}
-	if err != nil {
-		return "", err
+	if len(rs.infos) >= maxRules {
+		return "", fmt.Errorf("a Program holds at most %d rules (%d built-in); %q is one too many", maxRules, numBuiltinRules, info.ID)
 	}
+	rs.index[info.ID] = len(rs.infos)
+	rs.infos = append(rs.infos, info)
 	return info.ID, nil
 }
 
@@ -437,11 +466,12 @@ func hexDigit(v byte) byte {
 }
 
 // CheckPack verifies that a parsed pack would compile against this
-// engine build — builtin references resolve, taxonomy identities do not
-// conflict with the registry, rule IDs do not collide with the built-in
-// inventory — without installing anything. This is the validation
-// confvalidate -check-pack and the portal's pack registration run.
+// engine build — builtin references resolve, taxonomy entries fit and
+// agree with the built-in inventory, rule IDs do not collide with it —
+// by compiling it alone and discarding the result. This is the
+// validation confvalidate -check-pack and the portal's pack
+// registration run.
 func CheckPack(p *rulepack.Pack) error {
-	_, err := compileRuleSet([]*rulepack.Pack{p}, false)
+	_, err := compileRuleSet([]*rulepack.Pack{p})
 	return err
 }

@@ -43,7 +43,7 @@ func TestBuiltinPackRoundTrip(t *testing.T) {
 	}
 
 	// The compiled inventory reports exactly this identity.
-	rs, err := compileRuleSet(nil, false)
+	rs, err := compileRuleSet(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,9 +24,10 @@ type Program struct {
 	pass  *passlist.List
 	perms asn.Salted
 
-	// rules is the compiled dispatch inventory: the canonical built-in
-	// pack merged with Options.RulePacks (pack.go). Programs without
-	// user packs share the init-compiled builtin set.
+	// rules is the compiled rule inventory, taxonomy and dispatch
+	// tables: the canonical built-in pack merged with Options.RulePacks
+	// (pack.go). Programs without user packs share the init-compiled
+	// builtin set.
 	rules *ruleSet
 
 	// rewrites memoizes cregex pattern rewrites keyed by (kind, pattern).
@@ -61,7 +63,7 @@ type rewriteEntry struct {
 // Compile builds the immutable Program for one owner salt. The result is
 // safe for concurrent use and is meant to be built once and shared.
 // Compile panics when Options.RulePacks do not merge (duplicate rule
-// IDs, unresolvable builtin references, registry conflicts); callers
+// IDs, unresolvable builtin references, taxonomy conflicts); callers
 // loading operator-supplied packs should use CompileChecked.
 func Compile(opts Options) *Program {
 	p, err := CompileChecked(opts)
@@ -74,22 +76,28 @@ func Compile(opts Options) *Program {
 // CompileChecked is Compile with pack-merge errors reported instead of
 // panicking. Packs already validated by rulepack.Parse can still fail
 // here: validity is a property of one document, mergeability of the
-// set (cross-pack duplicate IDs, registry conflicts, stage references).
+// set (cross-pack duplicate IDs, taxonomy conflicts or overflow, stage
+// references).
 func CompileChecked(opts Options) (*Program, error) {
-	pl := opts.PassList
-	if pl == nil {
-		pl = passlist.Builtin()
-	}
 	rules := builtinRuleSet
 	if len(opts.RulePacks) > 0 {
 		var err error
-		rules, err = compileRuleSet(opts.RulePacks, true)
+		rules, err = compileRuleSet(opts.RulePacks)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &Program{opts: opts, pass: pl, perms: asn.NewSalted(opts.Salt), rules: rules}, nil
+	return &Program{opts: opts, pass: builtinPass(), perms: asn.NewSalted(opts.Salt), rules: rules}, nil
 }
+
+// builtinPass is the built-in pass-list, built by the first Compile (not
+// at process start) and shared read-only by every Program.
+var builtinPass = sync.OnceValue(passlist.Builtin)
+
+// Rules returns the Program's rule inventory: the built-in rules in
+// canonical order (the package-level Rules), then the rules its packs
+// define, in load order.
+func (p *Program) Rules() []RuleInfo { return slices.Clone(p.rules.infos) }
 
 // Options returns the options the Program was compiled with.
 func (p *Program) Options() Options { return p.opts }

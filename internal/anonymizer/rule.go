@@ -1,17 +1,14 @@
 package anonymizer
 
-// The rule registry. Every context rule is a named, self-describing
+// The rule inventory. Every context rule is a named, self-describing
 // entry: RuleInfo carries the identity and taxonomy of one RuleID, and
 // lineRule carries the dispatchable implementation of one line-scoped
 // rule. The engine (engine.go) owns line iteration and consults the
-// ordered dispatch table built here; token-scoped rules fire inside the
-// engine's generic word pass, and report-scoped rules fire in LeakReport.
+// ordered dispatch table each Program compiles (pack.go); token-scoped
+// rules fire inside the engine's generic word pass, and report-scoped
+// rules fire in LeakReport.
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
 // Class groups rules by the paper's §4.2 taxonomy.
 type Class string
@@ -44,7 +41,7 @@ const (
 	ScopeReport Scope = "report"
 )
 
-// RuleInfo is the self-describing registry entry for one RuleID.
+// RuleInfo is the self-describing inventory entry for one RuleID.
 type RuleInfo struct {
 	ID    RuleID
 	Class Class
@@ -87,93 +84,20 @@ var ruleInfos = []RuleInfo{
 }
 
 // numBuiltinRules counts the built-in taxonomy entries (ruleInfos); an
-// init check pins it against the slice.
+// init check pins it against the slice. They hold the same indices in
+// every Program's rule set.
 const numBuiltinRules = 29
 
-// maxRules sizes the dense per-rule counter arrays in Stats: the
-// built-in taxonomy plus headroom for rule-pack registrations. A
-// constant (array length), so loading packs never reallocates a
-// counter array or invalidates a Stats value already in flight.
+// maxRules bounds one Program's taxonomy: the built-in entries plus the
+// rules its packs define. It sizes the dense per-rule counter arrays in
+// Stats (a constant, so a Stats value is the same type whatever packs
+// are loaded); compileRuleSet rejects a pack set that exceeds it.
 const maxRules = 96
 
-// ruleRegistry is the global RuleID → index mapping backing the dense
-// Stats arrays. Copy-on-write behind an atomic pointer: the engine hot
-// path (hit) does one atomic load and one map lookup, identical in cost
-// to the fixed map it replaces, while pack compilation appends new
-// taxonomy entries under regMu. Indices are append-only and never
-// reused, so a Stats value merged across registry generations stays
-// coherent.
-type ruleRegistry struct {
-	infos []RuleInfo
-	index map[RuleID]int
-}
-
-var (
-	ruleReg atomic.Pointer[ruleRegistry]
-	regMu   sync.Mutex
-)
-
-// lookupRule returns the registry index of a rule.
-func lookupRule(id RuleID) (int, bool) {
-	i, ok := ruleReg.Load().index[id]
-	return i, ok
-}
-
-// registerRule installs a pack-supplied taxonomy entry. Re-registering
-// an identical entry (the same pack compiled twice) is a no-op; a
-// conflicting entry — same ID, different class/scope/doc — is an error,
-// as is exhausting the counter-array headroom.
-func registerRule(info RuleInfo) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	reg := ruleReg.Load()
-	if i, ok := reg.index[info.ID]; ok {
-		if reg.infos[i] != info {
-			return fmt.Errorf("rule %q already registered with a different description", info.ID)
-		}
-		return nil
-	}
-	if len(reg.infos) >= maxRules {
-		return fmt.Errorf("rule registry full (%d entries): cannot register %q", maxRules, info.ID)
-	}
-	next := &ruleRegistry{
-		infos: append(append([]RuleInfo(nil), reg.infos...), info),
-		index: make(map[RuleID]int, len(reg.infos)+1),
-	}
-	for i, ri := range next.infos {
-		next.index[ri.ID] = i
-	}
-	ruleReg.Store(next)
-	return nil
-}
-
-// checkRule is registerRule's dry run: the same conflict and headroom
-// checks, installing nothing (pack validation tooling).
-func checkRule(info RuleInfo) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	reg := ruleReg.Load()
-	if i, ok := reg.index[info.ID]; ok {
-		if reg.infos[i] != info {
-			return fmt.Errorf("rule %q already registered with a different description", info.ID)
-		}
-		return nil
-	}
-	if len(reg.infos) >= maxRules {
-		return fmt.Errorf("rule registry full (%d entries): cannot register %q", maxRules, info.ID)
-	}
-	return nil
-}
-
-// Rules returns the registry inventory in canonical order: the paper's 28
-// rules first (AllRules order), then the extension rules, then any
-// pack-registered rules in registration order.
-func Rules() []RuleInfo {
-	reg := ruleReg.Load()
-	out := make([]RuleInfo, len(reg.infos))
-	copy(out, reg.infos)
-	return out
-}
+// Rules returns the built-in rule inventory in canonical order: the
+// paper's 28 rules first (AllRules order), then the extension rules.
+// Program.Rules adds a Program's pack-defined rules.
+func Rules() []RuleInfo { return slices.Clone(ruleInfos) }
 
 // lineCtx carries one tokenized line through the dispatch table.
 type lineCtx struct {
@@ -188,7 +112,7 @@ type lineCtx struct {
 // consumed=false means the rule declined the line — possibly after
 // recording stats (see the JunOS message rule, which preserves the
 // seed behavior of falling through to the generic pass) — and dispatch
-// continues with the next rule in registry order.
+// continues with the next rule in dispatch order.
 type applyFn func(a *Anonymizer, c *lineCtx) (out string, keep, consumed bool)
 
 // lineRule is one dispatchable entry of the line-scoped rule pipeline.
@@ -197,29 +121,17 @@ type lineRule struct {
 	name  string   // entry name, unique within the dispatch table
 	keys  []string // words[0] literals that can trigger it; empty = any
 	apply applyFn
-	seq   int // position in registry order, assigned at assembly
+	seq   int // position in dispatch order, assigned at assembly
 }
 
 func init() {
 	if len(ruleInfos) != numBuiltinRules {
-		panic("anonymizer: numBuiltinRules out of sync with the rule registry")
+		panic("anonymizer: numBuiltinRules out of sync with the rule inventory")
 	}
-	reg := &ruleRegistry{
-		infos: append([]RuleInfo(nil), ruleInfos...),
-		index: make(map[RuleID]int, len(ruleInfos)),
-	}
-	for i, info := range ruleInfos {
-		if _, dup := reg.index[info.ID]; dup {
-			panic("anonymizer: duplicate rule id " + string(info.ID))
-		}
-		reg.index[info.ID] = i
-	}
-	ruleReg.Store(reg)
-
 	// Compile the canonical pack once at init: a builtin inventory that
 	// does not round-trip through the pack path is a build defect, and
 	// every Program compiled with no user packs shares this rule set.
-	rs, err := compileRuleSet(nil, true)
+	rs, err := compileRuleSet(nil)
 	if err != nil {
 		panic("anonymizer: builtin pack does not compile: " + err.Error())
 	}
@@ -231,21 +143,15 @@ func init() {
 var builtinRuleSet *ruleSet
 
 // dispatchLine runs the line through the Program's rule pipeline: the
-// entries keyed on words[0] merged with the key-less entries by
-// sequence number. The first rule that consumes the line wins.
+// entries keyed on words[0], already merged with the key-less entries in
+// sequence order at compile time, or the key-less entries alone. The
+// first rule that consumes the line wins.
 func (a *Anonymizer) dispatchLine(c *lineCtx) (string, bool, bool) {
-	rs := a.rules
-	keyed := rs.keyed[c.words[0]]
-	ki, ui := 0, 0
-	for ki < len(keyed) || ui < len(rs.unkeyed) {
-		var r *lineRule
-		if ui >= len(rs.unkeyed) || (ki < len(keyed) && keyed[ki].seq < rs.unkeyed[ui].seq) {
-			r = keyed[ki]
-			ki++
-		} else {
-			r = rs.unkeyed[ui]
-			ui++
-		}
+	rules, ok := a.rules.keyed[c.words[0]]
+	if !ok {
+		rules = a.rules.unkeyed
+	}
+	for _, r := range rules {
 		if out, keep, consumed := r.apply(a, c); consumed {
 			return out, keep, true
 		}

@@ -66,7 +66,7 @@ const (
 	// Extension rules beyond the paper's 28 (see DESIGN.md §6). Name
 	// positions implement §4.1's "anonymizes the names of class-maps,
 	// route-maps, and any other strings that could hold privileged
-	// information" as explicit registry entries.
+	// information" as explicit inventory entries.
 	RuleNamePosition RuleID = "N1-name-position"
 )
 

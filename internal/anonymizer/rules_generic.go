@@ -10,7 +10,7 @@ import (
 )
 
 // The generic word pass: the engine's terminal stage, where the
-// token-scoped registry rules fire — the IP rules (I1–I5), the
+// token-scoped inventory rules fire — the IP rules (I1–I5), the
 // bare-community rule (K1), and the basic method (segmentation S1/S2 +
 // pass-list + hash) — over every word of a line not consumed by a line
 // rule.

@@ -93,6 +93,7 @@ func runScratchFile(s *Session, wk *Anonymizer, tr *trace.Tracer, name, text str
 	r.out, r.failed = wk.SafeAnonymizeText(name, text)
 	r.stats = s.Stats()
 	r.stats.ruleTimeNs = [maxRules]int64{}
+	r.stats.rules = nil // each Program compiles its own rule set; compare the counts
 	s.recMu.RLock()
 	r.words, r.asns, r.ips = maps.Clone(s.seenWords), maps.Clone(s.seenASNs), maps.Clone(s.seenIPs)
 	s.recMu.RUnlock()

@@ -116,6 +116,7 @@ func (p *Program) newMapper(n int) ipanon.Mapper {
 func (p *Program) newSession(mapper ipanon.Mapper) *Session {
 	s := &Session{
 		prog:      p,
+		stats:     Stats{rules: p.rules},
 		ip:        mapper,
 		seenASNs:  make(map[string]bool),
 		seenWords: make(map[string]bool),

@@ -9,10 +9,13 @@ import (
 // engine's per-rule instrumentation.
 //
 // The scalar counters are exported int64 fields; the per-rule counters
-// live in dense arrays indexed by registry position (ruleReg, rule.go),
-// read through Hits/Time/RuleHits/RuleTime. A worker's Stats count one
-// file in flight; when the file commits, Add merges them into the
-// Session's Stats — an explicit field list of atomic adds, safe to call
+// live in dense arrays indexed by position in the Program's rule set
+// (ruleSet, pack.go), read through Hits/Time/RuleHits/RuleTime. A
+// Session's Stats carry that rule set; a zero Stats resolves the
+// built-in rules, which hold the same positions in every set. A
+// worker's Stats count one file in flight; when the file commits, Add
+// merges them into the Session's Stats — an explicit field list of
+// atomic adds, safe to call
 // concurrently on a shared destination from parallel corpus workers —
 // and a failed file's Stats are simply dropped. Every merge is a
 // positive add, so the Session's counters never decrease.
@@ -36,11 +39,13 @@ type Stats struct {
 	RegexpsUnchanged    int64
 	RegexpFallbacks     int64
 
-	// ruleHits counts how many times each registry rule fired, indexed
-	// by registry position. Sized maxRules (not the current registry
-	// length) so pack registrations never reallocate counter storage or
-	// invalidate a Stats value already in flight; slots past the live
-	// registry stay zero.
+	// rules is the rule set the per-rule arrays are indexed by; nil
+	// means the built-in set.
+	rules *ruleSet
+	// ruleHits counts how many times each rule fired, indexed by its
+	// position in the rule set. Sized maxRules, the bound on any rule
+	// set, so every Stats value has one type; slots past the set's last
+	// rule stay zero.
 	ruleHits [maxRules]int64
 	// ruleTimeNs is each rule's cumulative wall time in nanoseconds:
 	// each timed call's (a file's rewrite, a leak report) elapsed time
@@ -50,9 +55,17 @@ type Stats struct {
 	ruleTimeNs [maxRules]int64
 }
 
+// set returns the rule set the per-rule arrays are indexed by.
+func (s *Stats) set() *ruleSet {
+	if s.rules == nil {
+		return builtinRuleSet
+	}
+	return s.rules
+}
+
 // Hits returns how many times the rule fired.
 func (s Stats) Hits(id RuleID) int64 {
-	if i, ok := lookupRule(id); ok {
+	if i, ok := s.set().index[id]; ok {
 		return s.ruleHits[i]
 	}
 	return 0
@@ -60,7 +73,7 @@ func (s Stats) Hits(id RuleID) int64 {
 
 // Time returns the rule's attributed cumulative wall time.
 func (s Stats) Time(id RuleID) time.Duration {
-	if i, ok := lookupRule(id); ok {
+	if i, ok := s.set().index[id]; ok {
 		return time.Duration(s.ruleTimeNs[i])
 	}
 	return 0
@@ -69,11 +82,10 @@ func (s Stats) Time(id RuleID) time.Duration {
 // RuleHits materializes the per-rule hit counts as a map (rules that
 // never fired are omitted, matching the old map-backed behavior).
 func (s Stats) RuleHits() map[RuleID]int64 {
-	reg := ruleReg.Load()
 	m := make(map[RuleID]int64)
-	for i := range reg.infos {
+	for i, info := range s.set().infos {
 		if n := s.ruleHits[i]; n != 0 {
-			m[reg.infos[i].ID] = n
+			m[info.ID] = n
 		}
 	}
 	return m
@@ -81,27 +93,26 @@ func (s Stats) RuleHits() map[RuleID]int64 {
 
 // RuleTime materializes the per-rule attributed times as a map.
 func (s Stats) RuleTime() map[RuleID]time.Duration {
-	reg := ruleReg.Load()
 	m := make(map[RuleID]time.Duration)
-	for i := range reg.infos {
+	for i, info := range s.set().infos {
 		if ns := s.ruleTimeNs[i]; ns != 0 {
-			m[reg.infos[i].ID] = time.Duration(ns)
+			m[info.ID] = time.Duration(ns)
 		}
 	}
 	return m
 }
 
 // AddRuleHit adds n firings of the rule (test fixtures and the engine's
-// own bookkeeping; unknown rules are ignored).
+// own bookkeeping; rules outside the set are ignored).
 func (s *Stats) AddRuleHit(id RuleID, n int64) {
-	if i, ok := lookupRule(id); ok {
+	if i, ok := s.set().index[id]; ok {
 		s.ruleHits[i] += n
 	}
 }
 
 // AddRuleTime attributes d to the rule.
 func (s *Stats) AddRuleTime(id RuleID, d time.Duration) {
-	if i, ok := lookupRule(id); ok {
+	if i, ok := s.set().index[id]; ok {
 		s.ruleTimeNs[i] += int64(d)
 	}
 }
@@ -109,9 +120,14 @@ func (s *Stats) AddRuleTime(id RuleID, d time.Duration) {
 // Add accumulates other into s. Every add is atomic, so parallel corpus
 // workers may merge into one shared destination concurrently; the
 // source is read plainly and must not be written during the call.
+// Both must count rules of one Program (a worker's Stats carry no rule
+// set and count its Session's); a zero s takes other's rule set.
 // stats_test.go walks Stats with reflection and fails if a field exists
 // that this list does not cover.
 func (s *Stats) Add(other Stats) {
+	if s.rules == nil && other.rules != nil {
+		s.rules = other.rules
+	}
 	atomic.AddInt64(&s.Files, other.Files)
 	atomic.AddInt64(&s.Lines, other.Lines)
 	atomic.AddInt64(&s.WordsTotal, other.WordsTotal)
@@ -139,7 +155,7 @@ func (s *Stats) Add(other Stats) {
 // one atomic load per field, returning a plain value. The field list
 // mirrors Add.
 func (s *Stats) snapshotAtomic() Stats {
-	var out Stats
+	out := Stats{rules: s.rules}
 	out.Files = atomic.LoadInt64(&s.Files)
 	out.Lines = atomic.LoadInt64(&s.Lines)
 	out.WordsTotal = atomic.LoadInt64(&s.WordsTotal)

@@ -17,7 +17,7 @@ import (
 // counter in parallel merges.
 func TestStatsAddCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
-	knownUnexported := map[string]bool{"ruleHits": true, "ruleTimeNs": true}
+	knownUnexported := map[string]bool{"rules": true, "ruleHits": true, "ruleTimeNs": true}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {
@@ -47,6 +47,14 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 	dst.Add(src)
 	if dst.Hits(RuleBanner) != 3 || dst.Time(RuleBanner) != 5*time.Millisecond {
 		t.Errorf("Add dropped per-rule counters: hits=%d time=%s", dst.Hits(RuleBanner), dst.Time(RuleBanner))
+	}
+
+	// The rule set: a zero destination takes the source's.
+	rs := &ruleSet{}
+	dst = Stats{}
+	dst.Add(Stats{rules: rs})
+	if dst.rules != rs {
+		t.Error("Add dropped the source's rule set")
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // leak-report passes), and synthesizes per-rule spans under each
 // rewrite stage from the file's own Stats.
 
-// Pseudo-rule ids for ledger attribution of decisions no registry rule
+// Pseudo-rule ids for ledger attribution of decisions no inventory rule
 // dispatches: the §4.1 basic method (segmentation + pass-list + hash)
-// and operator-added sensitive tokens. Deliberately not in the registry
+// and operator-added sensitive tokens. Deliberately not in the inventory
 // — they have no hit counters, only ledger attribution.
 const (
 	pseudoRuleBasic    RuleID = "B0-basic-method"
@@ -133,13 +133,12 @@ func (a *Anonymizer) traceStage(stage string, d time.Duration) {
 // the per-file firing count — both read straight from the worker's
 // Stats, which hold only the file in flight.
 func (a *Anonymizer) traceRuleSpans(parent trace.SpanID, startNs int64) {
-	reg := ruleReg.Load()
-	for i := range reg.infos {
+	for i, info := range a.rules.infos {
 		hits := a.stats.ruleHits[i]
 		if hits == 0 {
 			continue
 		}
-		a.tracer.RecordSpan(trace.KindRule, string(reg.infos[i].ID), parent, startNs, a.stats.ruleTimeNs[i], trace.StatusOK,
+		a.tracer.RecordSpan(trace.KindRule, string(info.ID), parent, startNs, a.stats.ruleTimeNs[i], trace.StatusOK,
 			trace.Attr{Key: "hits", Value: strconv.FormatInt(hits, 10)})
 	}
 }

@@ -18,7 +18,7 @@ import (
 // applies the boundary closure.
 
 type dnode struct {
-	set []bool
+	set stateSet
 	// trans holds the successor per input byte: nil until computed,
 	// dead once the byte is known to reject the token.
 	trans  [256]*dnode
@@ -47,21 +47,21 @@ func (p *program) key(set []bool) string {
 
 func newLazyDFA(p *program) *lazyDFA {
 	d := &lazyDFA{prog: p, nodes: make(map[string]*dnode)}
-	init := make([]bool, len(p.edges))
-	init[p.start] = true
-	p.closure(init, true) // position 0 is a boundary
+	init := newStateSet(len(p.edges))
+	init.add(p.start)
+	p.closure(&init, true) // position 0 is a boundary
 	d.start = d.intern(init)
 	return d
 }
 
-func (d *lazyDFA) intern(set []bool) *dnode {
-	k := d.prog.key(set)
+func (d *lazyDFA) intern(set stateSet) *dnode {
+	k := d.prog.key(set.on)
 	if n, ok := d.nodes[k]; ok {
 		return n
 	}
-	final := append([]bool(nil), set...)
-	d.prog.closure(final, true)
-	n := &dnode{set: set, accept: final[d.prog.accept]}
+	final := set.clone()
+	d.prog.closure(&final, true)
+	n := &dnode{set: set, accept: final.on[d.prog.accept]}
 	d.nodes[k] = n
 	return n
 }
@@ -75,24 +75,13 @@ func (d *lazyDFA) step(n *dnode, c byte) *dnode {
 		}
 		return next
 	}
-	set := make([]bool, len(d.prog.edges))
-	any := false
-	for s, in := range n.set {
-		if !in {
-			continue
-		}
-		for _, e := range d.prog.edges[s] {
-			if e.kind == edgeChar && e.set.Has(c) {
-				set[e.to] = true
-				any = true
-			}
-		}
-	}
-	if !any {
+	set := newStateSet(len(d.prog.edges))
+	d.prog.advance(&n.set, &set, c)
+	if len(set.list) == 0 {
 		n.trans[c] = dead
 		return nil
 	}
-	d.prog.closure(set, false)
+	d.prog.closure(&set, false)
 	next := d.intern(set)
 	n.trans[c] = next
 	return next

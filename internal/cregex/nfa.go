@@ -1,6 +1,9 @@
 package cregex
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Alphabet is the set of bytes that Any ('.') and negated classes range
 // over. AS numbers and community values are decimal strings; community
@@ -125,70 +128,94 @@ func (p *program) build(n Node, from, to int) {
 	}
 }
 
-// closure expands set (a bitset over states) across epsilon edges, and
-// across boundary edges when atBoundary is true.
-func (p *program) closure(set []bool, atBoundary bool) {
-	var stack []int
-	for s, in := range set {
-		if in {
-			stack = append(stack, s)
+// stateSet is a set of NFA states: on answers membership, list holds the
+// members in insertion order, so walking or clearing a set costs its
+// size, not the program's.
+type stateSet struct {
+	on   []bool
+	list []int
+}
+
+func newStateSet(n int) stateSet { return stateSet{on: make([]bool, n)} }
+
+func (s *stateSet) add(st int) {
+	if !s.on[st] {
+		s.on[st] = true
+		s.list = append(s.list, st)
+	}
+}
+
+func (s *stateSet) reset() {
+	for _, st := range s.list {
+		s.on[st] = false
+	}
+	s.list = s.list[:0]
+}
+
+func (s stateSet) clone() stateSet {
+	return stateSet{on: slices.Clone(s.on), list: slices.Clone(s.list)}
+}
+
+// closure expands set across epsilon edges, and across boundary edges
+// when atBoundary is true. The list is its own worklist: a state added
+// during the walk is visited in turn.
+func (p *program) closure(set *stateSet, atBoundary bool) {
+	for i := 0; i < len(set.list); i++ {
+		for _, e := range p.edges[set.list[i]] {
+			if e.kind == edgeChar || e.kind == edgeBound && !atBoundary {
+				continue
+			}
+			set.add(e.to)
 		}
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+}
+
+// advance adds to next every state a character edge on c leads to from
+// a state of cur.
+func (p *program) advance(cur, next *stateSet, c byte) {
+	for _, s := range cur.list {
 		for _, e := range p.edges[s] {
-			if e.kind == edgeChar {
-				continue
-			}
-			if e.kind == edgeBound && !atBoundary {
-				continue
-			}
-			if !set[e.to] {
-				set[e.to] = true
-				stack = append(stack, e.to)
+			if e.kind == edgeChar && e.set.Has(c) {
+				next.add(e.to)
 			}
 		}
 	}
+}
+
+// matcher simulates the NFA over one token at a time. Its two state sets
+// are reused from token to token, so matching many tokens with one
+// matcher allocates only while the sets first grow.
+type matcher struct {
+	p         *program
+	cur, next stateSet
+}
+
+func newMatcher(p *program) *matcher {
+	return &matcher{p: p, cur: newStateSet(len(p.edges)), next: newStateSet(len(p.edges))}
 }
 
 // MatchToken reports whether the regexp matches the entire token, with
 // boundary assertions ('_', '^', '$') satisfiable only at the token's
 // start and end — the semantics of applying an IOS AS-path regexp to a
 // standalone AS number or community value.
-func (re *Regexp) MatchToken(token string) bool {
-	p := re.prog
-	cur := make([]bool, len(p.edges))
-	next := make([]bool, len(p.edges))
-	cur[p.start] = true
+func (re *Regexp) MatchToken(token string) bool { return newMatcher(re.prog).match(token) }
+
+func (m *matcher) match(token string) bool {
+	p := m.p
+	cur, next := &m.cur, &m.next
+	cur.reset()
+	cur.add(p.start)
 	p.closure(cur, true) // position 0 is a boundary
-	if len(token) == 0 {
-		return cur[p.accept]
-	}
 	for i := 0; i < len(token); i++ {
-		c := token[i]
-		for j := range next {
-			next[j] = false
-		}
-		any := false
-		for s, in := range cur {
-			if !in {
-				continue
-			}
-			for _, e := range p.edges[s] {
-				if e.kind == edgeChar && e.set.Has(c) {
-					next[e.to] = true
-					any = true
-				}
-			}
-		}
-		if !any {
+		next.reset()
+		p.advance(cur, next, token[i])
+		if len(next.list) == 0 {
 			return false
 		}
 		p.closure(next, i == len(token)-1) // after last char we are at a boundary
 		cur, next = next, cur
 	}
-	return cur[p.accept]
+	return cur.on[p.accept]
 }
 
 // MatchASN reports whether the regexp accepts the AS number a when applied
@@ -214,9 +241,10 @@ func (re *Regexp) Language() []uint32 {
 func (re *Regexp) languageNFA() []uint32 {
 	var out []uint32
 	var buf [5]byte
+	m := newMatcher(re.prog)
 	for v := 0; v < Universe; v++ {
 		s := strconv.AppendUint(buf[:0], uint64(v), 10)
-		if re.MatchToken(string(s)) {
+		if m.match(string(s)) {
 			out = append(out, uint32(v))
 		}
 	}

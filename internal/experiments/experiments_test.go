@@ -58,9 +58,9 @@ func TestE3CommentStats(t *testing.T) {
 }
 
 // goldenRows reads testdata/study_rows.golden, the E4, E5, E6 and E8
-// rows at scale 0.2 and the E7 row at 6 networks, keyed by their first
-// word. The rows were recorded before the population experiments shared
-// one pass, so a diff means the pass moved a number.
+// rows at scale 0.2, the E7 row at 6 networks and A2's lengths, keyed by
+// their first word. The E rows were recorded before the population
+// experiments shared one pass, so a diff means the pass moved a number.
 func goldenRows(t *testing.T) map[string]string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "study_rows.golden"))
@@ -182,8 +182,11 @@ func TestA1Properties(t *testing.T) {
 	}
 }
 
+// a2 runs the A2 ablation once for the tests below.
+var a2 = sync.OnceValue(A2RegexForms)
+
 func TestA2MinimalShorterForLargeLanguages(t *testing.T) {
-	r := A2RegexForms()
+	r := a2()
 	if len(r.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -194,6 +197,20 @@ func TestA2MinimalShorterForLargeLanguages(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "A2") {
 		t.Error("summary missing")
+	}
+}
+
+// TestA2LengthsGolden: A2's alternation and minimal lengths and DFA
+// sizes carry no timing, and MinimalRegexp is deterministic, so they
+// match the golden A2 row.
+func TestA2LengthsGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("A2 lengths (|L| alt min states):")
+	for _, row := range a2().Rows {
+		fmt.Fprintf(&b, " %d %d %d %d;", row.LanguageSize, row.AltLen, row.MinLen, row.DFAStates)
+	}
+	if got, want := b.String(), goldenRows(t)["A2"]; got != want {
+		t.Errorf("A2 row moved:\n got %s\nwant %s", got, want)
 	}
 }
 

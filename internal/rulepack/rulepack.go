@@ -86,7 +86,9 @@ type Rule struct {
 	// cross-pack duplicates at compile time).
 	ID string `json:"id"`
 	// RuleID is the taxonomy identity the rule's hits are counted
-	// under; empty means the rule counts under its own ID.
+	// under: a built-in rule, or one defined earlier in the packs of the
+	// same compiled program. Empty means the rule counts under its own
+	// ID.
 	RuleID string `json:"rule_id,omitempty"`
 	// Class places the rule in the §4.2 taxonomy.
 	Class string `json:"class"`
