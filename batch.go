@@ -367,19 +367,25 @@ func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[
 	return tmpls, nil
 }
 
+// gateFilter picks the files the strict gate scans. rewriteAndGate
+// calls it once, when the recorder is frozen; the predicate it returns
+// reports whether a completed file must be scanned, and is called
+// concurrently. A nil gateFilter scans every file.
+type gateFilter func() func(name, text string) bool
+
 // rewriteAndGate is the phase every corpus run ends with. job(wk, i)
 // produces file i's result on one of workers goroutines, each holding
 // its own Session worker nested under the run's span; phase names the
 // job phase's span. Once every job has published its recorder entries
-// the recorder is frozen, and under Options.Strict each started file is
-// leak-gated on the same pool — every file against the values recorded
-// from the whole corpus, so the quarantine set is the same at every
-// worker count. The gate ignores ctx: a started file is never published
-// ungated. The gated results are then recorded in res.Files and counted
-// in index order — callers pass sorted names. The jobs' own results,
-// ungated, are returned by index; nil marks a file never started (ctx
-// was cancelled first).
-func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase string, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
+// the recorder is frozen, and under Options.Strict each started file
+// the filter picks is leak-gated on the same pool — every file against
+// the values recorded from the whole corpus, so the quarantine set is
+// the same at every worker count. The gate ignores ctx: a started file
+// is never published ungated. The gated results are then recorded in
+// res.Files and counted in index order — callers pass sorted names. The
+// jobs' own results, ungated, are returned by index; nil marks a file
+// never started (ctx was cancelled first).
+func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase string, filter gateFilter, job func(wk *anonymizer.Anonymizer, i int) FileResult) []*FileResult {
 	a := r.a
 	wks := make([]*anonymizer.Anonymizer, workers)
 	for w := range wks {
@@ -401,9 +407,13 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase st
 
 	leaks := make([][]Leak, n)
 	if a.strict {
+		mustGate := func(string, string) bool { return true }
+		if filter != nil {
+			mustGate = filter()
+		}
 		r.phase("gate", func() {
 			fanOut(context.WithoutCancel(ctx), n, workers, func(w, i int) {
-				if fr := out[i]; fr != nil && fr.Status == FileOK {
+				if fr := out[i]; fr != nil && fr.Status == FileOK && mustGate(fr.Name, fr.Text) {
 					leaks[i] = confirmedLeaks(wks[w].LeakReport(fr.Text))
 				}
 			})
@@ -450,7 +460,7 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 		workers = 1
 	}
 	run := a.beginCorpus("parallel-corpus", len(files), workers)
-	_, err := run.anonymize(ctx, files, nil, workers)
+	_, err := run.anonymize(ctx, files, nil, nil, workers)
 	return run.finish(err)
 }
 
@@ -461,9 +471,10 @@ func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string
 // files skip every phase but the gate — their jobs return the cached
 // text — which is sound only when they add no tree insertions: their
 // addresses must already be resolved in the Session's restored state,
-// as IncrementalCorpusContext's are. It returns rewriteAndGate's ungated
-// results, or a run-fatal error (cancellation).
-func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]string, workers int) ([]*FileResult, error) {
+// as IncrementalCorpusContext's are. filter picks the files the gate
+// scans (nil for all). It returns rewriteAndGate's ungated results, or
+// a run-fatal error (cancellation).
+func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]string, filter gateFilter, workers int) ([]*FileResult, error) {
 	names := sortedNames(files)
 	changed := names
 	if len(served) > 0 {
@@ -507,7 +518,7 @@ func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]stri
 	if tmpls != nil {
 		phase = "fill"
 	}
-	results := r.rewriteAndGate(ctx, len(jobs), workers, phase, func(wk *anonymizer.Anonymizer, k int) FileResult {
+	results := r.rewriteAndGate(ctx, len(jobs), workers, phase, filter, func(wk *anonymizer.Anonymizer, k int) FileResult {
 		j := &jobs[k]
 		if text, ok := served[j.name]; ok {
 			return FileResult{Name: j.name, Status: FileOK, Text: text}

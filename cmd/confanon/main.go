@@ -320,8 +320,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return fatal(stderr, err)
 		}
 		sum := res.Incremental
-		fmt.Fprintf(stdout, "incremental: %d files reused, %d rewritten in full (%d lines reused, %d rewritten)\n",
-			sum.FilesReused, sum.FilesFull, sum.LinesReused, sum.LinesRewritten)
+		fmt.Fprintf(stdout, "incremental: %d files reused, %d rewritten in full (%d lines reused, %d rewritten); %d reused files gated\n",
+			sum.FilesReused, sum.FilesFull, sum.LinesReused, sum.LinesRewritten, sum.FilesGated)
 	}
 
 	post := res.Outputs()
@@ -535,7 +535,7 @@ func writeFileRetry(path string, data []byte, perm os.FileMode) error {
 }
 
 // cacheFileName is the incremental file cache inside -state-dir. The
-// cache is a binary confanon.filecache/v3 blob; the name predates it.
+// cache is a binary confanon.filecache/v4 blob; the name predates it.
 const cacheFileName = "filecache.json"
 
 func printStats(stderr io.Writer, s confanon.Stats, rules []confanon.RuleInfo, aggregate, perRule bool) {

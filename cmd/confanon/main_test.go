@@ -429,17 +429,23 @@ func TestRunIncremental(t *testing.T) {
 }
 
 // TestRunIncrementalIgnoresV1Cache: a cache of an older schema left in
-// the state dir — the confanon.filecache/v1 JSON, or a v2 blob with its
-// line records (testdata/filecache-v2, written by the last build that
-// wrote v2, over this test's corpus and salt) — is logged and ignored,
-// the run is a full recording run with the output of a run without
-// -incremental, and the cache it leaves behind decodes.
+// the state dir — the confanon.filecache/v1 JSON, a v2 blob with its
+// line records or a v3 blob without a gate record (testdata/filecache-v2
+// and testdata/filecache-v3, each written by the last build that wrote
+// its schema, over this test's corpus and salt) — is logged and
+// ignored, the run is a full recording run with the output of a run
+// without -incremental, the cache it leaves behind decodes, and the
+// next run reuses every file.
 func TestRunIncrementalIgnoresV1Cache(t *testing.T) {
 	in := writeInput(t, map[string]string{
 		"r1.conf": cleanConf,
 		"r2.conf": "hostname r2\ninterface Serial0\n ip address 12.9.2.1 255.255.255.252\n",
 	})
 	v2, err := os.ReadFile("../../testdata/filecache-v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile("../../testdata/filecache-v3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,6 +457,7 @@ func TestRunIncrementalIgnoresV1Cache(t *testing.T) {
 	for name, old := range map[string][]byte{
 		"v1": []byte(`{"schema":"confanon.filecache/v1","salt_fp":"x","opts_fp":"y","files":{"r1.conf":{"sum":"z","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`),
 		"v2": v2,
+		"v3": v3,
 	} {
 		state := t.TempDir()
 		if err := os.WriteFile(filepath.Join(state, cacheFileName), old, 0o600); err != nil {
@@ -482,6 +489,12 @@ func TestRunIncrementalIgnoresV1Cache(t *testing.T) {
 		}
 		if _, err := confanon.DecodeCorpusCache(blob); err != nil {
 			t.Errorf("%s: recorded cache does not decode: %v", name, err)
+		}
+		// The recording was not strict, so a strict run reuses both files
+		// and gates both in full.
+		code, stdout, stderr = runCLI(t, "-salt", "s", "-in", in, "-out", t.TempDir(), "-rename=false", "-state-dir", state, "-incremental", "-strict")
+		if code != exitClean || !strings.Contains(stdout, "incremental: 2 files reused, 0 rewritten in full (6 lines reused, 0 rewritten); 2 reused files gated") {
+			t.Errorf("%s: run after the recording: exit %d\n%s%s", name, code, stdout, stderr)
 		}
 	}
 }

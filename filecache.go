@@ -7,20 +7,29 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
+
+	"confanon/internal/anonymizer"
 )
 
-// The file cache's binary layout (confanon.filecache/v3). Integers are
+// The file cache's binary layout (confanon.filecache/v4). Integers are
 // unsigned LEB128 varints; a string is its varint length followed by
 // its bytes.
 //
-//	blob    = schema "\n" | saltFP string | optsFP string | nfiles |
-//	          nfiles × (varint len | section) | crc32 (4 bytes LE)
+//	blob    = schema "\n" | saltFP string | optsFP string | gate |
+//	          nfiles | nfiles × (varint len | section) |
+//	          crc32 (4 bytes LE)
+//	gate    = strict (0 or 1) | revision | nASNs | nWords | nIPs |
+//	          nquar | nquar × name string
 //	section = name string | sha256 (32 bytes) | text string
 //
-// The crc32 (IEEE) covers every byte before it. The sections are sorted
-// by name and self-contained, so a reused file's section is copied from
-// the prior blob unchanged.
+// The gate record says whether the run gated under Options.Strict, the
+// anonymizer.GateRevision it gated under, the recorder's sizes per kind
+// it gated against, and the names of the files it quarantined, in
+// ascending order. The crc32 (IEEE) covers every byte before it. The
+// sections are sorted by name and self-contained, so a reused file's
+// section is copied from the prior blob unchanged.
 
 // errCacheMalformed reports a blob whose checksum holds but whose
 // structure does not.
@@ -40,6 +49,7 @@ func (c *CorpusCache) Encode() ([]byte, error) {
 	buf = append(buf, CorpusCacheSchema+"\n"...)
 	buf = appendString(buf, c.saltFP)
 	buf = appendString(buf, c.optsFP)
+	buf = c.gate.append(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	var scratch []byte
 	for _, n := range names {
@@ -62,6 +72,21 @@ func (fc *fileCache) appendSection(buf []byte, name string) []byte {
 	return appendString(buf, fc.text)
 }
 
+// append appends the encoding of the gate record.
+func (g *gateRecord) append(buf []byte) []byte {
+	strict := uint64(0)
+	if g.strict {
+		strict = 1
+	}
+	for _, v := range []uint64{strict, g.revision, uint64(g.sizes.ASNs), uint64(g.sizes.Words), uint64(g.sizes.IPs), uint64(len(g.quarantined))} {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	for _, n := range g.quarantined {
+		buf = appendString(buf, n)
+	}
+	return buf
+}
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -71,8 +96,8 @@ func appendString(buf []byte, s string) []byte {
 // indexes the file sections; each file's output is a substring of one
 // copy of the blob.
 // A blob of any other schema, including the JSON of
-// confanon.filecache/v1 and the line records of v2, is an error: the
-// caller runs in full and records a new cache.
+// confanon.filecache/v1, the line records of v2 and the gate-less v3,
+// is an error: the caller runs in full and records a new cache.
 func DecodeCorpusCache(data []byte) (*CorpusCache, error) {
 	head := CorpusCacheSchema + "\n"
 	if !bytes.HasPrefix(data, []byte(head)) {
@@ -84,6 +109,9 @@ func DecodeCorpusCache(data []byte) (*CorpusCache, error) {
 	}
 	r := cacheReader{s: string(data[len(head):body])}
 	c := &CorpusCache{saltFP: r.str(), optsFP: r.str(), files: make(map[string]*fileCache)}
+	if !r.gate(&c.gate) {
+		return nil, errCacheMalformed
+	}
 	for n := r.uvarint(); n > 0 && !r.bad; n-- {
 		section := r.str()
 		name, fc := indexSection(section)
@@ -110,6 +138,29 @@ func indexSection(section string) (string, *fileCache) {
 		return "", nil
 	}
 	return name, fc
+}
+
+// gate reads a gate record into g. It reports false for a malformed
+// one: a strict flag other than 0 or 1, a size past an int, or
+// quarantined names out of ascending order.
+func (r *cacheReader) gate(g *gateRecord) bool {
+	strict, rev := r.uvarint(), r.uvarint()
+	var sizes [3]uint64
+	for i := range sizes {
+		if sizes[i] = r.uvarint(); sizes[i] > math.MaxInt32 {
+			return false
+		}
+	}
+	*g = gateRecord{strict: strict == 1, revision: rev,
+		sizes: anonymizer.RecorderSizes{ASNs: int(sizes[0]), Words: int(sizes[1]), IPs: int(sizes[2])}}
+	for n := r.uvarint(); n > 0 && !r.bad; n-- {
+		name := r.str()
+		if k := len(g.quarantined); k > 0 && name <= g.quarantined[k-1] {
+			return false
+		}
+		g.quarantined = append(g.quarantined, name)
+	}
+	return strict <= 1 && !r.bad
 }
 
 // cacheReader consumes the fields of a cache blob; the first field that

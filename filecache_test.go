@@ -35,16 +35,20 @@ func smallCorpus() (confanon.Options, map[string]string) {
 	return confanon.Options{Salt: []byte(n.Salt)}, n.RenderAll()
 }
 
-// TestDecodeCorpusCacheRejects: a v1 JSON cache and a v2 blob are
-// rejected with a schema error; every truncation of a v3 blob and every
-// one-byte flip of it fail to decode.
+// TestDecodeCorpusCacheRejects: a v1 JSON cache, a v2 blob and a v3
+// blob are rejected with a schema error; every truncation of a v4 blob
+// and every one-byte flip of it fail to decode.
 func TestDecodeCorpusCacheRejects(t *testing.T) {
 	v1 := `{"schema":"confanon.filecache/v1","salt_fp":"a","opts_fp":"b","files":{"r1":{"sum":"c","lines":[{"h":"1","o":"hostname x","s":{}}]}}}`
 	v2, err := os.ReadFile("testdata/filecache-v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, old := range map[string][]byte{"v1": []byte(v1), "v2": v2} {
+	v3, err := os.ReadFile("testdata/filecache-v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, old := range map[string][]byte{"v1": []byte(v1), "v2": v2, "v3": v3} {
 		if _, err := confanon.DecodeCorpusCache(old); err == nil || !strings.Contains(err.Error(), "schema") {
 			t.Errorf("%s blob: err = %v, want a schema error", name, err)
 		}
@@ -169,13 +173,26 @@ func FuzzDecodeCorpusCache(f *testing.F) {
 	})
 	f.Add(blob)
 	f.Add(cacheBody(blob))
-	f.Add([]byte(confanon.CorpusCacheSchema + "\n"))
-	f.Add([]byte(`{"schema":"confanon.filecache/v1","files":{}}`))
-	v2, err := os.ReadFile("testdata/filecache-v2")
+	// A strict recording with a quarantined file fills the gate record.
+	_, strict, err := confanon.New(confanon.Options{Salt: []byte("fuzz"), Strict: true}).IncrementalCorpusContext(
+		context.Background(), map[string]string{"q": "ipv6 route 2620:0:861::/48 Null0\n"}, nil, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2)
+	sblob, err := strict.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cacheBody(sblob))
+	f.Add([]byte(confanon.CorpusCacheSchema + "\n"))
+	f.Add([]byte(`{"schema":"confanon.filecache/v1","files":{}}`))
+	for _, old := range []string{"testdata/filecache-v2", "testdata/filecache-v3"} {
+		blob, err := os.ReadFile(old)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, withChecksum(data)} {
 			c, err := confanon.DecodeCorpusCache(in)

@@ -11,6 +11,7 @@ import (
 
 	"confanon/internal/netgen"
 	"confanon/internal/store"
+	"confanon/internal/token"
 )
 
 // FuzzIncrementalMatchesFull checks the incremental driver against the
@@ -22,7 +23,14 @@ import (
 // an IOS file with a multi-line banner and a JunOS file with a /* */
 // block, so edits land inside both. The script is read three bytes per
 // edit (operation, file, line): replace, insert or delete a line, append
-// to a file, drop a file or add one; frag is the text an edit writes.
+// to a file, drop a file or add one, or poison a file; frag is the text
+// an edit writes. A poison edit copies a word of the recorded output of
+// the file after the chosen one (line picks the word) into the chosen
+// file, in a line that records it — `router bgp W` for a number, an
+// interface address for a dotted quad, `hostname W` otherwise — so the
+// value the recorder gains can sit in a cache-served file's output.
+// Besides the quarantine set, the leaks of every quarantined file must
+// equal the full run's.
 // Trailing script bytes that make no whole edit select the regexp
 // style: a script whose length is not a multiple of three runs under
 // Style: Minimal, against a recording made under that style. Every seed
@@ -43,6 +51,7 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 	type recording struct {
 		cache *CorpusCache
 		state store.State
+		out   map[string]string
 	}
 	type scheme struct {
 		stateless bool
@@ -64,6 +73,7 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		if err != nil || !res.Ok() {
 			f.Fatalf("recording run: err=%v failed=%v quarantined=%v", err, res.Failed(), res.Quarantined())
 		}
+		rec.out = res.Outputs()
 		if err := a.SyncStore(); err != nil {
 			f.Fatal(err)
 		}
@@ -88,9 +98,13 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		recs[sc] = rec
 	}
 
-	// Files sort as a-banner-confg (0), b-junos (1), then the netgen
-	// routers; line 2 of the first (counting from 0) sits in the banner,
-	// line 4 of the second in the block comment.
+	// Files sort as a-banner-confg (0), two netgen routers, b-junos (3),
+	// then the other netgen routers, cr2.nyc…-confg last (9); line 2 of
+	// the first (counting from 0) sits in the banner, line 4 of b-junos in
+	// the block comment. The poison seeds append to cr2.nyc words 14 (the
+	// permuted ASN), 10 (a mapped address) and 1 (the hashed hostname) of
+	// a-banner-confg's output, and to a-banner-confg the dotted hostname
+	// of the router after it.
 	for _, seed := range []struct {
 		script []byte
 		frag   string
@@ -98,13 +112,17 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		{[]byte{0, 0, 2}, "NOC 12.9.9.9 moved"},
 		{[]byte{1, 0, 3}, "^"},
 		{[]byte{2, 0, 4}, ""},
-		{[]byte{0, 1, 4}, " edited 12.3.4.7 */ interfaces {"},
-		{[]byte{1, 1, 3}, "/* opened 12.8.8.8"},
-		{[]byte{2, 1, 5}, ""},
+		{[]byte{0, 3, 4}, " edited 12.3.4.7 */ interfaces {"},
+		{[]byte{1, 3, 3}, "/* opened 12.8.8.8"},
+		{[]byte{2, 3, 5}, ""},
 		{[]byte{3, 2, 0}, "interface Loopback9\n ip address 10.99.0.1 255.255.255.255"},
 		{[]byte{4, 3, 0, 5, 0, 0}, "hostname new\n ip address 12.1.2.9 255.255.255.0"},
 		{[]byte{0, 4, 9, 1, 5, 20, 2, 2, 7}, " neighbor 12.7.7.7 remote-as 65001"},
 		{[]byte{0, 2, 1, 0, 2, 1}, "banner exec #12.4.4.4"},
+		{[]byte{6, 9, 14}, ""},
+		{[]byte{6, 9, 10}, ""},
+		{[]byte{6, 9, 1}, ""},
+		{[]byte{6, 0, 3}, ""},
 	} {
 		minimal := append(slices.Clip(seed.script), 0)
 		for _, stateless := range []bool{false, true} {
@@ -117,9 +135,10 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 		if len(script)%3 != 0 {
 			sc.style = Minimal
 		}
+		rec := recs[sc]
 		v2 := maps.Clone(v1)
 		for e := 0; len(script) >= 3 && e < 8; e++ {
-			op, fi, li := script[0]%6, int(script[1]), int(script[2])
+			op, fi, li := script[0]%7, int(script[1]), int(script[2])
 			script = script[3:]
 			names := sortedNames(v2)
 			if len(names) == 0 {
@@ -143,11 +162,23 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 			case 5:
 				v2[fmt.Sprintf("zz-added-%d", e)] = frag
 				continue
+			case 6:
+				words := strings.Fields(rec.out[names[(fi+1)%len(names)]])
+				if len(words) == 0 {
+					continue
+				}
+				w := words[li%len(words)]
+				poison := "hostname " + w
+				if token.IsInteger(w) {
+					poison = "router bgp " + w
+				} else if _, ok := token.ParseIPv4(w); ok {
+					poison = "interface Loopback7\n ip address " + w + " 255.255.255.255"
+				}
+				lines = append(lines, poison)
 			}
 			v2[name] = strings.Join(lines, "\n")
 		}
 
-		rec := recs[sc]
 		opts := Options{Salt: salt, Strict: true, StatelessIP: stateless, Style: sc.style}
 		for _, workers := range []int{1, 2} {
 			full := New(opts)
@@ -176,6 +207,9 @@ func FuzzIncrementalMatchesFull(f *testing.F) {
 				}
 				if g.Text != w.Text {
 					t.Fatalf("workers=%d: %s: output differs from the full run:\n got %q\nwant %q", workers, name, g.Text, w.Text)
+				}
+				if !reflect.DeepEqual(g.Leaks, w.Leaks) {
+					t.Fatalf("workers=%d: %s: leaks %v, full run %v", workers, name, g.Leaks, w.Leaks)
 				}
 			}
 			if !reflect.DeepEqual(got.Quarantined(), want.Quarantined()) {

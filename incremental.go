@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"strings"
+	"sync/atomic"
 
+	"confanon/internal/anonymizer"
 	"confanon/internal/rulepack"
 	"confanon/internal/store"
 )
@@ -31,10 +34,11 @@ import (
 
 // CorpusCacheSchema identifies the incremental file cache's binary
 // layout; it opens every cache blob.
-const CorpusCacheSchema = "confanon.filecache/v3"
+const CorpusCacheSchema = "confanon.filecache/v4"
 
 // CorpusCache is the persistent artifact of a recorded run: per file,
-// the SHA-256 of its cleartext and its output. It stores only
+// the SHA-256 of its cleartext and its output, and a record of the
+// strict gate those outputs passed. It stores only
 // anonymized output — never cleartext, which is represented solely by
 // its hash. The salt and options fingerprints cover the
 // mapping-relevant configuration; a cache whose fingerprints do not
@@ -48,8 +52,43 @@ const CorpusCacheSchema = "confanon.filecache/v3"
 // documented in filecache.go.
 type CorpusCache struct {
 	saltFP, optsFP string
+	gate           gateRecord
 	files          map[string]*fileCache
 }
+
+// gateRecord is what a cache knows of the strict gate its outputs
+// passed: whether the run gated at all, under which
+// anonymizer.GateRevision, the recorder's sizes it gated against, and
+// the files it quarantined (sorted). Every other file of a strict
+// recording was clean against that recorder.
+type gateRecord struct {
+	strict      bool
+	revision    uint64
+	sizes       anonymizer.RecorderSizes
+	quarantined []string
+}
+
+// vouches reports whether the record vouches for its clean files on a
+// Session whose recorder has the given sizes: the run gated, under this
+// build's gate revision, against a recorder of the same sizes. A
+// recorder only grows, and a Session restored from the ledger the
+// recording run appended to holds at least what it gated against, so
+// equal sizes mean the same values.
+func (g *gateRecord) vouches(sizes anonymizer.RecorderSizes) bool {
+	return g.strict && g.revision == anonymizer.GateRevision && g.sizes == sizes
+}
+
+// wasQuarantined reports whether the recording run quarantined name.
+func (g *gateRecord) wasQuarantined(name string) bool {
+	_, ok := slices.BinarySearch(g.quarantined, name)
+	return ok
+}
+
+// maxDeltaScan caps the values a run may add to the recorder before
+// every cache-served file is gated in full: each added value costs one
+// substring search over a served file's text, and past this many the
+// searches cost about as much as the gate itself.
+const maxDeltaScan = 8
 
 // fileCache is one file's cache entry. An entry decoded from a blob
 // keeps its encoded section; an entry a run built has none.
@@ -61,13 +100,17 @@ type fileCache struct {
 
 // IncrementalSummary reports how an incremental run dispatched its
 // files: reused whole from the cache, or reprocessed in full. Line
-// counts cover the same split, in input lines. CacheInvalidated is set
-// when a prior cache was supplied but its fingerprints did not match
-// the session (wrong salt, changed options, or changed sensitive
-// tokens), forcing a full run.
+// counts cover the same split, in input lines. FilesGated counts the
+// reused files the strict gate scanned in full: those whose text holds
+// a value the recorder gained this run, and every reused file when the
+// cache cannot vouch for the recorder (see IncrementalCorpusContext).
+// CacheInvalidated is set when a prior cache was supplied but its
+// fingerprints did not match the session (wrong salt, changed options,
+// or changed sensitive tokens), forcing a full run.
 type IncrementalSummary struct {
 	FilesReused      int  `json:"files_reused"`
 	FilesFull        int  `json:"files_full"`
+	FilesGated       int  `json:"files_gated"`
 	LinesReused      int  `json:"lines_reused"`
 	LinesRewritten   int  `json:"lines_rewritten"`
 	CacheInvalidated bool `json:"cache_invalidated,omitempty"`
@@ -84,7 +127,7 @@ func (a *Anonymizer) cacheSaltFP() string { return store.SaltFingerprint(a.prog.
 // operator-added sensitive tokens (a token added since the cache was
 // recorded invalidates every cached file — the token could appear
 // anywhere). Strict mode is deliberately absent: it gates emission,
-// never alters a line, and gating always re-runs.
+// never alters a line, and the cache's gate record covers it.
 func (a *Anonymizer) cacheOptsFP() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "confanon.optsfp/style=%v/keep=%t/stateless=%t",
@@ -143,12 +186,21 @@ func lineCount(text string) int {
 // The contract: called on a Session restored from the prior run's
 // mapping state (UseStore / LoadMapping), the outputs are
 // byte-identical to ParallelCorpusContext over the same corpus on the
-// same restored Session, at every worker count. Strict leak-gating
-// re-gates every file — including cache-served ones — against the
-// corpus-wide recorder, so quarantine decisions are never stale.
-// Res.Stats counts the changed files, whole (cache-served files spend
-// no engine time, which is the point); res.Incremental reports the
-// split.
+// same restored Session, at every worker count, and so are the statuses
+// and the leaks of quarantined files. Strict leak-gating scans every
+// changed file. A served file's output is unchanged, so only a value
+// the recorder gained since the cache was recorded can make a clean one
+// dirty: when the cache vouches for the restored recorder (it was
+// recorded under Options.Strict and this GateRevision, against a
+// recorder of the sizes the Session starts with), a served file the
+// cache did not quarantine is scanned only if its text contains a value
+// this run added — an ASN, a word or a canonical dotted quad — and
+// stays clean otherwise. Every other served file is scanned in full, as
+// is every served file when the cache cannot vouch or the run added
+// more than a few values. Res.Stats counts the changed files, whole
+// (cache-served files spend no engine time, which is the point), and
+// the leak counters and RuleLeakHighlight hits count only the files
+// the gate scanned; res.Incremental reports the split.
 func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[string]string, prior *CorpusCache, workers int) (*CorpusResult, *CorpusCache, error) {
 	if workers < 1 {
 		workers = 1
@@ -177,13 +229,39 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 	sum := &IncrementalSummary{CacheInvalidated: prior != nil && !usable}
 	run.res.Incremental = sum
 	next := &CorpusCache{saltFP: saltFP, optsFP: optsFP, files: make(map[string]*fileCache, len(files))}
-	results, err := run.anonymize(ctx, files, served, workers)
+
+	delta := a.sess.TrackRecorder()
+	defer delta.Stop()
+	vouched := a.strict && usable && prior.gate.vouches(delta.From)
+	if !vouched {
+		delta.Stop() // the gate needs only the recorder's sizes
+	}
+	var gated atomic.Int64
+	filter := func() func(name, text string) bool {
+		vals, sizes := delta.Stop()
+		next.gate = gateRecord{strict: true, revision: anonymizer.GateRevision, sizes: sizes}
+		scan := vouched && len(vals) <= maxDeltaScan
+		return func(name, text string) bool {
+			if _, ok := served[name]; !ok {
+				return true
+			}
+			if scan && !prior.gate.wasQuarantined(name) && !containsAny(text, vals) {
+				return false
+			}
+			gated.Add(1)
+			return true
+		}
+	}
+	results, err := run.anonymize(ctx, files, served, filter, workers)
 	for _, r := range results {
 		if r == nil || r.Status == FileFailed {
 			continue // cancelled before start, or dropped from the next cache
 		}
 		// Quarantined files keep their cache entry: the output is valid,
 		// only emission was withheld.
+		if run.res.Files[r.Name].Status == FileQuarantined {
+			next.gate.quarantined = append(next.gate.quarantined, r.Name)
+		}
 		lines := lineCount(files[r.Name])
 		if _, ok := served[r.Name]; ok {
 			next.files[r.Name] = prior.files[r.Name]
@@ -197,6 +275,17 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 			a.batch.countIncr("full")
 		}
 	}
+	sum.FilesGated = int(gated.Load())
 	res, err := run.finish(err)
 	return res, next, err
+}
+
+// containsAny reports whether text contains any of vals.
+func containsAny(text string, vals []string) bool {
+	for _, v := range vals {
+		if strings.Contains(text, v) {
+			return true
+		}
+	}
+	return false
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -297,6 +300,132 @@ func TestIncrementalStrictRegatesReusedFiles(t *testing.T) {
 	if got, want := res2.Quarantined(), res3.Quarantined(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("quarantine sets diverge: incremental %v, full %v", got, want)
 	}
+	// The poison file added the ASN to the recorder and the target's
+	// output holds it, so the target is gated in full — and only it.
+	if got := res2.Incremental.FilesGated; got != 1 {
+		t.Errorf("FilesGated = %d, want 1", got)
+	}
+	if got, want := res2.Files[target].Leaks, res3.Files[target].Leaks; !reflect.DeepEqual(got, want) || len(got) == 0 {
+		t.Errorf("target leaks diverge: incremental %v, full %v", got, want)
+	}
+}
+
+// recordStrict runs a recording incremental run over files and returns
+// its cache, through the codec, and the Session's mapping state.
+func recordStrict(t *testing.T, opts Options, files map[string]string) (*CorpusCache, store.State) {
+	t.Helper()
+	a := New(opts)
+	_, cache, err := a.IncrementalCorpusContext(context.Background(), files, nil, 2)
+	if err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+	blob, err := cache.Encode()
+	if err == nil {
+		cache, err = DecodeCorpusCache(blob)
+	}
+	if err != nil {
+		t.Fatalf("cache codec: %v", err)
+	}
+	return cache, a.sess.CaptureState()
+}
+
+// regate runs files against cache incrementally and in full, each on a
+// strict Session restored from st, checks that both give every file the
+// same status, output and leaks, and returns the incremental summary.
+func regate(t *testing.T, opts Options, st store.State, files map[string]string, cache *CorpusCache) *IncrementalSummary {
+	t.Helper()
+	ctx := context.Background()
+	opts.Strict = true
+	full, inc := New(opts), New(opts)
+	if err := full.sess.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.sess.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.ParallelCorpusContext(ctx, files, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := inc.IncrementalCorpusContext(ctx, files, cache, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Files) != len(want.Files) {
+		t.Fatalf("%d files, full run %d", len(got.Files), len(want.Files))
+	}
+	for name, w := range want.Files {
+		if g := got.Files[name]; !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: incremental %v (%d leaks), full run %v (%d leaks)", name, g.Status, len(g.Leaks), w.Status, len(w.Leaks))
+		}
+	}
+	return got.Incremental
+}
+
+// TestIncrementalEmptyDeltaSkipsGate: an edit that records no new value
+// leaves the restored recorder as the cache recorded it, so no served
+// file is gated, and the run still publishes what a full run does.
+func TestIncrementalEmptyDeltaSkipsGate(t *testing.T) {
+	n := netgen.Generate(netgen.Params{Seed: 4500, Kind: netgen.Enterprise, Routers: 5})
+	files := n.RenderAll()
+	opts := Options{Salt: []byte(n.Salt), Strict: true}
+	cache, st := recordStrict(t, opts, files)
+	names := sortedNames(files)
+	edited := maps.Clone(files)
+	edited[names[0]] += "!\n"
+	sum := regate(t, opts, st, edited, cache)
+	if sum.FilesGated != 0 || sum.FilesReused != len(files)-1 || sum.FilesFull != 1 {
+		t.Errorf("summary %+v, want %d reused, 1 full, 0 gated", sum, len(files)-1)
+	}
+}
+
+// TestIncrementalGateFailsClosed: every served file is gated in full
+// when the cache cannot vouch for the restored recorder, and a file the
+// cache quarantined is always gated in full.
+func TestIncrementalGateFailsClosed(t *testing.T) {
+	n := netgen.Generate(netgen.Params{Seed: 4600, Kind: netgen.Enterprise, Routers: 4})
+	files := n.RenderAll()
+	files["q-confg"] = ipv6Config
+	opts := Options{Salt: []byte(n.Salt), Strict: true}
+	cache, st := recordStrict(t, opts, files)
+	if !reflect.DeepEqual(cache.gate.quarantined, []string{"q-confg"}) {
+		t.Fatalf("recorded quarantine set %v, want [q-confg]", cache.gate.quarantined)
+	}
+
+	t.Run("quarantined", func(t *testing.T) {
+		if sum := regate(t, opts, st, files, cache); sum.FilesGated != 1 {
+			t.Errorf("FilesGated = %d, want 1 (the quarantined file)", sum.FilesGated)
+		}
+	})
+	t.Run("lenient", func(t *testing.T) {
+		lenient := opts
+		lenient.Strict = false
+		cache, st := recordStrict(t, lenient, files)
+		if sum := regate(t, opts, st, files, cache); sum.FilesGated != len(files) {
+			t.Errorf("FilesGated = %d, want %d", sum.FilesGated, len(files))
+		}
+	})
+	t.Run("strict-flag", func(t *testing.T) {
+		other := *cache
+		other.gate.strict = false
+		if sum := regate(t, opts, st, files, &other); sum.FilesGated != len(files) {
+			t.Errorf("FilesGated = %d, want %d", sum.FilesGated, len(files))
+		}
+	})
+	t.Run("sizes", func(t *testing.T) {
+		grown := st
+		grown.Words = append(slices.Clip(st.Words), "zz-recorded-elsewhere")
+		if sum := regate(t, opts, grown, files, cache); sum.FilesGated != len(files) {
+			t.Errorf("FilesGated = %d, want %d", sum.FilesGated, len(files))
+		}
+	})
+	t.Run("revision", func(t *testing.T) {
+		other := *cache
+		other.gate.revision++
+		if sum := regate(t, opts, st, files, &other); sum.FilesGated != len(files) {
+			t.Errorf("FilesGated = %d, want %d", sum.FilesGated, len(files))
+		}
+	})
 }
 
 // BenchmarkIncremental sweeps the edited-line fraction of a second-
@@ -465,10 +594,13 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 
 // TestCorpusCacheRoundTrip: built entries — an ordinary output, the
 // output of an empty file, one with bytes a varint or a schema line
-// could be confused with — survive Encode and decode unchanged, and a
-// decoded cache re-encodes to the same bytes.
+// could be confused with — and the gate record survive Encode and
+// decode unchanged, and a decoded cache re-encodes to the same bytes. A
+// gate record whose quarantined names are out of order does not decode.
 func TestCorpusCacheRoundTrip(t *testing.T) {
-	c := &CorpusCache{saltFP: "s", optsFP: "o", files: map[string]*fileCache{
+	gate := gateRecord{strict: true, revision: anonymizer.GateRevision,
+		sizes: anonymizer.RecorderSizes{ASNs: 1, Words: 200, IPs: 3}, quarantined: []string{"", "bytes", "r1"}}
+	c := &CorpusCache{saltFP: "s", optsFP: "o", gate: gate, files: map[string]*fileCache{
 		"r1":    {sum: [32]byte{1}, text: "hostname x\n ip address 1.2.3.4 255.0.0.0\nend\n"},
 		"empty": {sum: [32]byte{2}, text: "\n"},
 		"bytes": {sum: [32]byte{3, 0xff}, text: "\x00\x80\xff" + CorpusCacheSchema + "\n"},
@@ -482,8 +614,8 @@ func TestCorpusCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeCorpusCache: %v", err)
 	}
-	if got.saltFP != c.saltFP || got.optsFP != c.optsFP || len(got.files) != len(c.files) {
-		t.Fatalf("header or file count changed: %q %q %d", got.saltFP, got.optsFP, len(got.files))
+	if got.saltFP != c.saltFP || got.optsFP != c.optsFP || !reflect.DeepEqual(got.gate, gate) || len(got.files) != len(c.files) {
+		t.Fatalf("header or file count changed: %q %q %+v %d", got.saltFP, got.optsFP, got.gate, len(got.files))
 	}
 	for name, want := range c.files {
 		fc := got.files[name]
@@ -494,6 +626,13 @@ func TestCorpusCacheRoundTrip(t *testing.T) {
 	again, err := got.Encode()
 	if err != nil || string(again) != string(blob) {
 		t.Errorf("re-encoding a decoded cache changed its bytes (err=%v)", err)
+	}
+	c.gate.quarantined = []string{"r1", "bytes"}
+	if blob, err = c.Encode(); err == nil {
+		_, err = DecodeCorpusCache(blob)
+	}
+	if err != errCacheMalformed {
+		t.Errorf("unsorted quarantine names: err = %v, want %v", err, errCacheMalformed)
 	}
 }
 

@@ -3,6 +3,7 @@ package anonymizer
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -143,6 +144,65 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 	a.countLeaks(leaks)
 	a.observeStage(stageLeakReport, d)
 	return leaks
+}
+
+// GateRevision identifies what leakReport reports for a given recorder:
+// its recorder-independent checks (ip6, pack report rules) and how it
+// classifies a recorded value it finds (innocuousIntContext, the ip
+// false-positive test). The incremental file cache records it, and a
+// cache recorded under another revision vouches for no served file, so
+// any change to those checks must bump it.
+const GateRevision = 1
+
+// RecorderSizes counts a leak recorder's entries by kind.
+type RecorderSizes struct{ ASNs, Words, IPs int }
+
+// RecorderDelta collects the values a Session's leak recorder gains
+// while it is tracked (TrackRecorder): the entries flushRecorder newly
+// adds, from every worker of the Session. Restores (RestoreState) merge
+// outside it.
+type RecorderDelta struct {
+	s *Session
+	// From is the recorder's sizes when tracking began.
+	From RecorderSizes
+	vals []string
+}
+
+// TrackRecorder starts collecting the values the recorder gains, until
+// the returned delta's Stop.
+func (s *Session) TrackRecorder() *RecorderDelta {
+	d := &RecorderDelta{s: s}
+	s.recMu.Lock()
+	d.From = s.recorderSizes()
+	s.deltas = append(s.deltas, d)
+	s.recMu.Unlock()
+	return d
+}
+
+// Stop ends the tracking; a second call collects nothing more. It
+// returns the values the recorder gained — ASNs and words as recorded,
+// addresses as canonical dotted quads, so each is the text a leak
+// report would match — and the recorder's sizes, read under the same
+// lock.
+func (d *RecorderDelta) Stop() ([]string, RecorderSizes) {
+	s := d.s
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	s.deltas = slices.DeleteFunc(s.deltas, func(x *RecorderDelta) bool { return x == d })
+	return d.vals, s.recorderSizes()
+}
+
+// recorderSizes reads the recorder's sizes; callers hold recMu.
+func (s *Session) recorderSizes() RecorderSizes {
+	return RecorderSizes{ASNs: len(s.seenASNs), Words: len(s.seenWords), IPs: len(s.seenIPs)}
+}
+
+// noteDelta hands a value new to the recorder to every tracked delta;
+// callers hold recMu for writing.
+func (s *Session) noteDelta(v string) {
+	for _, d := range s.deltas {
+		d.vals = append(d.vals, v)
+	}
 }
 
 // ipv6Doc is the IPv6 documentation prefix (RFC 3849).

@@ -6,6 +6,7 @@ import (
 
 	"confanon/internal/metrics"
 	"confanon/internal/store"
+	"confanon/internal/token"
 )
 
 // The metrics bridge. The engine keeps its counts in the plain Stats
@@ -145,9 +146,10 @@ func (p *Program) collectInto(reg *metrics.Registry) {
 // flushRecorder publishes the worker's pending leak-recorder entries
 // into the Session recorder and clears the pending maps. Entries are
 // only ever added, never retracted: an aborted file can widen later
-// leak reports but never narrow them. When a durable ledger is attached,
-// each genuinely new key (detected under recMu, so exactly one worker
-// records it) is queued for the next clean-boundary commit.
+// leak reports but never narrow them. Each genuinely new key (detected
+// under recMu, so exactly one worker adds it) is queued for the next
+// clean-boundary commit when a durable ledger is attached, and handed
+// to every tracked RecorderDelta.
 func (a *Anonymizer) flushRecorder() {
 	if len(a.seenASNs) == 0 && len(a.seenWords) == 0 && len(a.seenIPs) == 0 {
 		return
@@ -156,23 +158,38 @@ func (a *Anonymizer) flushRecorder() {
 	led := s.ledgerOn.Load()
 	var recs []store.Record
 	s.recMu.Lock()
+	// A key is new when storing it grows the set: one map write per key.
 	for k := range a.seenASNs {
-		if led && !s.seenASNs[k] {
+		n := len(s.seenASNs)
+		if s.seenASNs[k] = true; len(s.seenASNs) == n {
+			continue
+		}
+		if led {
 			recs = append(recs, store.Record{T: store.TASN, V: k})
 		}
-		s.seenASNs[k] = true
+		s.noteDelta(k)
 	}
 	for k := range a.seenWords {
-		if led && !s.seenWords[k] {
+		n := len(s.seenWords)
+		if s.seenWords[k] = true; len(s.seenWords) == n {
+			continue
+		}
+		if led {
 			recs = append(recs, store.Record{T: store.TWord, V: k})
 		}
-		s.seenWords[k] = true
+		s.noteDelta(k)
 	}
 	for k := range a.seenIPs {
-		if led && !s.seenIPs[k] {
+		n := len(s.seenIPs)
+		if s.seenIPs[k] = true; len(s.seenIPs) == n {
+			continue
+		}
+		if led {
 			recs = append(recs, store.Record{T: store.TOrigIP, In: k})
 		}
-		s.seenIPs[k] = true
+		if len(s.deltas) > 0 {
+			s.noteDelta(token.FormatIPv4(k))
+		}
 	}
 	s.recMu.Unlock()
 	s.appendLedgerRecords(recs)

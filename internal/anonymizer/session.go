@@ -86,6 +86,10 @@ type Session struct {
 	// workers Census runs on, which map through a recording trace and
 	// commit nothing.
 	pool, census sync.Pool
+
+	// deltas are the recorder's tracked deltas (TrackRecorder), guarded
+	// by recMu.
+	deltas []*RecorderDelta
 }
 
 // LedgerSink is the durable-store surface the Session commits into:
