@@ -77,9 +77,10 @@ go test -run '^TestAllocsPerLine$' .
 
 # Ledger layer rows: BenchmarkLedgerOpen (replaying one owner's ledger)
 # and BenchmarkUseStore (restoring it into a Session) run once, so a
-# change to the store or restore API that breaks them fails here.
-echo "== go test -run '^\$' -bench 'LedgerOpen|UseStore' -benchtime 1x ."
-go test -run '^$' -bench 'LedgerOpen|UseStore' -benchtime 1x .
+# change to the store or restore API that breaks them fails here; with
+# -benchmem every log shows their B/op and allocs/op.
+echo "== go test -run '^\$' -bench 'LedgerOpen|UseStore' -benchtime 1x -benchmem ."
+go test -run '^$' -bench 'LedgerOpen|UseStore' -benchtime 1x -benchmem .
 
 # Reproduction harness row: BenchmarkPopulationStudy (the one pass over
 # the standard population behind E4, E5, E6 and E8) runs once, so a
@@ -151,7 +152,8 @@ go run ./cmd/confvalidate $packargs
 # byte-level line decoder against encoding/json (same Record, same
 # class of error), over ledger replay against a reference replay
 # (FuzzOpenMatchesReference: the same State, or ErrCorrupt at the same
-# line), and over the file cache decoder (no input panics). Crashers are persisted under testdata/fuzz/ and
+# line, from Open and, for a program that ends in a single segment read
+# as a snapshot blob, from DecodeState), and over the file cache decoder (no input panics). Crashers are persisted under testdata/fuzz/ and
 # then replayed by the ordinary test step above, so a find here becomes
 # a permanent regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then

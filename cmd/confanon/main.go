@@ -78,6 +78,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -245,30 +246,52 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		a.AddRule(tok)
 	}
 
-	if streamMode {
-		code := runStream(ctx, a, stdin, stdout, stderr)
+	// persist makes the run's mapping durable, before a batch publishes
+	// anything: outputs without durable mappings cannot be re-anonymized
+	// consistently later. It commits the ledger (-state-dir) and saves
+	// the -mapping snapshot whatever the run's outcome, since a withheld
+	// file's addresses are already in the tree.
+	persist := func() error {
 		if mstore != nil {
 			if err := a.SyncStore(); err != nil {
-				return fatal(stderr, fmt.Errorf("state dir %s: %w", *stateDir, err))
+				return fmt.Errorf("state dir %s: %w", *stateDir, err)
 			}
 		}
-		if code == exitClean && *mapFile != "" {
-			if err := store.WriteFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
-				return fatal(stderr, err)
-			}
+		if *mapFile != "" {
+			return store.WriteFileAtomic(*mapFile, a.SaveMapping(), 0o600)
 		}
+		return nil
+	}
+	// finish ends every run, stream or batch: -stats and -rule-stats,
+	// the -metrics-out report with the run's per-status file counts,
+	// and -trace-out. It returns code unless writing fails.
+	finish := func(code int, t tally) int {
 		printStats(stderr, a.Stats(), prog.Rules(), *statsOut, *ruleStats)
 		if *metricsOut != "" {
-			if err := writeRunReport(*metricsOut, a.Report()); err != nil {
+			// Built at the very end, so the counters include a batch
+			// run's leak-report pass.
+			rep := a.Report()
+			rep.FilesOK, rep.FilesFailed, rep.FilesQuarantined = t.ok, t.failed, t.quarantined
+			if err := writeRunReport(*metricsOut, rep); err != nil {
 				return fatal(stderr, err)
 			}
 		}
 		if tracer != nil {
+			// Written even when files were withheld: a trace of a failed
+			// run is exactly the artifact the operator wants to read.
 			if err := writeTrace(*traceOut, tracer); err != nil {
 				return fatal(stderr, err)
 			}
 		}
 		return code
+	}
+
+	if streamMode {
+		code, t := runStream(ctx, a, stdin, stdout, stderr)
+		if err := persist(); err != nil {
+			return fatal(stderr, err)
+		}
+		return finish(code, t)
 	}
 
 	files, err := readDir(*inDir)
@@ -303,13 +326,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if err != nil {
 		return fatal(stderr, fmt.Errorf("anonymization aborted: %w", err))
 	}
-	if mstore != nil {
-		// Surface commit failures as run-fatal before anything is
-		// published: outputs without durable mappings cannot be
-		// re-anonymized consistently later.
-		if err := a.SyncStore(); err != nil {
-			return fatal(stderr, fmt.Errorf("state dir %s: %w", *stateDir, err))
-		}
+	if err := persist(); err != nil {
+		return fatal(stderr, err)
 	}
 	if nextCache != nil {
 		blob, err := nextCache.Encode()
@@ -339,11 +357,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	fmt.Fprintf(stdout, "anonymized %d of %d files (%d lines) into %s\n",
 		len(post), len(files), res.Stats.Lines, *outDir)
-	if *mapFile != "" {
-		if err := store.WriteFileAtomic(*mapFile, a.SaveMapping(), 0o600); err != nil {
-			return fatal(stderr, err)
-		}
-	}
 
 	code := exitClean
 	for _, ferr := range res.Failed() {
@@ -396,28 +409,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			code = exitWithheld
 		}
 	}
-	printStats(stderr, a.Stats(), prog.Rules(), *statsOut, *ruleStats)
-	if *metricsOut != "" {
-		// Rebuild the report at the very end so the counters include the
-		// leak-report pass above; the per-status outcome counts come from
-		// the batch result.
-		rep := a.Report()
-		rep.FilesOK = res.Report.FilesOK
-		rep.FilesFailed = res.Report.FilesFailed
-		rep.FilesQuarantined = res.Report.FilesQuarantined
-		if err := writeRunReport(*metricsOut, rep); err != nil {
-			return fatal(stderr, err)
-		}
-	}
-	if tracer != nil {
-		// Written even when files were withheld: a trace of a failed run
-		// is exactly the artifact the operator wants to read.
-		if err := writeTrace(*traceOut, tracer); err != nil {
-			return fatal(stderr, err)
-		}
-	}
-	return code
+	return finish(code, tally{res.Report.FilesOK, res.Report.FilesFailed, res.Report.FilesQuarantined})
 }
+
+// tally is a run's per-status file counts, as its report carries them.
+type tally struct{ ok, failed, quarantined int }
 
 // writeTrace serializes the trace as confanon.trace/v1 JSONL.
 func writeTrace(path string, tr *confanon.Tracer) error {
@@ -503,7 +499,8 @@ func serveDebug(addr string, reg *confanon.MetricsRegistry) (func(), error) {
 
 // runStream handles "confanon ... -": one configuration, stdin→stdout,
 // with the same fail-closed per-file error channel as the batch path.
-func runStream(ctx context.Context, a *confanon.Anonymizer, stdin io.Reader, stdout io.Writer, stderr io.Writer) int {
+// It returns the exit code and the file's outcome.
+func runStream(ctx context.Context, a *confanon.Anonymizer, stdin io.Reader, stdout io.Writer, stderr io.Writer) (int, tally) {
 	done := false
 	next := func() (string, io.Reader, error) {
 		if done {
@@ -515,15 +512,21 @@ func runStream(ctx context.Context, a *confanon.Anonymizer, stdin io.Reader, std
 	sink := func(string) (io.WriteCloser, error) { return nopCloser{stdout}, nil }
 	ferrs, err := a.StreamCorpusContext(ctx, next, sink)
 	if err != nil {
-		return fatal(stderr, err)
+		return fatal(stderr, err), tally{}
+	}
+	t := tally{ok: 1 - len(ferrs)} // stdin is the stream's one file
+	for _, fe := range ferrs {
+		fmt.Fprintln(stderr, "confanon: withheld:", fe)
+		if errors.Is(fe.Cause, confanon.ErrQuarantined) {
+			t.quarantined++
+		} else {
+			t.failed++
+		}
 	}
 	if len(ferrs) > 0 {
-		for _, fe := range ferrs {
-			fmt.Fprintln(stderr, "confanon: withheld:", fe)
-		}
-		return exitWithheld
+		return exitWithheld, t
 	}
-	return exitClean
+	return exitClean, t
 }
 
 type nopCloser struct{ io.Writer }

@@ -183,29 +183,62 @@ func TestRunMetricsOut(t *testing.T) {
 	}
 }
 
-// TestRunMetricsOutStreamMode: the stream path writes a report too.
-func TestRunMetricsOutStreamMode(t *testing.T) {
+// streamReport runs stream mode over in with -metrics-out and returns
+// the exit code and the report written.
+func streamReport(t *testing.T, in string, args ...string) (int, confanon.RunReport) {
+	t.Helper()
 	reportPath := filepath.Join(t.TempDir(), "report.json")
 	var out, errb bytes.Buffer
 	code := run(context.Background(),
-		[]string{"-salt", "s", "-stateless", "-metrics-out", reportPath, "-"},
-		strings.NewReader(cleanConf), &out, &errb)
-	if code != exitClean {
-		t.Fatalf("exit %d; stderr:\n%s", code, errb.String())
-	}
+		append(append([]string{"-salt", "s", "-metrics-out", reportPath}, args...), "-"),
+		strings.NewReader(in), &out, &errb)
 	var rep confanon.RunReport
 	b, err := os.ReadFile(reportPath)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("exit %d, no report: %v; stderr:\n%s", code, err, errb.String())
 	}
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatal(err)
+	}
+	return code, rep
+}
+
+// TestRunMetricsOutStreamMode: the stream path writes a report too, and
+// its per-status counts agree with the batch outcome counter.
+func TestRunMetricsOutStreamMode(t *testing.T) {
+	code, rep := streamReport(t, cleanConf, "-stateless")
+	if code != exitClean {
+		t.Fatalf("exit %d", code)
 	}
 	if rep.Files != 1 || rep.Counters["confanon_files_processed_total"] != 1 {
 		t.Errorf("stream report: files=%d counters=%v", rep.Files, rep.Counters["confanon_files_processed_total"])
 	}
 	if rep.Counters["confanon_stream_bytes_in_total"] == 0 {
 		t.Error("stream bytes-in counter is zero")
+	}
+	if rep.FilesOK != 1 || rep.FilesFailed != 0 || rep.FilesQuarantined != 0 ||
+		rep.Counters[`confanon_batch_files_total{status="ok"}`] != 1 {
+		t.Errorf("stream report: files_ok=%d failed=%d quarantined=%d, batch ok counter %v; want 1, 0, 0, 1",
+			rep.FilesOK, rep.FilesFailed, rep.FilesQuarantined, rep.Counters[`confanon_batch_files_total{status="ok"}`])
+	}
+}
+
+// TestRunStreamStrictReportAndMapping: a quarantined stream is counted
+// as quarantined in the report, and its -mapping snapshot is saved as a
+// batch run saves it: the withheld file's values are in the Session.
+func TestRunStreamStrictReportAndMapping(t *testing.T) {
+	mapPath := filepath.Join(t.TempDir(), "m.bin")
+	code, rep := streamReport(t, leakyConf, "-strict", "-mapping", mapPath)
+	if code != exitWithheld {
+		t.Fatalf("exit %d, want %d", code, exitWithheld)
+	}
+	if rep.FilesOK != 0 || rep.FilesQuarantined != 1 ||
+		rep.Counters[`confanon_batch_files_total{status="quarantined"}`] != 1 {
+		t.Errorf("stream report: files_ok=%d quarantined=%d, batch quarantined counter %v; want 0, 1, 1",
+			rep.FilesOK, rep.FilesQuarantined, rep.Counters[`confanon_batch_files_total{status="quarantined"}`])
+	}
+	if b, err := os.ReadFile(mapPath); err != nil || len(b) == 0 {
+		t.Errorf("-mapping snapshot not saved after a withheld stream: %d bytes, %v", len(b), err)
 	}
 }
 

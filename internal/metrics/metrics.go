@@ -325,20 +325,6 @@ func (v *CounterVec) With(labelVals ...string) *Counter {
 	return v.f.getOrCreate(labelVals, func() *series { return &series{c: &Counter{}} }).c
 }
 
-// GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family name.
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{r.familyFor(name, help, typeGauge, labelKeys, nil)}
-}
-
-// With returns the gauge for one combination of label values.
-func (v *GaugeVec) With(labelVals ...string) *Gauge {
-	v.f.checkArity(labelVals)
-	return v.f.getOrCreate(labelVals, func() *series { return &series{g: &Gauge{}} }).g
-}
-
 // HistogramVec is a histogram family with label dimensions.
 type HistogramVec struct{ f *family }
 

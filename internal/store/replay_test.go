@@ -319,8 +319,79 @@ func checkOpenMatchesReference(t *testing.T, dir string) {
 	}
 }
 
+// checkDecodeMatchesReference asserts that DecodeState reads blob, the
+// bytes of the one segment in dir, to the reference replay's State and
+// to the segment header's fingerprint — or, when the reference finds a
+// corrupt line, fails with ErrCorrupt at the same line.
+func checkDecodeMatchesReference(t *testing.T, dir string, blob []byte) {
+	t.Helper()
+	want, werr := referenceReplay(t, dir, testFP)
+	got, fp, err := DecodeState(blob)
+	if werr != nil {
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(werr, ErrCorrupt) {
+			t.Fatalf("DecodeState err = %v; reference err = %v; want ErrCorrupt from both", err, werr)
+		}
+		at := func(e error) string { return strings.SplitN(strings.SplitN(e.Error(), " line ", 2)[1], ":", 2)[0] }
+		if at(err) != at(werr) {
+			t.Fatalf("DecodeState fails at line %s, the reference at line %s", at(err), at(werr))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("DecodeState: %v (the reference replays cleanly)", err)
+	}
+	if fp != testFP {
+		t.Fatalf("DecodeState fingerprint = %q, want %q", fp, testFP)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeState differs from the reference replay:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplayLongLine: a line longer than replay's read buffer — a
+// committed word record, a torn copy of it after the last commit, or a
+// copy whose CRC fails before a commit — replays through Open and
+// DecodeState as the reference replays it.
+func TestReplayLongLine(t *testing.T) {
+	word := strings.Repeat("long", replayBufSize/2) + "!"
+	long := frame(fmt.Sprintf(`{"t":"word","v":%q}`, word))
+	cases := map[string][]string{
+		"committed, then torn": {header(1),
+			frame(`{"t":"ip","in":1,"out":2}`),
+			long,
+			frame(`{"t":"commit","n":2}`),
+			frame(`{"t":"ip","in":3,"out":4}`),
+			long[:len(long)-len(long)/3]},
+		"crc failure before a commit": {header(1),
+			frame(`{"t":"ip","in":1,"out":2}`),
+			strings.Replace(long, "!", "?", 1),
+			frame(`{"t":"commit","n":2}`)},
+	}
+	for name, lines := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeSegment(t, dir, 1, lines...)
+			checkOpenMatchesReference(t, dir)
+			checkDecodeMatchesReference(t, dir, []byte(strings.Join(lines, "")))
+		})
+	}
+	dir := t.TempDir()
+	writeSegment(t, dir, 1, cases["committed, then torn"]...)
+	l, err := Open(dir, testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.State(); len(got.Words) != 1 || got.Words[0] != word || len(got.IPs) != 1 {
+		t.Fatalf("replayed state holds %d words, %d pairs; want the long word and one pair", len(got.Words), len(got.IPs))
+	}
+}
+
 // FuzzOpenMatchesReference: for any ledger a byte program writes, Open
-// agrees with the reference replay (checkOpenMatchesReference). Each
+// agrees with the reference replay (checkOpenMatchesReference), and a
+// program that ends in a single segment, read as a snapshot blob,
+// decodes through DecodeState as the reference replays it
+// (checkDecodeMatchesReference). Each
 // pair of bytes is one step: a record of any type over a few values (so
 // duplicates and later, conflicting pairs are common), a commit, a new
 // segment, a non-canonical line, a line whose CRC fails, or a torn line.
@@ -375,5 +446,8 @@ func FuzzOpenMatchesReference(f *testing.F) {
 		}
 		writeSegment(t, dir, seg, lines...)
 		checkOpenMatchesReference(t, dir)
+		if seg == 1 {
+			checkDecodeMatchesReference(t, dir, []byte(strings.Join(lines, "")))
+		}
 	})
 }

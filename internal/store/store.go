@@ -26,22 +26,26 @@
 //
 // # Recovery
 //
-// Open replays every segment. Records after the last valid commit —
-// including a torn final line from a crash mid-write — are discarded
-// silently (that is the designed crash window). A record that fails its
-// CRC or does not parse *before* a later valid commit is corruption of
-// durable data and fails Open with ErrCorrupt: the ledger never guesses
-// at committed state.
+// Open replays every segment, reading each forward once. Records after
+// the last valid commit — including a torn final line from a crash
+// mid-write — are discarded silently (that is the designed crash
+// window). A record that fails its CRC or does not parse *before* a
+// later valid commit is corruption of durable data and fails Open with
+// ErrCorrupt, naming the first such line: the ledger never guesses at
+// committed state. The snapshot blobs of EncodeState go through the same
+// replay (DecodeState), with their own header policy.
 //
 // Replay is every -state-dir run's fixed cost, so it does each piece of
-// work once. A line in the form encodeLine writes is parsed byte by byte
-// (the ip and oip records, nearly all of a ledger, as whole forms),
-// any other line through encoding/json, both into one reused Record; the
-// CRC is checked either way. Records are appended to the state's lists
-// as they come, and once every segment is in, one pass drops the values
-// an earlier record already gave (first sight wins) and builds the
-// dedup sets at their final size. A segment's bytes are dropped as soon
-// as its records are in. Committed hands the replayed state to a reader
+// work once. A segment is read line by line through one buffer, never
+// whole. A line in the form encodeLine writes is parsed byte by byte
+// (the ip and oip records, nearly all of a ledger, as whole forms), any
+// other line through encoding/json, both into one reused Record; the CRC
+// is checked either way. Each record is appended to the state's lists as
+// it arrives; each commit notes the lists' lengths, and at the end of a
+// segment the lists are cut back to them, which drops the uncommitted
+// tail. Once every segment is in, one pass drops the values an earlier
+// record already gave (first sight wins) and builds the dedup sets at
+// their final size. Committed hands the replayed state to a reader
 // without copying it.
 //
 // # Compaction
@@ -71,6 +75,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -169,9 +174,33 @@ type State struct {
 }
 
 // Empty reports whether the state carries nothing.
-func (s *State) Empty() bool {
-	return len(s.IPs) == 0 && len(s.ASNs) == 0 && len(s.Words) == 0 &&
-		len(s.OrigIPs) == 0 && len(s.Sensitive) == 0 && len(s.Relations) == 0
+func (s *State) Empty() bool { return s.lens() == lens{} }
+
+// lens is the lengths of a State's six lists, in field order.
+type lens [6]int
+
+func (s *State) lens() lens {
+	return lens{len(s.IPs), len(s.ASNs), len(s.Words), len(s.OrigIPs), len(s.Sensitive), len(s.Relations)}
+}
+
+func (n lens) sum() int { return n[0] + n[1] + n[2] + n[3] + n[4] + n[5] }
+
+// truncate cuts each list back to its length in n: to nil at zero, as a
+// list that never held a record is.
+func (s *State) truncate(n lens) {
+	s.IPs = clip(s.IPs, n[0])
+	s.ASNs = clip(s.ASNs, n[1])
+	s.Words = clip(s.Words, n[2])
+	s.OrigIPs = clip(s.OrigIPs, n[3])
+	s.Sensitive = clip(s.Sensitive, n[4])
+	s.Relations = clip(s.Relations, n[5])
+}
+
+func clip[T any](list []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return list[:n]
 }
 
 // records flattens the state into replayable ledger records (IP pairs
@@ -396,6 +425,10 @@ func Open(dir, saltFP string) (*Ledger, error) {
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
+	// The header is buffered: it becomes durable with the first commit.
+	if err := writeRecords(l.w, Record{T: TOpen, Schema: Schema, SaltFP: saltFP, Seg: l.seg}); err != nil {
+		return nil, err
+	}
 	return l, nil
 }
 
@@ -434,44 +467,8 @@ func (l *Ledger) segPath(n int) string {
 	return filepath.Join(l.dir, fmt.Sprintf("seg-%06d.jsonl", n))
 }
 
-// committedPrefix returns data up to the end of its last line that
-// decodes as a commit record, or nil when no line does. Replay applies
-// only that prefix: what follows is the uncommitted tail of a crash,
-// possibly a torn line, and is discarded silently. Finding the last
-// commit first, from the end, lets replay decode and apply the prefix
-// in one forward pass.
-func committedPrefix(data []byte) []byte {
-	for end := len(data); end > 0; {
-		start := bytes.LastIndexByte(data[:end], '\n') + 1
-		if start < end {
-			var rec Record
-			if err := decodeLine(data[start:end], &rec); err == nil && rec.T == TCommit {
-				return data[:end]
-			}
-		}
-		end = start - 1
-	}
-	return nil
-}
-
-// nextLine splits the first non-empty line off data; line is nil when
-// none is left.
-func nextLine(data []byte) (line, rest []byte) {
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		switch {
-		case i < 0:
-			return data, nil
-		case i > 0:
-			return data[:i], data[i+1:]
-		}
-		data = data[1:]
-	}
-	return nil, nil
-}
-
 // checkHeader verifies a segment's open header against the ledger.
-func (l *Ledger) checkHeader(name string, rec Record) error {
+func (l *Ledger) checkHeader(name string, rec *Record) error {
 	if rec.Schema != Schema {
 		return fmt.Errorf("%w (%s carries %q)", ErrSchema, name, rec.Schema)
 	}
@@ -482,52 +479,88 @@ func (l *Ledger) checkHeader(name string, rec Record) error {
 }
 
 // replaySegment adds one segment's committed records to the state,
-// duplicates and all (Open indexes the state once every segment is in).
-// Returns the number of committed data records added. A record inside
-// the committed prefix that fails to decode is ErrCorrupt. Nothing keeps
-// the segment's bytes once it returns: string values are copied out.
+// duplicates and all (Open indexes the state once every segment is in),
+// and returns how many it added.
 func (l *Ledger) replaySegment(name string) (int, error) {
-	data, err := os.ReadFile(filepath.Join(l.dir, name))
+	f, err := os.Open(filepath.Join(l.dir, name))
 	if err != nil {
 		return 0, fmt.Errorf("store: reading %s: %w", name, err)
 	}
-	var rec Record
-	committed := committedPrefix(data)
-	if committed == nil {
-		// A segment with no commit contributes nothing — but its header,
-		// if readable, must still agree on schema and salt.
-		if first, _ := nextLine(data); first != nil {
-			if err := decodeLine(first, &rec); err == nil && rec.T == TOpen {
-				return 0, l.checkHeader(name, rec)
+	defer f.Close()
+	return replay(f, name, &l.state, func(_ int, rec *Record) error { return l.checkHeader(name, rec) })
+}
+
+// replayBufSize is replay's read buffer: the usual line is under 100
+// bytes, and a longer one is gathered across reads.
+const replayBufSize = 64 << 10
+
+// replay reads one ledger stream — a segment file or a snapshot blob,
+// named where in errors — forward, adding each data record to s as it
+// arrives, duplicates and all, and returns how many committed records it
+// added. At each valid commit it notes the lengths of s's lists; at EOF
+// it truncates them back to the last noted lengths, which drops the
+// uncommitted tail (a torn final line included) silently.
+//
+// A line that does not decode is corruption only if a later valid commit
+// proves it committed: replay then fails with ErrCorrupt naming the
+// first such line (non-empty lines counted from 1). header sees every
+// open record with its line number; its error is returned at once for
+// line 1 (a stream's header names its schema and owner, committed or
+// not) and treated like an undecodable line elsewhere.
+func replay(r io.Reader, where string, s *State, header func(n int, rec *Record) error) (int, error) {
+	br := bufio.NewReaderSize(r, replayBufSize)
+	var (
+		rec   Record
+		long  []byte // a line longer than br's buffer, gathered
+		bad   error  // the first bad line, reported at the next commit
+		start = s.lens()
+		mark  = start
+	)
+	for n := 0; ; {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if err != nil && err != io.EOF {
+			return 0, fmt.Errorf("store: reading %s: %w", where, err)
+		}
+		if line = bytes.TrimSuffix(line, []byte{'\n'}); len(line) > 0 {
+			n++
+			derr := decodeLine(line, &rec)
+			if derr != nil {
+				derr = fmt.Errorf("%w (%s line %d: %v)", ErrCorrupt, where, n, derr)
+			} else if rec.T == TOpen {
+				if derr = header(n, &rec); derr != nil && n == 1 {
+					return 0, derr
+				}
+			}
+			switch {
+			case derr != nil:
+				if bad == nil {
+					bad = derr
+				}
+			case rec.T == TCommit:
+				if bad != nil {
+					return 0, bad
+				}
+				mark = s.lens()
+			case rec.T != TOpen:
+				s.add(&rec)
 			}
 		}
-		return 0, nil
-	}
-	added := 0
-	for n := 1; ; n++ {
-		var line []byte
-		if line, committed = nextLine(committed); line == nil {
-			return added, nil
-		}
-		if err := decodeLine(line, &rec); err != nil {
-			return 0, fmt.Errorf("%w (%s line %d: %v)", ErrCorrupt, name, n, err)
-		}
-		switch rec.T {
-		case TOpen:
-			if err := l.checkHeader(name, rec); err != nil {
-				return 0, err
-			}
-		case TCommit:
-			// Durability marker; nothing to apply.
-		default:
-			l.state.add(&rec)
-			added++
+		if err == io.EOF {
+			s.truncate(mark)
+			return mark.sum() - start.sum(), nil
 		}
 	}
 }
 
-// openSegment starts the active segment with its open header (buffered;
-// the header becomes durable with the first commit).
+// openSegment creates segment l.seg as the active segment, empty.
 func (l *Ledger) openSegment() error {
 	f, err := os.OpenFile(l.segPath(l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
@@ -536,19 +569,36 @@ func (l *Ledger) openSegment() error {
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	l.segRecs = 0
-	line, err := encodeLine(Record{T: TOpen, Schema: Schema, SaltFP: l.saltFP, Seg: l.seg})
-	if err != nil {
-		return err
-	}
-	_, err = l.w.Write(line)
-	return err
+	return nil
 }
 
-// stateLen counts the live state's data records.
-func (l *Ledger) stateLen() int {
-	s := &l.state
-	return len(s.IPs) + len(s.ASNs) + len(s.Words) + len(s.OrigIPs) +
-		len(s.Sensitive) + len(s.Relations)
+// writeRecords encodes recs onto w, one line each.
+func writeRecords(w io.Writer, recs ...Record) error {
+	for _, r := range recs {
+		line, err := encodeLine(r)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSnapshot writes s as one self-contained committed segment — its
+// open header, every record of s (IP pairs first, in insertion order),
+// and a commit covering them — and returns the number of data records.
+// Compaction and EncodeState both write it.
+func writeSnapshot(w io.Writer, s *State, saltFP string, seg int) (int, error) {
+	recs := s.records()
+	if err := writeRecords(w, Record{T: TOpen, Schema: Schema, SaltFP: saltFP, Seg: seg}); err != nil {
+		return 0, err
+	}
+	if err := writeRecords(w, recs...); err != nil {
+		return 0, err
+	}
+	return len(recs), writeRecords(w, Record{T: TCommit, N: len(recs)})
 }
 
 // State returns a copy of the committed state (replayed at Open plus
@@ -603,16 +653,10 @@ func (l *Ledger) Append(recs ...Record) error {
 	if l.closed {
 		return errors.New("store: ledger closed")
 	}
-	for _, r := range recs {
-		line, err := encodeLine(r)
-		if err != nil {
-			return err
-		}
-		if _, err := l.w.Write(line); err != nil {
-			return err
-		}
-		l.segRecs++
+	if err := writeRecords(l.w, recs...); err != nil {
+		return err
 	}
+	l.segRecs += len(recs)
 	l.pending = append(l.pending, recs...)
 	fireCrashHook("append")
 	return nil
@@ -631,11 +675,7 @@ func (l *Ledger) Commit() error {
 		return nil
 	}
 	fireCrashHook("commit")
-	line, err := encodeLine(Record{T: TCommit, N: l.segRecs})
-	if err != nil {
-		return err
-	}
-	if _, err := l.w.Write(line); err != nil {
+	if err := writeRecords(l.w, Record{T: TCommit, N: l.segRecs}); err != nil {
 		return err
 	}
 	// Flush and fsync are retried as one unit: a re-run flush after a
@@ -668,7 +708,7 @@ func (l *Ledger) shouldCompact() bool {
 	if l.CompactThreshold <= 1 {
 		return false
 	}
-	live := l.stateLen()
+	live := l.state.lens().sum()
 	onDisk := l.diskRecs + l.segRecs
 	return onDisk >= l.compactFloor && float64(onDisk) > l.CompactThreshold*float64(live)
 }
@@ -687,7 +727,6 @@ func (l *Ledger) Compact() error {
 
 // compactLocked does the work of Compact with mu held.
 func (l *Ledger) compactLocked() error {
-	pending := append([]Record(nil), l.pending...)
 	// Close the current active segment; its committed content is about
 	// to be superseded, and its uncommitted tail is re-buffered below.
 	if err := l.w.Flush(); err != nil {
@@ -709,22 +748,8 @@ func (l *Ledger) compactLocked() error {
 	if err := l.openSegment(); err != nil {
 		return err
 	}
-	snap := l.state.records()
-	for _, r := range snap {
-		line, lerr := encodeLine(r)
-		if lerr != nil {
-			return lerr
-		}
-		if _, werr := l.w.Write(line); werr != nil {
-			return werr
-		}
-		l.segRecs++
-	}
-	line, err := encodeLine(Record{T: TCommit, N: l.segRecs})
+	n, err := writeSnapshot(l.w, &l.state, l.saltFP, l.seg)
 	if err != nil {
-		return err
-	}
-	if _, err := l.w.Write(line); err != nil {
 		return err
 	}
 	if err := ioRetry.Do(context.Background(), func() error {
@@ -744,21 +769,12 @@ func (l *Ledger) compactLocked() error {
 			return err
 		}
 	}
-	l.diskRecs = l.segRecs
-	l.segRecs = 0
+	l.diskRecs = n
 	// Re-buffer the uncommitted tail onto the snapshot segment.
-	l.pending = l.pending[:0]
-	for _, r := range pending {
-		eline, lerr := encodeLine(r)
-		if lerr != nil {
-			return lerr
-		}
-		if _, werr := l.w.Write(eline); werr != nil {
-			return werr
-		}
-		l.segRecs++
+	if err := writeRecords(l.w, l.pending...); err != nil {
+		return err
 	}
-	l.pending = append(l.pending, pending...)
+	l.segRecs = len(l.pending)
 	return nil
 }
 
@@ -844,74 +860,44 @@ func syncDir(dir string) error {
 
 // EncodeState renders a State as a self-contained, single-segment ledger
 // blob (open header, records, one commit) — the versioned snapshot
-// format behind Session.SaveMapping. DecodeState reads it back; the two
-// round-trip byte-exactly through the same codec the on-disk segments
-// use.
+// format behind Session.SaveMapping, written as compaction writes a
+// snapshot segment. DecodeState reads it back; the two round-trip
+// byte-exactly through the same codec the on-disk segments use.
 func EncodeState(s *State, saltFP string) ([]byte, error) {
-	var buf []byte
-	write := func(r Record) error {
-		line, err := encodeLine(r)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, line...)
-		return nil
-	}
-	if err := write(Record{T: TOpen, Schema: Schema, SaltFP: saltFP, Seg: 1}); err != nil {
+	var buf bytes.Buffer
+	if _, err := writeSnapshot(&buf, s, saltFP, 1); err != nil {
 		return nil, err
 	}
-	recs := s.records()
-	for _, r := range recs {
-		if err := write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := write(Record{T: TCommit, N: len(recs)}); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return buf.Bytes(), nil
 }
 
 // DecodeState parses an EncodeState blob, returning the state and the
-// salt fingerprint it was written under. The same commit-gating as
-// segment replay applies: a blob without a valid commit is empty, and
-// corruption before the commit is an error.
+// salt fingerprint it was written under. It replays the blob as Open
+// replays a segment — a blob without a valid commit is empty, and
+// corruption before a commit is ErrCorrupt — but the header policy is
+// the blob's own: a blob whose first line is not an open header of
+// this schema, or that commits an open header of another, is ErrSchema.
 func DecodeState(blob []byte) (State, string, error) {
-	first, _ := nextLine(blob)
-	if first == nil {
-		return State{}, "", ErrSchema
-	}
-	var rec Record
-	committed := committedPrefix(blob)
-	if committed == nil {
-		// No commit: accept only a bare valid header (empty state).
-		if err := decodeLine(first, &rec); err != nil || rec.T != TOpen || rec.Schema != Schema {
-			return State{}, "", ErrSchema
-		}
-		return State{}, rec.SaltFP, nil
-	}
 	var (
 		st     State
 		saltFP string
+		headed bool
 	)
-	for n := 1; ; n++ {
-		var line []byte
-		if line, committed = nextLine(committed); line == nil {
-			st.index()
-			return st, saltFP, nil
+	_, err := replay(bytes.NewReader(blob), "snapshot", &st, func(n int, rec *Record) error {
+		if rec.Schema != Schema {
+			return ErrSchema
 		}
-		if err := decodeLine(line, &rec); err != nil {
-			return State{}, "", fmt.Errorf("%w (line %d: %v)", ErrCorrupt, n, err)
+		if n == 1 {
+			saltFP, headed = rec.SaltFP, true
 		}
-		switch rec.T {
-		case TOpen:
-			if rec.Schema != Schema {
-				return State{}, "", ErrSchema
-			}
-			saltFP = rec.SaltFP
-		case TCommit:
-		default:
-			st.add(&rec)
-		}
+		return nil
+	})
+	if err != nil {
+		return State{}, "", err
 	}
+	if !headed {
+		return State{}, "", ErrSchema
+	}
+	st.index()
+	return st, saltFP, nil
 }
