@@ -18,6 +18,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat these files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # cmd/confperf (the performance benchmark) is its own module, so the
 # root build, vet and test steps never reach it. Its smoke test runs
 # every workload once on a small corpus and checks each against its

@@ -136,6 +136,24 @@ func TestRunStreamStrictWithholdsLeakyOutput(t *testing.T) {
 	}
 }
 
+// TestRunStreamStrictWithholdsHalfHashedIPv6: the basic method hashes
+// one group of an IPv6 address it cannot map, and what is left still
+// names the owner's /48, so -strict withholds the line.
+func TestRunStreamStrictWithholdsHalfHashedIPv6(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-salt", "x", "-strict", "-"},
+		strings.NewReader("ntp server 2620:0:861:ed1a::1\n"), &out, &errb)
+	if code != exitWithheld {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", code, exitWithheld, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("quarantined stream published %q", out.String())
+	}
+	if !strings.Contains(errb.String(), "ip6") {
+		t.Errorf("stderr names no ip6 leak:\n%s", errb.String())
+	}
+}
+
 func TestRunCancelledContextIsFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

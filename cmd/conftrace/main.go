@@ -52,6 +52,7 @@ import (
 
 	"confanon"
 	"confanon/internal/bench"
+	"confanon/internal/metrics"
 )
 
 const (
@@ -218,7 +219,7 @@ func fromReport(path string, rep *confanon.RunReport) *summary {
 		s.packs[pm.Name+"@"+pm.Version] = pm.Fingerprint
 	}
 	for id, v := range rep.Counters {
-		name, labels := parseSeries(id)
+		name, labels := metrics.SplitSeries(id)
 		switch name {
 		case "confanon_rule_hits_total":
 			s.ruleHits[labels["rule"]] += v
@@ -233,44 +234,6 @@ func fromReport(path string, rep *confanon.RunReport) *summary {
 		}
 	}
 	return s
-}
-
-// parseSeries splits a Prometheus series identity — name{k="v",...} —
-// into its name and label map (labels nil for a bare name). It handles
-// the subset confanon emits; escaped quotes inside values are honored.
-func parseSeries(id string) (string, map[string]string) {
-	open := strings.IndexByte(id, '{')
-	if open < 0 || !strings.HasSuffix(id, "}") {
-		return id, nil
-	}
-	labels := map[string]string{}
-	body := id[open+1 : len(id)-1]
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq < 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			break
-		}
-		key := body[:eq]
-		rest := body[eq+2:]
-		var val strings.Builder
-		i := 0
-		for ; i < len(rest); i++ {
-			if rest[i] == '\\' && i+1 < len(rest) {
-				i++
-				val.WriteByte(rest[i])
-				continue
-			}
-			if rest[i] == '"' {
-				break
-			}
-			val.WriteByte(rest[i])
-		}
-		labels[key] = val.String()
-		body = rest[i:]
-		body = strings.TrimPrefix(body, `"`)
-		body = strings.TrimPrefix(body, ",")
-	}
-	return id[:open], labels
 }
 
 // diff prints the regression comparison and reports whether any series

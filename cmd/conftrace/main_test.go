@@ -317,34 +317,6 @@ func TestBenchMixedArtifactsFatal(t *testing.T) {
 	}
 }
 
-func TestParseSeries(t *testing.T) {
-	for _, tc := range []struct {
-		id, name string
-		labels   map[string]string
-	}{
-		{"confanon_lines_total", "confanon_lines_total", nil},
-		{`confanon_rule_hits_total{rule="I1-address-netmask-pair"}`,
-			"confanon_rule_hits_total", map[string]string{"rule": "I1-address-netmask-pair"}},
-		{`confanon_leaks_total{kind="asn",severity="confirmed"}`,
-			"confanon_leaks_total", map[string]string{"kind": "asn", "severity": "confirmed"}},
-		{`x{k="a\"b"}`, "x", map[string]string{"k": `a"b`}},
-	} {
-		name, labels := parseSeries(tc.id)
-		if name != tc.name {
-			t.Errorf("parseSeries(%q) name = %q, want %q", tc.id, name, tc.name)
-		}
-		if len(labels) != len(tc.labels) {
-			t.Errorf("parseSeries(%q) labels = %v, want %v", tc.id, labels, tc.labels)
-			continue
-		}
-		for k, v := range tc.labels {
-			if labels[k] != v {
-				t.Errorf("parseSeries(%q) label %s = %q, want %q", tc.id, k, labels[k], v)
-			}
-		}
-	}
-}
-
 // TestPackSwapAttributesRuleDrift: when the two reports disagree on
 // their recorded rule-pack identities, the diff reports the pack delta
 // as the single drift line and demotes per-rule hit changes to an

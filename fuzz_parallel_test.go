@@ -43,6 +43,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		"ip route 12.4.0.0 255.255.0.0 Null0\nip prefix-list pl seq 5 permit 12.4.0.0/16 le 24",
 		"set interfaces ge-0/0/0 unit 0 family inet address 12.0.0.1/30;",
 		"ntp server 12.7.7.7;\nsnmp-server host 12.7.7.8 public",
+		"ntp server 2620:0:861:ed1a::1",
 		"hostname 12.6.6.6\nip domain-name 12.6.6.0/24.example.com",
 		"ip as-path access-list 60 permit ^701_(1239|3356)_[0-9]*$\nip community-list 70 permit 701:1[0-9]",
 	} {

@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -528,15 +529,29 @@ router bgp 65010
 	}
 }
 
+// TestAllRulesListed: the inventory opens with the paper's 28 rules, by
+// §4.2's taxonomy, and every entry after them is a name-position
+// extension; no rule is listed twice.
 func TestAllRulesListed(t *testing.T) {
-	if len(AllRules) != 28 {
-		t.Errorf("rule inventory has %d rules, the paper reports 28", len(AllRules))
+	want := map[Class]int{ClassSegmentation: 2, ClassComment: 3, ClassMisc: 4, ClassASN: 12,
+		ClassIP: 5, ClassCommunity: 1, ClassLeak: 1}
+	got := map[Class]int{}
+	for _, info := range ruleInfos[:28] {
+		got[info.Class]++
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("the first 28 rules count %v by class, the paper reports %v", got, want)
+	}
+	for _, info := range ruleInfos[28:] {
+		if info.Class != ClassName {
+			t.Errorf("extension rule %s has class %s", info.ID, info.Class)
+		}
 	}
 	seen := map[RuleID]bool{}
-	for _, r := range AllRules {
-		if seen[r] {
-			t.Errorf("duplicate rule %s", r)
+	for _, info := range ruleInfos {
+		if seen[info.ID] {
+			t.Errorf("duplicate rule %s", info.ID)
 		}
-		seen[r] = true
+		seen[info.ID] = true
 	}
 }

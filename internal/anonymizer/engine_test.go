@@ -23,11 +23,6 @@ func TestRegistryCoversInventory(t *testing.T) {
 		}
 		described[info.ID] = info
 	}
-	for _, id := range AllRules {
-		if _, ok := described[id]; !ok {
-			t.Errorf("paper rule %s missing from registry inventory", id)
-		}
-	}
 	for _, r := range builtinRuleSet.unkeyed {
 		if _, ok := described[r.id]; !ok {
 			t.Errorf("dispatch entry %s carries undescribed rule %s", r.name, r.id)

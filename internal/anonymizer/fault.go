@@ -93,7 +93,7 @@ func (a *Anonymizer) unit(name, op string, body func() error) (ferr *FileError) 
 // file either way.
 func (a *Anonymizer) endFile(ferr *FileError) {
 	if ferr == nil {
-		a.sess.stats.Add(a.stats)
+		a.sess.stats.add(&a.stats)
 	}
 	a.stats = Stats{}
 	a.endFileSpan(ferr)

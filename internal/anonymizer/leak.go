@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -54,10 +55,10 @@ var innocuousIntContext = map[string]bool{
 // LeakReport scans anonymized output for recorded sensitive values that
 // survived: public ASNs the permutation mapped, words the hash replaced,
 // and original (pre-anonymization) IP addresses. The engine does not map
-// IPv6 yet, so every IPv6 address or prefix that is not special
-// (isPublicIPv6) is reported as a confirmed leak, whether or not the
-// recorder saw it: under Options.Strict such a file is quarantined
-// rather than published in cleartext. The scan reads the
+// IPv6 yet, so every IPv6 address or prefix that is not special, and
+// every half-hashed one (isPublicIPv6), is reported as a confirmed leak,
+// whether or not the recorder saw it: under Options.Strict such a file
+// is quarantined rather than published in cleartext. The scan reads the
 // Session's recorder, which every worker publishes into at each file
 // boundary, so it sees everything every worker of the Session has
 // processed. False positives are possible — an anonymized value may
@@ -151,8 +152,9 @@ func (a *Anonymizer) leakReport(post string) []Leak {
 // classifies a recorded value it finds (innocuousIntContext, the ip
 // false-positive test). The incremental file cache records it, and a
 // cache recorded under another revision vouches for no served file, so
-// any change to those checks must bump it.
-const GateRevision = 1
+// any change to those checks must bump it. Revision 2 flags
+// half-hashed IPv6 addresses (halfHashedIPv6).
+const GateRevision = 2
 
 // RecorderSizes counts a leak recorder's entries by kind.
 type RecorderSizes struct{ ASNs, Words, IPs int }
@@ -210,15 +212,16 @@ var ipv6Doc = netip.MustParsePrefix("2001:db8::/32")
 
 // isPublicIPv6 reports whether a token, stripped of structural
 // punctuation, is an IPv6 address or prefix outside the special scopes
-// that identify no network: loopback, unspecified, link-local,
-// multicast and the documentation prefix.
+// that identify no network (loopback, unspecified, link-local,
+// multicast and the documentation prefix), or is a half-hashed one (see
+// halfHashedIPv6).
 func isPublicIPv6(w string) bool {
 	_, core, _ := token.TrimPunct(w)
 	addr, err := netip.ParseAddr(core)
 	if err != nil {
 		p, perr := netip.ParsePrefix(core)
 		if perr != nil {
-			return false
+			return halfHashedIPv6(core)
 		}
 		addr = p.Addr()
 	}
@@ -227,4 +230,44 @@ func isPublicIPv6(w string) bool {
 	}
 	return !(addr.IsLoopback() || addr.IsUnspecified() || addr.IsLinkLocalUnicast() ||
 		addr.IsMulticast() || ipv6Doc.Contains(addr))
+}
+
+// halfHashedIPv6 reports whether a token that is no IPv6 address still
+// names a public /48: its first three colon groups are 1–4 hex digits,
+// form a /48 inside 2000::/3 and outside the documentation prefix, and
+// a later group is neither empty nor 1–4 hex digits. That is what the
+// basic method leaves of an address it hashed one group of
+// ("2620:0:861:ed1a::1" becomes "2620:0:861:x0ec0f8fb30cd1a::1"). A
+// large community ("2914:100:200") has no such later group, a MAC
+// address or a time no such /48.
+func halfHashedIPv6(core string) bool {
+	var g [3]uint16
+	rest := core
+	for i := range g {
+		grp, after, more := strings.Cut(rest, ":")
+		v, ok := hexGroup(grp)
+		if !ok || !more {
+			return false
+		}
+		g[i], rest = v, after
+	}
+	if g[0]&0xE000 != 0x2000 || g[0] == 0x2001 && g[1] == 0x0db8 {
+		return false
+	}
+	for {
+		grp, after, more := strings.Cut(rest, ":")
+		if _, ok := hexGroup(grp); !ok && grp != "" {
+			return true
+		}
+		if !more {
+			return false
+		}
+		rest = after
+	}
+}
+
+// hexGroup parses an IPv6 group of 1–4 hex digits.
+func hexGroup(s string) (uint16, bool) {
+	v, err := strconv.ParseUint(s, 16, 16)
+	return uint16(v), err == nil && len(s) <= 4
 }

@@ -1,7 +1,9 @@
 package anonymizer
 
 import (
+	"net/netip"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func refLeakScan(a *Anonymizer, post string) []Leak {
 					leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "ip", LikelyFalsePositive: fp})
 					continue
 				}
-				if strings.Count(w, ":") >= 2 && isPublicIPv6(w) {
+				if strings.Count(w, ":") >= 2 && refPublicIPv6(w) {
 					leaks = append(leaks, Leak{Line: i + 1, Text: line, Tok: w, Kind: "ip6"})
 					continue
 				}
@@ -46,6 +48,71 @@ func refLeakScan(a *Anonymizer, post string) []Leak {
 		}
 	}
 	return leaks
+}
+
+// refPublicIPv6 is isPublicIPv6 written the plain way: a parsed address
+// or prefix outside the special scopes, or a token that opens with a
+// public /48 of 1–4 hex digit groups and has a later group that is
+// neither empty nor 1–4 hex digits.
+func refPublicIPv6(w string) bool {
+	_, core, _ := token.TrimPunct(w)
+	addr, err := netip.ParseAddr(core)
+	if p, perr := netip.ParsePrefix(core); err != nil && perr == nil {
+		addr, err = p.Addr(), nil
+	}
+	if err == nil {
+		return addr.Is6() && !addr.IsLoopback() && !addr.IsUnspecified() &&
+			!addr.IsLinkLocalUnicast() && !addr.IsMulticast() && !ipv6Doc.Contains(addr)
+	}
+	isGroup := func(g string) bool {
+		_, err := strconv.ParseUint(g, 16, 16)
+		return len(g) <= 4 && err == nil
+	}
+	groups := strings.Split(core, ":")
+	if len(groups) < 4 || !isGroup(groups[0]) || !isGroup(groups[1]) || !isGroup(groups[2]) {
+		return false
+	}
+	p48, err := netip.ParsePrefix(strings.Join(groups[:3], ":") + "::/48")
+	if err != nil || !netip.MustParsePrefix("2000::/3").Overlaps(p48) || ipv6Doc.Overlaps(p48) {
+		return false
+	}
+	for _, g := range groups[3:] {
+		if g != "" && !isGroup(g) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHalfHashedIPv6IsALeak: an IPv6 address the basic method hashed
+// one group of still names its owner's /48, so the gate flags what is
+// left as a confirmed ip6 leak; the same shape under the documentation
+// prefix, or outside 2000::/3, names no network.
+func TestHalfHashedIPv6IsALeak(t *testing.T) {
+	a := New(Options{Salt: []byte("x")})
+	post := a.AnonymizeText("ntp server 2620:0:861:ed1a::1\n")
+	leaks := a.LeakReport(post)
+	if len(leaks) != 1 || leaks[0].Kind != "ip6" || leaks[0].LikelyFalsePositive ||
+		!strings.HasPrefix(leaks[0].Tok, "2620:0:861:x") {
+		t.Fatalf("LeakReport(%q) = %v, want one confirmed ip6 leak", post, leaks)
+	}
+	for w, want := range map[string]bool{
+		"2620:0:861:x0ec0f8fb30cd1a::1":  true,
+		"2620:0:861::x0ec0f8fb30cd1a;":   true,
+		"3fff:1:2:3:4:zz":                true,
+		"2001:db8:0:x0ec0f8fb30cd1a::1":  false,
+		"fe80:0:861:x0ec0f8fb30cd1a::1":  false,
+		"2620:0:x861:ed1a::1":            false,
+		"2914:100:200":                   false,
+		"2914:100:200:":                  false,
+		"aa:bb:cc:dd:ee:ff":              false,
+		"2620:0:861:ed1a::1.2.3.4":       true,
+		"2620:0:861:ed1a:0:0:1.2.3.4/64": true,
+	} {
+		if got := isPublicIPv6(w); got != want || refPublicIPv6(w) != want {
+			t.Errorf("isPublicIPv6(%q) = %v, reference %v, want %v", w, got, refPublicIPv6(w), want)
+		}
+	}
 }
 
 // leakScanFixture returns a worker whose Session has recorded an ASN, a
@@ -103,6 +170,7 @@ func FuzzLeakScan(f *testing.F) {
 		"neighbor 12.0.0.1 remote-as 3356\n" + fpIP + " " + fpIP + "\n",
 		"ip address 255.255.255.0 127.0.0.1 224.0.0.5",
 		"ipv6 address 2620:0:861:1::1/64\nipv6 route 2620:0:861::/48 fe80::1 2001:db8::1",
+		"ntp server 2620:0:861:x0ec0f8fb30cd1a::1\nset large-community 2914:100:200 2001:db8:0:x1::1",
 		"description pk42 pk pk7x\n\tpk9\t",
 		"701\t\t\n  \n\t" + word + "\n12.0.0.1",
 	} {

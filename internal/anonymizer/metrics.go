@@ -25,40 +25,6 @@ import (
 // What a worker still pushes are events nothing else keeps: stage
 // latencies, leak findings, and stream bytes.
 
-// statScalars is the single table tying each Stats scalar to its metric
-// name; the Session collector walks it.
-var statScalars = []struct {
-	name, help string
-	get        func(*Stats) int64
-}{
-	{"confanon_files_processed_total", "files processed to completion by the engine (failed files are never counted)",
-		func(s *Stats) int64 { return s.Files }},
-	{"confanon_lines_total", "configuration lines processed",
-		func(s *Stats) int64 { return s.Lines }},
-	{"confanon_words_total", "words tokenized across all lines",
-		func(s *Stats) int64 { return s.WordsTotal }},
-	{"confanon_comment_words_removed_total", "words removed with comment text (§4.2 C rules)",
-		func(s *Stats) int64 { return s.CommentWordsRemoved }},
-	{"confanon_comment_lines_removed_total", "whole comment lines removed",
-		func(s *Stats) int64 { return s.CommentLinesRemoved }},
-	{"confanon_tokens_hashed_total", "tokens replaced by the salted hash (§4.1)",
-		func(s *Stats) int64 { return s.TokensHashed }},
-	{"confanon_tokens_passed_total", "tokens passed through via the pass-list",
-		func(s *Stats) int64 { return s.TokensPassed }},
-	{"confanon_ips_mapped_total", "IP address occurrences rewritten (§4.3)",
-		func(s *Stats) int64 { return s.IPsMapped }},
-	{"confanon_asns_mapped_total", "ASN occurrences rewritten (§4.4)",
-		func(s *Stats) int64 { return s.ASNsMapped }},
-	{"confanon_communities_mapped_total", "community attribute occurrences rewritten",
-		func(s *Stats) int64 { return s.CommunitiesMapped }},
-	{"confanon_regexps_rewritten_total", "BGP regexps rewritten through the language mapping",
-		func(s *Stats) int64 { return s.RegexpsRewritten }},
-	{"confanon_regexps_unchanged_total", "BGP regexps left unchanged (no public ASNs in language)",
-		func(s *Stats) int64 { return s.RegexpsUnchanged }},
-	{"confanon_regexp_fallbacks_total", "BGP regexps replaced by the conservative fallback",
-		func(s *Stats) int64 { return s.RegexpFallbacks }},
-}
-
 // Pipeline stages observed into confanon_stage_seconds.
 const (
 	stagePrescan    = "prescan"
@@ -106,7 +72,7 @@ func (s *Session) SetMetrics(reg *metrics.Registry) {
 	reg.Collect(func(add func(*metrics.Counter, int64)) {
 		st := s.Stats()
 		for i, sc := range statScalars {
-			add(scalars[i], sc.get(&st))
+			add(scalars[i], *sc.field(&st))
 		}
 		// A pack rule's series appears the first time it fires.
 		for i, info := range s.prog.rules.infos {

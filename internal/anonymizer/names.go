@@ -139,8 +139,8 @@ var nameLineRules = []*lineRule{
 // mapNeighborToken maps the neighbor reference in the word slot w: an
 // address maps through the IP tree; a peer-group name hashes.
 func (a *Anonymizer) mapNeighborToken(w *string) {
-	if _, ok := token.ParseIPv4(*w); ok {
-		a.mapAddrToken(w)
+	if v, ok := token.ParseIPv4(*w); ok {
+		a.mapIP(w, RuleBareAddr, v, -1)
 		return
 	}
 	*w = a.forceHashName(*w)

@@ -132,8 +132,8 @@ type ruleSet struct {
 // conflict, not an override.
 func compileRuleSet(userPacks []*rulepack.Pack) (*ruleSet, error) {
 	rs := &ruleSet{
-		infos: slices.Clip(ruleInfos),
-		index: make(map[RuleID]int, len(ruleInfos)),
+		infos: slices.Clip(ruleInfos[:]),
+		index: make(map[RuleID]int, numBuiltinRules),
 		keyed: make(map[string][]*lineRule),
 	}
 	for i, info := range ruleInfos {

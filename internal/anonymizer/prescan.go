@@ -9,9 +9,9 @@ import (
 )
 
 // prescan walks a file's lines without rewriting them and pins every
-// subnet address it can recognize (address+netmask pairs, wildcard pairs,
-// classful network statements, slash prefixes) into the IP mapping tree,
-// shortest prefix first.
+// prefix ipAt recognizes — the ones the generic pass maps: address+netmask
+// pairs, wildcard pairs, classful network statements, slash prefixes —
+// into the IP mapping tree, shortest prefix first.
 //
 // This is the "controlling how new entries are added to the data-structure"
 // of §4.3: by resolving the /8 before the /24s it contains, and the /24s
@@ -28,10 +28,6 @@ func (a *Anonymizer) prescan(lines []string) {
 		len int
 	}
 	var pins []pin
-	add := func(addr uint32, length int) {
-		net := addr & config.LenToMask(length)
-		pins = append(pins, pin{net, length})
-	}
 	block := ""
 	for _, line := range lines {
 		var words, gaps []string
@@ -48,42 +44,12 @@ func (a *Anonymizer) prescan(lines []string) {
 			_, core, _ := token.TrimPunct(w)
 			words[i] = core
 		}
-		for i := 0; i < len(words); i++ {
-			addr, ok := token.ParseIPv4(words[i])
-			if !ok {
-				if p, l, pok := token.ParseIPv4Prefix(words[i]); pok {
-					add(p, l)
-				}
-				continue
+		for i := 0; i < len(words); {
+			_, addr, length, width, ok := ipAt(words, i, block)
+			if ok && length >= 0 {
+				pins = append(pins, pin{addr & config.LenToMask(length), length})
 			}
-			if i+2 < len(words) && words[i+1] == "mask" {
-				if m, mok := token.ParseIPv4(words[i+2]); mok {
-					if l, isMask := config.MaskToLen(m); isMask {
-						add(addr, l)
-						i += 2
-						continue
-					}
-				}
-			}
-			if i+1 < len(words) {
-				if second, ok2 := token.ParseIPv4(words[i+1]); ok2 {
-					if l, isMask := config.MaskToLen(second); isMask && second != 0 {
-						add(addr, l)
-						i++
-						continue
-					}
-					if l, isWild := config.MaskToLen(^second); isWild {
-						add(addr, l)
-						i++
-						continue
-					}
-				}
-			}
-			if (block == "router rip" || block == "router eigrp" || block == "router igrp") &&
-				i > 0 && words[i-1] == "network" {
-				l, _ := config.MaskToLen(config.ClassfulMask(addr))
-				add(addr, l)
-			}
+			i += width
 		}
 	}
 	// Shortest prefixes first: the /8 pins its zero tail before a /24

@@ -49,9 +49,10 @@ type RuleInfo struct {
 	Doc   string
 }
 
-// ruleInfos describes the full inventory — the paper's 28 rules plus the
-// extension rules this reproduction adds (name positions, §4.1).
-var ruleInfos = []RuleInfo{
+// ruleInfos describes the full inventory — the paper's 28 rules first,
+// then the extension rules this reproduction adds (name positions,
+// §4.1). An array, so its length is the constant numBuiltinRules.
+var ruleInfos = [...]RuleInfo{
 	{RuleSegmentAlpha, ClassSegmentation, ScopeToken, "split words into alphabetic / non-alphabetic runs before the pass-list"},
 	{RuleSegmentWords, ClassSegmentation, ScopeToken, "split compound identifiers joined by dots and dashes"},
 	{RuleBanner, ClassComment, ScopeStructural, "strip banner bodies between the delimiter lines"},
@@ -83,10 +84,9 @@ var ruleInfos = []RuleInfo{
 	{RuleNamePosition, ClassName, ScopeLine, "user-chosen identifiers at known grammar positions (extension)"},
 }
 
-// numBuiltinRules counts the built-in taxonomy entries (ruleInfos); an
-// init check pins it against the slice. They hold the same indices in
-// every Program's rule set.
-const numBuiltinRules = 29
+// numBuiltinRules counts the built-in taxonomy entries (ruleInfos). They
+// hold the same indices in every Program's rule set.
+const numBuiltinRules = len(ruleInfos)
 
 // maxRules bounds one Program's taxonomy: the built-in entries plus the
 // rules its packs define. It sizes the dense per-rule counter arrays in
@@ -95,9 +95,9 @@ const numBuiltinRules = 29
 const maxRules = 96
 
 // Rules returns the built-in rule inventory in canonical order: the
-// paper's 28 rules first (AllRules order), then the extension rules.
-// Program.Rules adds a Program's pack-defined rules.
-func Rules() []RuleInfo { return slices.Clone(ruleInfos) }
+// paper's 28 rules first, then the extension rules. Program.Rules adds a
+// Program's pack-defined rules.
+func Rules() []RuleInfo { return slices.Clone(ruleInfos[:]) }
 
 // lineCtx carries one tokenized line through the dispatch table.
 type lineCtx struct {
@@ -125,9 +125,6 @@ type lineRule struct {
 }
 
 func init() {
-	if len(ruleInfos) != numBuiltinRules {
-		panic("anonymizer: numBuiltinRules out of sync with the rule inventory")
-	}
 	// Compile the canonical pack once at init: a builtin inventory that
 	// does not round-trip through the pack path is a build defect, and
 	// every Program compiled with no user packs shares this rule set.

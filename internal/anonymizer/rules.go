@@ -70,19 +70,6 @@ const (
 	RuleNamePosition RuleID = "N1-name-position"
 )
 
-// AllRules lists the full inventory in canonical order.
-var AllRules = []RuleID{
-	RuleSegmentAlpha, RuleSegmentWords,
-	RuleBanner, RuleDescription, RuleCommentLine,
-	RuleDialerString, RuleSNMPCommunity, RuleHostname, RuleCredentials,
-	RuleBGPProcess, RuleRedistributeBGP, RuleNeighborRemoteAS, RuleNeighborLocalAS,
-	RuleConfedID, RuleConfedPeers, RuleSetCommunity, RuleSetExtCommunity,
-	RuleCommListLiteral, RuleCommListRegexp, RuleASPathPrepend, RuleASPathRegexp,
-	RuleAddrNetmask, RuleAddrWildcard, RuleBareAddr, RuleSlashPrefix, RuleClassfulNet,
-	RuleBareCommunity,
-	RuleLeakHighlight,
-}
-
 // hashWord is the basic method's anonymizer: a salted SHA-1 digest
 // rendered as a 12-hex-digit identifier with a letter prefix so the result
 // can never be mistaken for a number, address, or community. Equal inputs

@@ -275,19 +275,6 @@ func (a *Anonymizer) mapASNToken(w string) string {
 	return res
 }
 
-// mapAddrToken maps the dotted-quad token in the word slot w, hashing
-// non-addresses.
-func (a *Anonymizer) mapAddrToken(w *string) {
-	v, ok := token.ParseIPv4(*w)
-	if !ok {
-		*w = a.forceHash(*w)
-		return
-	}
-	a.hit(RuleBareAddr)
-	a.stats.IPsMapped++
-	a.renderIP(w, a.mapHost(v), -1)
-}
-
 func (a *Anonymizer) recordASN(v uint32) {
 	a.seenASNs[strconv.FormatUint(uint64(v), 10)] = true
 }

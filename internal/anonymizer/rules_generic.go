@@ -41,6 +41,10 @@ func (a *Anonymizer) genericWords(words []string, st *fileState) {
 
 // genericCores runs the word-level rules over punctuation-stripped cores.
 func (a *Anonymizer) genericCores(words []string, st *fileState) {
+	block := ""
+	if st != nil {
+		block = st.block
+	}
 	for i := 0; i < len(words); i++ {
 		w := words[i]
 		if w == "" {
@@ -62,52 +66,9 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 			}
 			continue
 		}
-		if addr, ok := token.ParseIPv4(w); ok {
-			// I1 variant: "network A mask M" (BGP network statements).
-			if i+2 < len(words) && words[i+1] == "mask" {
-				if m, mok := token.ParseIPv4(words[i+2]); mok {
-					if length, isMask := config.MaskToLen(m); isMask {
-						a.hit(RuleAddrNetmask)
-						a.mapWithPrefix(&words[i], addr, length)
-						i += 2 // "mask" keyword and the mask itself pass through
-						continue
-					}
-				}
-			}
-			// Pair rules I1/I2 first: address followed by a netmask or
-			// wildcard.
-			if i+1 < len(words) {
-				if second, ok2 := token.ParseIPv4(words[i+1]); ok2 {
-					if length, isMask := config.MaskToLen(second); isMask && second != 0 {
-						a.hit(RuleAddrNetmask)
-						a.mapWithPrefix(&words[i], addr, length)
-						i++ // mask itself passes through unchanged
-						continue
-					}
-					if length, isWild := config.MaskToLen(^second); isWild {
-						a.hit(RuleAddrWildcard)
-						a.mapWithPrefix(&words[i], addr, length)
-						i++ // wildcard passes through unchanged
-						continue
-					}
-				}
-			}
-			// I5: classful network statements under RIP/EIGRP/IGRP.
-			if st != nil && (st.block == "router rip" || st.block == "router eigrp" || st.block == "router igrp") &&
-				i > 0 && words[i-1] == "network" {
-				a.hit(RuleClassfulNet)
-				length, _ := config.MaskToLen(config.ClassfulMask(addr))
-				a.mapWithPrefix(&words[i], addr, length)
-				continue
-			}
-			// I3: bare address.
-			a.mapAddrToken(&words[i])
-			continue
-		}
-		if addr, length, ok := token.ParseIPv4Prefix(w); ok {
-			a.hit(RuleSlashPrefix)
-			a.stats.IPsMapped++
-			a.renderIP(&words[i], a.mapNet(addr, length), length)
+		if rule, addr, length, width, ok := ipAt(words, i, block); ok {
+			a.mapIP(&words[i], rule, addr, length)
+			i += width - 1 // a pair's mask or wildcard passes through unchanged
 			continue
 		}
 		if _, _, ok := token.ParseCommunity(w); ok {
@@ -131,17 +92,71 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 	}
 }
 
-// mapWithPrefix pins the subnet address first (so subnet-address
-// preservation holds regardless of the order hosts appear in the file),
-// then maps the full address into the word slot w.
-func (a *Anonymizer) mapWithPrefix(w *string, addr uint32, length int) {
-	a.stats.IPsMapped++
-	net := addr & config.LenToMask(length)
-	out := a.mapNet(net, length)
-	if addr != net {
-		out = a.mapHost(addr)
+// ipAt recognizes the IPv4 address at cores[i], the punctuation-stripped
+// words of a line inside block (its top-level block, "" when unknown):
+// the I rule it falls under, the address, the prefix length its context
+// gives it (-1 for a bare address, I3) and how many words the form spans
+// (3 for "A mask M", 2 for an address with its netmask or wildcard, 1
+// otherwise, and when ok is false: cores[i] is no address). It is the one
+// statement of which prefixes a line names: the prescan pins every
+// prefix it returns, and the generic pass maps what it returns, so the
+// prescan pins exactly the prefixes the rewrite maps (§4.3).
+func ipAt(cores []string, i int, block string) (rule RuleID, addr uint32, length, width int, ok bool) {
+	addr, ok = token.ParseIPv4(cores[i])
+	if !ok {
+		// I4: a.b.c.d/len.
+		addr, length, ok = token.ParseIPv4Prefix(cores[i])
+		return RuleSlashPrefix, addr, length, 1, ok
 	}
-	a.renderIP(w, out, -1)
+	// I1 variant: "network A mask M" (BGP network statements).
+	if i+2 < len(cores) && cores[i+1] == "mask" {
+		if m, mok := token.ParseIPv4(cores[i+2]); mok {
+			if l, isMask := config.MaskToLen(m); isMask {
+				return RuleAddrNetmask, addr, l, 3, true
+			}
+		}
+	}
+	// I1/I2: the address followed by a netmask or a wildcard.
+	if i+1 < len(cores) {
+		if second, ok2 := token.ParseIPv4(cores[i+1]); ok2 {
+			if l, isMask := config.MaskToLen(second); isMask && second != 0 {
+				return RuleAddrNetmask, addr, l, 2, true
+			}
+			if l, isWild := config.MaskToLen(^second); isWild {
+				return RuleAddrWildcard, addr, l, 2, true
+			}
+		}
+	}
+	// I5: classful network statements under RIP/EIGRP/IGRP.
+	if i > 0 && cores[i-1] == "network" &&
+		(block == "router rip" || block == "router eigrp" || block == "router igrp") {
+		l, _ := config.MaskToLen(config.ClassfulMask(addr))
+		return RuleClassfulNet, addr, l, 1, true
+	}
+	return RuleBareAddr, addr, -1, 1, true
+}
+
+// mapIP maps an address ipAt recognized into the word slot w and counts
+// its rule. A bare address (length < 0) maps as a host; a slash prefix
+// maps as its network, keeping the length; an address whose context
+// gives it a prefix pins the subnet address first (so subnet-address
+// preservation holds whatever order hosts appear in), then maps itself.
+func (a *Anonymizer) mapIP(w *string, rule RuleID, addr uint32, length int) {
+	a.hit(rule)
+	a.stats.IPsMapped++
+	switch {
+	case length < 0:
+		a.renderIP(w, a.mapHost(addr), -1)
+	case rule == RuleSlashPrefix:
+		a.renderIP(w, a.mapNet(addr, length), length)
+	default:
+		net := addr & config.LenToMask(length)
+		out := a.mapNet(net, length)
+		if addr != net {
+			out = a.mapHost(addr)
+		}
+		a.renderIP(w, out, -1)
+	}
 }
 
 // mapHost maps one address through the mapper (see noteIP).

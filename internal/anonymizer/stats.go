@@ -14,16 +14,16 @@ import (
 // Session's Stats carry that rule set; a zero Stats resolves the
 // built-in rules, which hold the same positions in every set. A
 // worker's Stats count one file in flight; when the file commits, Add
-// merges them into the Session's Stats — an explicit field list of
-// atomic adds, safe to call
-// concurrently on a shared destination from parallel corpus workers —
-// and a failed file's Stats are simply dropped. Every merge is a
-// positive add, so the Session's counters never decrease.
+// merges them into the Session's Stats — one atomic add per scalar
+// listed in statScalars, safe to call concurrently on a shared
+// destination from parallel corpus workers — and a failed file's Stats
+// are simply dropped. Every merge is a positive add, so the Session's
+// counters never decrease.
 //
-// A reflection-driven test (stats_test.go) asserts that every field of
-// Stats is one Add knows how to merge, so a counter added later still
-// cannot be silently dropped — the guarantee moved from the merge to
-// the test suite, taking the reflection cost off the hot path.
+// statScalars is the one list of the scalars: the merge, the atomic
+// snapshot and the metrics collector all walk it. A reflection-driven
+// test (stats_test.go) asserts that it lists every exported field, so a
+// counter added later cannot be silently dropped by any of the three.
 type Stats struct {
 	Files               int64
 	Lines               int64
@@ -123,55 +123,73 @@ func (s *Stats) AddRuleTime(id RuleID, d time.Duration) {
 // Both must count rules of one Program (a worker's Stats carry no rule
 // set and count its Session's); a zero s takes other's rule set.
 // stats_test.go walks Stats with reflection and fails if a field exists
-// that this list does not cover.
-func (s *Stats) Add(other Stats) {
-	if s.rules == nil && other.rules != nil {
-		s.rules = other.rules
+// that statScalars does not list.
+func (s *Stats) Add(other Stats) { s.add(&other) }
+
+// add is Add reading the source in place: the engine merges a worker's
+// Stats, which live in the worker, without copying them to the heap.
+func (s *Stats) add(o *Stats) {
+	if s.rules == nil && o.rules != nil {
+		s.rules = o.rules
 	}
-	atomic.AddInt64(&s.Files, other.Files)
-	atomic.AddInt64(&s.Lines, other.Lines)
-	atomic.AddInt64(&s.WordsTotal, other.WordsTotal)
-	atomic.AddInt64(&s.CommentWordsRemoved, other.CommentWordsRemoved)
-	atomic.AddInt64(&s.CommentLinesRemoved, other.CommentLinesRemoved)
-	atomic.AddInt64(&s.TokensHashed, other.TokensHashed)
-	atomic.AddInt64(&s.TokensPassed, other.TokensPassed)
-	atomic.AddInt64(&s.IPsMapped, other.IPsMapped)
-	atomic.AddInt64(&s.ASNsMapped, other.ASNsMapped)
-	atomic.AddInt64(&s.CommunitiesMapped, other.CommunitiesMapped)
-	atomic.AddInt64(&s.RegexpsRewritten, other.RegexpsRewritten)
-	atomic.AddInt64(&s.RegexpsUnchanged, other.RegexpsUnchanged)
-	atomic.AddInt64(&s.RegexpFallbacks, other.RegexpFallbacks)
+	for _, sc := range statScalars {
+		atomic.AddInt64(sc.field(s), *sc.field(o))
+	}
 	for i := range s.ruleHits {
-		if other.ruleHits[i] != 0 {
-			atomic.AddInt64(&s.ruleHits[i], other.ruleHits[i])
+		if o.ruleHits[i] != 0 {
+			atomic.AddInt64(&s.ruleHits[i], o.ruleHits[i])
 		}
-		if other.ruleTimeNs[i] != 0 {
-			atomic.AddInt64(&s.ruleTimeNs[i], other.ruleTimeNs[i])
+		if o.ruleTimeNs[i] != 0 {
+			atomic.AddInt64(&s.ruleTimeNs[i], o.ruleTimeNs[i])
 		}
 	}
 }
 
 // snapshotAtomic reads a Stats that other goroutines are Add-ing into,
-// one atomic load per field, returning a plain value. The field list
-// mirrors Add.
+// one atomic load per field, returning a plain value.
 func (s *Stats) snapshotAtomic() Stats {
 	out := Stats{rules: s.rules}
-	out.Files = atomic.LoadInt64(&s.Files)
-	out.Lines = atomic.LoadInt64(&s.Lines)
-	out.WordsTotal = atomic.LoadInt64(&s.WordsTotal)
-	out.CommentWordsRemoved = atomic.LoadInt64(&s.CommentWordsRemoved)
-	out.CommentLinesRemoved = atomic.LoadInt64(&s.CommentLinesRemoved)
-	out.TokensHashed = atomic.LoadInt64(&s.TokensHashed)
-	out.TokensPassed = atomic.LoadInt64(&s.TokensPassed)
-	out.IPsMapped = atomic.LoadInt64(&s.IPsMapped)
-	out.ASNsMapped = atomic.LoadInt64(&s.ASNsMapped)
-	out.CommunitiesMapped = atomic.LoadInt64(&s.CommunitiesMapped)
-	out.RegexpsRewritten = atomic.LoadInt64(&s.RegexpsRewritten)
-	out.RegexpsUnchanged = atomic.LoadInt64(&s.RegexpsUnchanged)
-	out.RegexpFallbacks = atomic.LoadInt64(&s.RegexpFallbacks)
+	for _, sc := range statScalars {
+		*sc.field(&out) = atomic.LoadInt64(sc.field(s))
+	}
 	for i := range s.ruleHits {
 		out.ruleHits[i] = atomic.LoadInt64(&s.ruleHits[i])
 		out.ruleTimeNs[i] = atomic.LoadInt64(&s.ruleTimeNs[i])
 	}
 	return out
+}
+
+// statScalars is the one list of the Stats scalars, each with its metric
+// name: Add and snapshotAtomic walk it, and so does the Session's metrics
+// collector (Session.SetMetrics).
+var statScalars = []struct {
+	name, help string
+	field      func(*Stats) *int64
+}{
+	{"confanon_files_processed_total", "files processed to completion by the engine (failed files are never counted)",
+		func(s *Stats) *int64 { return &s.Files }},
+	{"confanon_lines_total", "configuration lines processed",
+		func(s *Stats) *int64 { return &s.Lines }},
+	{"confanon_words_total", "words tokenized across all lines",
+		func(s *Stats) *int64 { return &s.WordsTotal }},
+	{"confanon_comment_words_removed_total", "words removed with comment text (§4.2 C rules)",
+		func(s *Stats) *int64 { return &s.CommentWordsRemoved }},
+	{"confanon_comment_lines_removed_total", "whole comment lines removed",
+		func(s *Stats) *int64 { return &s.CommentLinesRemoved }},
+	{"confanon_tokens_hashed_total", "tokens replaced by the salted hash (§4.1)",
+		func(s *Stats) *int64 { return &s.TokensHashed }},
+	{"confanon_tokens_passed_total", "tokens passed through via the pass-list",
+		func(s *Stats) *int64 { return &s.TokensPassed }},
+	{"confanon_ips_mapped_total", "IP address occurrences rewritten (§4.3)",
+		func(s *Stats) *int64 { return &s.IPsMapped }},
+	{"confanon_asns_mapped_total", "ASN occurrences rewritten (§4.4)",
+		func(s *Stats) *int64 { return &s.ASNsMapped }},
+	{"confanon_communities_mapped_total", "community attribute occurrences rewritten",
+		func(s *Stats) *int64 { return &s.CommunitiesMapped }},
+	{"confanon_regexps_rewritten_total", "BGP regexps rewritten through the language mapping",
+		func(s *Stats) *int64 { return &s.RegexpsRewritten }},
+	{"confanon_regexps_unchanged_total", "BGP regexps left unchanged (no public ASNs in language)",
+		func(s *Stats) *int64 { return &s.RegexpsUnchanged }},
+	{"confanon_regexp_fallbacks_total", "BGP regexps replaced by the conservative fallback",
+		func(s *Stats) *int64 { return &s.RegexpFallbacks }},
 }

@@ -5,19 +5,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"confanon/internal/metrics"
 )
 
 // TestStatsAddCoversEveryField is the guard the dense representation
 // traded the reflective merge for: it walks Stats with reflection and
-// fails if a field exists that Add does not accumulate. Exported int64
-// scalars are exercised individually through reflection; the unexported
-// fields must be exactly the known per-rule arrays, which are exercised
-// through their accessors. Adding a field to Stats without teaching Add
-// (and this test) about it fails here instead of silently dropping the
-// counter in parallel merges.
+// fails if a field exists that Add, a Session's atomic snapshot
+// (Session.Stats) or its metrics collector does not carry. Exported
+// int64 scalars are each set to a distinct value through reflection, so
+// a dropped or crossed field shows; the unexported fields must be
+// exactly the known per-rule arrays, which are exercised through their
+// accessors. Adding a field to Stats without listing it in statScalars
+// fails here instead of silently dropping the counter.
 func TestStatsAddCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
 	knownUnexported := map[string]bool{"rules": true, "ruleHits": true, "ruleTimeNs": true}
+	var src Stats
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {
@@ -30,18 +34,38 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 			t.Errorf("exported field %s has type %s; Add only merges int64 scalars — extend Add and this test", f.Name, f.Type)
 			continue
 		}
-		// Set just this field in the source, merge into a zero Stats, and
-		// require the value to survive.
-		var src, dst Stats
-		reflect.ValueOf(&src).Elem().Field(i).SetInt(7)
-		dst.Add(src)
-		if got := reflect.ValueOf(dst).Field(i).Int(); got != 7 {
-			t.Errorf("Add dropped field %s: got %d, want 7", f.Name, got)
+		reflect.ValueOf(&src).Elem().Field(i).SetInt(int64(1000 + i))
+	}
+	var dst Stats
+	dst.Add(src)
+	sess := Compile(Options{Salt: []byte("stats")}).NewSession()
+	reg := metrics.NewRegistry()
+	sess.SetMetrics(reg)
+	sess.stats.Add(src)
+	exposed := map[float64]bool{}
+	for _, v := range reg.Counters() {
+		exposed[v] = true
+	}
+	snap := sess.Stats()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() || f.Type.Kind() != reflect.Int64 {
+			continue
+		}
+		want := int64(1000 + i)
+		if got := reflect.ValueOf(dst).Field(i).Int(); got != want {
+			t.Errorf("Add carried field %s as %d, want %d", f.Name, got, want)
+		}
+		if got := reflect.ValueOf(snap).Field(i).Int(); got != want {
+			t.Errorf("Session.Stats carried field %s as %d, want %d", f.Name, got, want)
+		}
+		if !exposed[float64(want)] {
+			t.Errorf("the metrics collector exposes no series for field %s", f.Name)
 		}
 	}
 
 	// The per-rule arrays, via their public surface.
-	var src, dst Stats
+	src, dst = Stats{}, Stats{}
 	src.AddRuleHit(RuleBanner, 3)
 	src.AddRuleTime(RuleBanner, 5*time.Millisecond)
 	dst.Add(src)

@@ -232,7 +232,9 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // ParseText parses a Prometheus text exposition (as produced by
-// WritePrometheus) back into an ID → value map. It exists for the
+// WritePrometheus) back into an ID → value map, each ID in Sample.ID's
+// form (label keys sorted), so scrape-side and report-side identities
+// compare equal whatever the emission order. It exists for the
 // integration test that scrapes the portal and compares against a
 // RunReport; it handles only the subset this package emits.
 func ParseText(text string) (map[string]float64, error) {
@@ -257,42 +259,42 @@ func ParseText(text string) (map[string]float64, error) {
 				return nil, fmt.Errorf("metrics: bad value in %q: %v", line, err)
 			}
 		}
-		out[canonicalID(id)] = v
+		name, labels := SplitSeries(id)
+		out[Sample{Name: name, Labels: labels}.ID()] = v
 	}
 	return out, nil
 }
 
-// canonicalID re-sorts the label list inside a series ID so scrape-side
-// and report-side identities compare equal regardless of emission order.
-func canonicalID(id string) string {
+// SplitSeries splits a series identity in Prometheus notation —
+// name{k1="v1",k2="v2"}, as Sample.ID and the text exposition write it —
+// into its name and its labels, values unescaped (labels nil for a bare
+// name). It reads the subset this package emits.
+func SplitSeries(id string) (name string, labels map[string]string) {
 	open := strings.IndexByte(id, '{')
 	if open < 0 || !strings.HasSuffix(id, "}") {
-		return id
+		return id, nil
 	}
+	labels = map[string]string{}
 	body := id[open+1 : len(id)-1]
-	parts := splitLabels(body)
-	sort.Strings(parts)
-	return id[:open] + "{" + strings.Join(parts, ",") + "}"
-}
-
-// splitLabels splits `k1="v1",k2="v2"` on commas outside quotes.
-func splitLabels(body string) []string {
-	var parts []string
-	depth := false // inside quotes
-	start := 0
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				parts = append(parts, body[start:i])
-				start = i + 1
-			}
+	for body != "" {
+		key, rest, ok := strings.Cut(body, `="`)
+		if !ok {
+			break
 		}
+		var val strings.Builder
+		i := 0
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			c := rest[i]
+			if c == '\\' && i+1 < len(rest) {
+				i++
+				if c = rest[i]; c == 'n' {
+					c = '\n'
+				}
+			}
+			val.WriteByte(c)
+		}
+		labels[key] = val.String()
+		body = strings.TrimPrefix(rest[min(i+1, len(rest)):], ",")
 	}
-	parts = append(parts, body[start:])
-	return parts
+	return id[:open], labels
 }

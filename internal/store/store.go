@@ -70,7 +70,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -83,13 +82,6 @@ import (
 
 	"confanon/internal/retry"
 )
-
-// ioRetry shields the ledger's durability syscalls — the flush/fsync
-// pair in Commit and compaction's segment removals — from transient
-// failures (EINTR, EAGAIN, exhausted descriptors) under the shared
-// backoff policy. No jitter: these retries run with the ledger lock
-// held, and random extra sleep there serves nobody.
-var ioRetry = retry.Default.NoJitter()
 
 // SaltFingerprint derives the opaque owner identifier ledgers are keyed
 // by: a domain-separated SHA-256 of the salt, hex-encoded. It names the
@@ -377,11 +369,6 @@ type Ledger struct {
 	closed   bool
 	diskRecs int // data records replayed from older segments (incl. duplicates)
 
-	// CompactThreshold is the dead-weight ratio (total replayed records
-	// across segments vs live state records) beyond which Commit
-	// compacts; <=1 disables automatic compaction. Set before first
-	// Commit.
-	CompactThreshold float64
 	// compactFloor avoids churning tiny ledgers: no automatic compaction
 	// below this many total records.
 	compactFloor int
@@ -397,10 +384,9 @@ func Open(dir, saltFP string) (*Ledger, error) {
 		return nil, err
 	}
 	l := &Ledger{
-		dir:              dir,
-		saltFP:           saltFP,
-		CompactThreshold: 3,
-		compactFloor:     1024,
+		dir:          dir,
+		saltFP:       saltFP,
+		compactFloor: 1024,
 	}
 	segs, err := l.segments()
 	if err != nil {
@@ -681,7 +667,7 @@ func (l *Ledger) Commit() error {
 	// Flush and fsync are retried as one unit: a re-run flush after a
 	// partial failure is a cheap no-op, and the pair succeeding is what
 	// "committed" means.
-	if err := ioRetry.Do(context.Background(), func() error {
+	if err := retry.Do(func() error {
 		if err := l.w.Flush(); err != nil {
 			return err
 		}
@@ -702,16 +688,16 @@ func (l *Ledger) Commit() error {
 
 // shouldCompact reports whether replay dead weight warrants compaction:
 // the on-disk data record count (replayed total plus the active
-// segment's counter) exceeds CompactThreshold times the live state,
+// segment's counter) exceeds compactThreshold times the live state,
 // above the churn floor. Called with mu held.
 func (l *Ledger) shouldCompact() bool {
-	if l.CompactThreshold <= 1 {
-		return false
-	}
-	live := l.state.lens().sum()
 	onDisk := l.diskRecs + l.segRecs
-	return onDisk >= l.compactFloor && float64(onDisk) > l.CompactThreshold*float64(live)
+	return onDisk >= l.compactFloor && onDisk > compactThreshold*l.state.lens().sum()
 }
+
+// compactThreshold is the dead-weight ratio (data records on disk across
+// segments vs live state records) beyond which Commit compacts.
+const compactThreshold = 3
 
 // Compact rewrites the ledger as one fresh committed snapshot segment
 // and removes the older segments. Uncommitted appends survive: they are
@@ -752,7 +738,7 @@ func (l *Ledger) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := ioRetry.Do(context.Background(), func() error {
+	if err := retry.Do(func() error {
 		if err := l.w.Flush(); err != nil {
 			return err
 		}
@@ -765,7 +751,7 @@ func (l *Ledger) compactLocked() error {
 	}
 	for _, name := range old {
 		path := filepath.Join(l.dir, name)
-		if err := ioRetry.Do(context.Background(), func() error { return os.Remove(path) }); err != nil {
+		if err := retry.Do(func() error { return os.Remove(path) }); err != nil {
 			return err
 		}
 	}

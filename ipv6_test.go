@@ -65,8 +65,8 @@ func TestLenientReportsIPv6(t *testing.T) {
 
 // TestSpecialIPv6NotFlagged: loopback, unspecified, link-local,
 // multicast and documentation addresses identify no network, and
-// colon-bearing tokens that are not IPv6 (MACs, times, communities)
-// are not parsed as such.
+// colon-bearing tokens that are not IPv6 (MACs, times, communities,
+// large communities) are not parsed as such.
 func TestSpecialIPv6NotFlagged(t *testing.T) {
 	text := "ipv6 address fe80::1 link-local\n" +
 		"ipv6 route ::/0 2001:db8::1\n" +
@@ -75,7 +75,8 @@ func TestSpecialIPv6NotFlagged(t *testing.T) {
 		"ipv6 address 2001:db8:0:1::/64;\n" +
 		"mac aa:bb:cc:dd:ee:ff\n" +
 		"clock 12:34:56\n" +
-		"set community 701:100\n"
+		"set community 701:100\n" +
+		"set large-community 2914:100:200\n"
 	a := New(Options{Salt: []byte("x")})
 	if got := ip6Leaks(a.Leaks(map[string]string{"f": text})); len(got) != 0 {
 		t.Errorf("special or non-IPv6 tokens flagged: %v", got)
