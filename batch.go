@@ -194,24 +194,8 @@ func spanID(sp *trace.Span) trace.SpanID {
 	return sp.ID
 }
 
-// traceCensusFailure publishes a failed file span for a file whose
-// census failed in its prescan. Such a file never reaches a fill, and
-// the census opens no span, so without this the file would vanish from
-// the span tree — and failures are traced, never dropped.
-func (a *Anonymizer) traceCensusFailure(sp *trace.Span, ferr *FileError) {
-	if sp == nil {
-		return
-	}
-	tr := a.prog.opts.Tracer
-	fs := tr.StartSpan(trace.KindFile, ferr.Name, sp.ID)
-	fs.SetAttr("op", "census")
-	fs.SetAttr("line", strconv.Itoa(ferr.Line))
-	fs.AddEvent(tr.Now(), ferr.Cause.Error())
-	tr.End(fs, trace.StatusFailed)
-}
-
 // sortedNames returns a corpus's file names in the order every batch
-// driver prescans, replays, gates and counts them.
+// driver replays, gates and counts them.
 func sortedNames(files map[string]string) []string {
 	names := make([]string, 0, len(files))
 	for n := range files {
@@ -250,12 +234,6 @@ func (r *corpusRun) finish(err error) (*CorpusResult, error) {
 	r.res.Stats = a.Stats()
 	r.res.finishReport(a.reg, a.prog.Packs())
 	return r.res, err
-}
-
-// fail records a file that failed before the rewrite phase.
-func (r *corpusRun) fail(name string, ferr *FileError) {
-	r.res.Files[name] = FileResult{Name: name, Status: FileFailed, Err: ferr}
-	r.a.batch.countFile(FileFailed)
 }
 
 // phase runs one phase of the run and, when the run is traced, records
@@ -324,14 +302,12 @@ func ParallelCorpusContext(ctx context.Context, opts Options, files map[string]s
 // workers goroutines — each file's one engine pass, kept as a Template
 // (internal/anonymizer/template.go) — and replays the recorded
 // mapper-call logs into the shared tree in the deterministic serial
-// order: every file's prescan pins in sorted-name order, then every
-// surviving file's full log. Files whose prescan failed are marked
-// failed and traced; their partial pins still replay — exactly what a
-// sequential run leaves behind before aborting. A file that failed past
-// its prescan replays its truncated log and fails in its fill. Returns
-// the templates by index, or ctx's error if the census was cut short, in
-// which case the replay is skipped (only the failures are recorded).
-// Callers pass names already sorted.
+// order: every file's pins (its own prefix calls, shortest first) in
+// sorted-name order, then every file's full log. A file whose census
+// failed replays what it recorded before it died, as a serial run maps
+// it, and fails in its fill. Returns the templates by index, or ctx's
+// error if the census was cut short, in which case the replay is
+// skipped. Callers pass names already sorted.
 func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[string]string, workers int) ([]*anonymizer.Template, error) {
 	a := r.a
 	tmpls := make([]*anonymizer.Template, len(names))
@@ -340,27 +316,14 @@ func (r *corpusRun) censusReplay(ctx context.Context, names []string, files map[
 			tmpls[i] = a.sess.Census(names[i], files[names[i]])
 		})
 	})
-	markFailed := func(i int, ferr *FileError) {
-		r.fail(names[i], ferr)
-		a.traceCensusFailure(r.sp, ferr)
-	}
 	if err := ctx.Err(); err != nil {
-		for i, t := range tmpls {
-			if t != nil && t.PinErr() != nil {
-				markFailed(i, t.PinErr())
-			}
-		}
 		return nil, err
 	}
 	r.phase("replay", func() {
 		for _, t := range tmpls {
 			a.sess.Replay(t.Pins())
 		}
-		for i, t := range tmpls {
-			if ferr := t.PinErr(); ferr != nil {
-				markFailed(i, ferr)
-				continue
-			}
+		for _, t := range tmpls {
 			a.sess.Replay(t.Calls())
 		}
 	})
@@ -444,10 +407,11 @@ func (r *corpusRun) rewriteAndGate(ctx context.Context, n, workers int, phase st
 // a census, spread over the workers, runs each file's one engine pass
 // against throwaway state, keeping its output with every address left
 // as a hole and its exact mapper-call sequence; the call logs are then
-// replayed into the shared tree serially (every file's prescan pins in
-// sorted-name order, then every surviving file's full sequence), each
-// trace keeping the images the tree answered; finally each file's holes
-// are filled in parallel from those images, without touching the tree.
+// replayed into the shared tree serially (every file's pins — its own
+// prefix calls, shortest first — in sorted-name order, then every
+// file's full sequence), each trace keeping the images the tree
+// answered; finally each file's holes are filled in parallel from those
+// images, without touching the tree.
 // The pipeline is the same at every worker count, one included.
 // Under Options.StatelessIP mappings are pure functions of the salt and
 // neither is needed.
@@ -510,9 +474,7 @@ func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]stri
 			}
 			c++
 		}
-		if _, failed := r.res.Files[n]; !failed {
-			jobs = append(jobs, job{n, t})
-		}
+		jobs = append(jobs, job{n, t})
 	}
 	phase := "engine"
 	if tmpls != nil {
@@ -549,11 +511,11 @@ func (r *corpusRun) anonymize(ctx context.Context, files, served map[string]stri
 // All files route through the Session, so an address seen in two files
 // maps identically, and later calls on the same Session stay consistent
 // with the streamed output. Unlike CorpusContext, the subnet-shaping
-// prescan sees each file individually, in arrival order, rather than the
-// whole corpus up front — so which file first pins a shared subnet (and
-// therefore the shape chosen for it) depends on the order next yields
-// the files. Use CorpusContext when the mapping must be immune to file
-// ordering.
+// pins are taken from each file individually, in arrival order, rather
+// than from the whole corpus up front — so which file first pins a
+// shared subnet (and therefore the shape chosen for it) depends on the
+// order next yields the files. Use CorpusContext when the mapping must
+// be immune to file ordering.
 //
 // Each file is fault-isolated: a panic while rewriting, a failing
 // reader, a sink that cannot be opened, and a writer that fails mid-file

@@ -436,44 +436,11 @@ func TestChaosRollbackLeavesNoLedgerEntries(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		tr := NewTracer()
 		serialCorpus(New(Options{Salt: []byte("chaos"), Tracer: tr}), files)
-		// Serially the prescan survives (the fault hook fires per rewritten
-		// line) and the rewrite dies at line 2, inside the engine.
+		// Serially the fault hook fires in the census of both the pinning
+		// unit and the rewrite; the rewrite's census dies at line 2 and
+		// its unit fails the file there.
 		check(t, tr, "rewrite")
 	})
-}
-
-// TestCensusFailureSpanSynthesized: when a file dies in the census's
-// prescan (the census opens no span, and the file reaches no
-// fill), the batch layer must synthesize its failed span so the file
-// does not vanish from the span tree.
-func TestCensusFailureSpanSynthesized(t *testing.T) {
-	tr := NewTracer()
-	a := New(Options{Salt: []byte("chaos"), Tracer: tr})
-	sp := a.traceCorpus("parallel-corpus", 1, 4)
-	a.traceCensusFailure(sp, &FileError{
-		Name:  "poison",
-		Cause: &PanicError{Value: "prescan exploded"},
-	})
-	a.endCorpus(sp, nil)
-
-	var failed *Span
-	for _, s := range tr.Spans() {
-		if s.Kind == "file" && s.Name == "poison" {
-			failed = s
-		}
-	}
-	if failed == nil {
-		t.Fatal("no synthesized file span for the census failure")
-	}
-	if failed.Status != "failed" || failed.Attr("op") != "census" {
-		t.Errorf("span status %q op %q, want failed/census", failed.Status, failed.Attr("op"))
-	}
-	if failed.Parent != sp.ID {
-		t.Errorf("span parents to %d, want corpus span %d", failed.Parent, sp.ID)
-	}
-	if len(failed.Events) == 0 || !strings.Contains(failed.Events[0].Msg, "prescan exploded") {
-		t.Errorf("span carries no cause event: %+v", failed.Events)
-	}
 }
 
 // runStoreCorpus opens the mapping ledger in dir, runs the corpus

@@ -161,9 +161,12 @@ go run ./cmd/confvalidate $packargs
 # class of error), over ledger replay against a reference replay
 # (FuzzOpenMatchesReference: the same State, or ErrCorrupt at the same
 # line, from Open and, for a program that ends in a single segment read
-# as a snapshot blob, from DecodeState), and over the file cache decoder (no input panics). Crashers are persisted under testdata/fuzz/ and
-# then replayed by the ordinary test step above, so a find here becomes
-# a permanent regression test.
+# as a snapshot blob, from DecodeState), over the file cache decoder
+# (no input panics), and over the shaped tree's resumed node walk
+# against a walk from the root (FuzzTreeResumeMatchesRootWalk: the same
+# images, mapping and remap count for any call sequence). Crashers are
+# persisted under testdata/fuzz/ and then replayed by the ordinary test
+# step above, so a find here becomes a permanent regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	echo "== fuzz smoke: internal/config FuzzParse (10s)"
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
@@ -195,6 +198,8 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzOpenMatchesReference$' -fuzztime 10s ./internal/store
 	echo "== fuzz smoke: FuzzDecodeCorpusCache (10s)"
 	go test -run '^$' -fuzz '^FuzzDecodeCorpusCache$' -fuzztime 10s .
+	echo "== fuzz smoke: internal/ipanon FuzzTreeResumeMatchesRootWalk (10s)"
+	go test -run '^$' -fuzz '^FuzzTreeResumeMatchesRootWalk$' -fuzztime 10s ./internal/ipanon
 fi
 
 echo "== ok"

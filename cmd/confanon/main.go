@@ -7,9 +7,10 @@
 //	cat r1-confg | confanon -salt SECRET - > r1-anon
 //
 // Every file in the input directory is treated as one router's
-// configuration of a single network; all files are prescanned before any
-// is rewritten so the mapping is consistent and subnet-address
-// preservation holds across files. With -workers N the corpus is
+// configuration of a single network; every file's pins (the prefixes it
+// maps, shortest first) resolve before any file's addresses, so the
+// mapping is consistent and subnet-address preservation holds across
+// files. With -workers N the corpus is
 // anonymized on N parallel workers; the output and, under -strict, the
 // quarantine set are identical to a single-worker run under either IP
 // scheme. With -leak-report the tool prints the
@@ -37,7 +38,7 @@
 //
 // With "-" as the sole argument the tool streams one configuration from
 // stdin to stdout instead; add -stateless for constant-memory streaming
-// (the Crypto-PAn IP scheme needs no prescan, so nothing is buffered).
+// (the Crypto-PAn IP scheme needs no pins, so nothing is buffered).
 // Under -strict the streamed output is buffered and leak-gated before the
 // first byte reaches stdout. -rule-stats prints the engine's per-rule hit
 // and wall-time table in either mode.

@@ -313,9 +313,10 @@ func (a *Anonymizer) File(text string) string {
 // Stream anonymizes one configuration file from r to w. Under the
 // StatelessIP scheme the engine rewrites each line as it is read —
 // constant memory in the input size, byte-identical to File on the same
-// text. Under the default shaped-tree scheme the subnet-shaping prescan
-// must see the whole file before the first line can be rewritten, so the
-// file (one file, never a corpus) is buffered internally.
+// text. Under the default shaped-tree scheme the prefixes the file maps
+// must be pinned before the first line's addresses resolve, so the file
+// (one file, never a corpus) is buffered internally and runs census →
+// replay → fill like File.
 func (a *Anonymizer) Stream(r io.Reader, w io.Writer) error {
 	wk := a.sess.Acquire()
 	defer a.sess.Release(wk)

@@ -76,7 +76,7 @@ type Anonymizer struct {
 
 	// Per-line scratch, reused by every line so the line loop allocates
 	// only what it publishes: tok holds the line's words and gaps
-	// (processLine, prescan), gen the generic pass's leads, cores and
+	// (processLine), gen the generic pass's leads, cores and
 	// trails (genericWords), out the basic method's rewritten word
 	// (hashIfPrivileged, hashAllSegments). What they hold is valid only
 	// until the next line; nothing may keep a slice of them past it.
@@ -105,9 +105,10 @@ type Anonymizer struct {
 	pending    []trace.Decision
 	curRule    RuleID
 
-	// tmpl is the Template a census worker fills in place of committing
-	// (template.go); nil on every worker that maps for real.
-	tmpl *Template
+	// tmpl is the Template the census in flight fills in place of
+	// mapping (template.go); nil while the worker maps for real. own is
+	// the Template the worker censuses its own files into (rewrite).
+	tmpl, own *Template
 
 	// Leak recorder (§6.1), pending half: every public ASN, hashed word,
 	// and mapped original address the file in flight has seen. Published
@@ -189,14 +190,14 @@ func (a *Anonymizer) hit(r RuleID) {
 	}
 }
 
-// AnonymizeText anonymizes one configuration file. The input is prescanned
-// first so subnet addresses resolve shortest-prefix-first (see prescan).
-// It is fail-open: a panic propagates to the caller (SafeAnonymizeText is
-// the fail-closed form).
+// AnonymizeText anonymizes one configuration file. Under the shaped
+// tree the prefixes it maps resolve shortest first, ahead of its own
+// order (see rewrite). It is fail-open: a panic propagates to the caller
+// (SafeAnonymizeText is the fail-closed form).
 func (a *Anonymizer) AnonymizeText(text string) (out string) {
-	failOpen(a.unit("", "", func() error {
-		out = a.rewrite(text)
-		return nil
+	failOpen(a.unit("", "", func() (err error) {
+		out, err = a.rewrite(text)
+		return err
 	}))
 	return out
 }

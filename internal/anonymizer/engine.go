@@ -55,32 +55,52 @@ func (a *Anonymizer) runLines(next func() (string, bool), emit func(res string, 
 	a.observeStage(stageRewrite, d)
 }
 
-// rewrite anonymizes one whole file's text: prescan, then every line
-// through the line loop (the body of AnonymizeText, of the tree
-// scheme's StreamText and of the census).
-func (a *Anonymizer) rewrite(text string) string {
-	lines := SplitLines(text)
-	a.prescan(lines)
-	outs := make([]string, 0, len(lines))
-	i := 0
+// rewrite anonymizes one whole file's text (AnonymizeText,
+// SafeAnonymizeText, the shaped tree's StreamText) in the worker's own
+// Template. Under StatelessIP every line maps straight through the line
+// loop. Under the shaped tree the file runs census → replay → fill
+// (template.go); a census that fails fails the rewrite at its line,
+// once what it mapped has been replayed.
+func (a *Anonymizer) rewrite(text string) (string, error) {
+	t := a.ownTemplate(a.curFile)
+	if a.opts.StatelessIP {
+		a.runText(&t.out, text)
+		return fileText(t.out), nil
+	}
+	a.census(t, text)
+	t.pins.Replay(a.ip)
+	t.calls.Replay(a.ip)
+	return a.fill(t)
+}
+
+// runText runs every line of a file's text through the line loop and
+// appends each kept line, with its newline, to *dst as it is kept (a
+// census places a line's holes at the length *dst has before it).
+func (a *Anonymizer) runText(dst *[]byte, text string) {
+	rest := text
 	a.runLines(
 		func() (string, bool) {
-			if i == len(lines) {
+			if rest == "" {
 				return "", false
 			}
-			i++
-			return lines[i-1], true
+			line, after, _ := strings.Cut(rest, "\n")
+			rest = after
+			return line, true
 		},
 		func(res string, keep bool) {
 			if keep {
-				outs = append(outs, res)
+				*dst = append(append(*dst, res...), '\n')
 			}
 		})
-	if len(outs) == 0 {
+}
+
+// fileText is a file's output from runText's lines: "\n" when no line
+// was kept.
+func fileText(out []byte) string {
+	if len(out) == 0 {
 		return "\n"
 	}
-	// The empty last element gives the trailing newline in Join's one copy.
-	return strings.Join(append(outs, ""), "\n")
+	return string(out)
 }
 
 // SplitLines splits file text exactly the way the engine iterates it:

@@ -1,6 +1,9 @@
 package anonymizer
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // FileError describes the failure of one file inside a batch. The paper's
 // threat model makes anonymization failures catastrophic, so the batch
@@ -8,8 +11,8 @@ import "fmt"
 // FileError and withheld, never half-emitted — and one poisoned file must
 // not take the rest of the corpus down with it. Name is the batch key of
 // the file, Line the 1-based line being processed when the failure struck
-// (0 when the failure preceded line processing, e.g. during prescan or
-// input reading), and Cause the underlying error; a recovered panic is
+// (0 when the failure preceded line processing, e.g. during input
+// reading), and Cause the underlying error; a recovered panic is
 // wrapped as a PanicError.
 type FileError struct {
 	Name  string
@@ -47,8 +50,8 @@ var faultHook func(name string, line int)
 // reach it.
 func SetFaultHook(h func(name string, line int)) { faultHook = h }
 
-// unit runs one per-file entry — a rewrite, prescan, stream or leak
-// report — as the engine's single unit of commit. The
+// unit runs one per-file entry — a rewrite, fill, prescan, stream or
+// leak report — as the engine's single unit of commit. The
 // worker's Stats hold only the file in flight: body counts into them,
 // and when it returns the unit either commits the file or drops it.
 //
@@ -114,23 +117,39 @@ func failOpen(ferr *FileError) error {
 }
 
 // SafeAnonymizeText anonymizes one file like AnonymizeText but fails
-// closed instead of failing open: a panic anywhere in the prescan or the
-// rewrite becomes a *FileError and the file is dropped (see unit), so a
-// batch caller can report the file and carry on.
+// closed instead of failing open: a panic anywhere in the rewrite
+// becomes a *FileError and the file is dropped (see unit), so a batch
+// caller can report the file and carry on.
 func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *FileError) {
-	ferr = a.unit(name, "rewrite", func() error {
-		out = a.rewrite(text)
-		return nil
+	ferr = a.unit(name, "rewrite", func() (err error) {
+		out, err = a.rewrite(text)
+		return err
 	})
 	return out, ferr
 }
 
 // SafePrescan pins one file's subnets into the Session's mapping ahead
-// of any rewrite (see prescan), as a fail-closed unit like
-// SafeAnonymizeText: prescan walks attacker-controlled text too.
+// of any rewrite, as a fail-closed unit like SafeAnonymizeText: it
+// censuses the file on throwaway state (Session.Census) and replays the
+// census's pins, the prefixes the file's rewrite maps, shortest first
+// (§4.3). Pinning every file of a network first keeps cross-file
+// orderings from breaking the shaping, as a corpus run does. A census
+// that fails still replays the pins it recorded, and fails the unit
+// with its cause at its line. Under StatelessIP pins change no byte,
+// and SafePrescan does nothing.
 func (a *Anonymizer) SafePrescan(name, text string) *FileError {
 	return a.unit(name, "prescan", func() error {
-		a.prescan(SplitLines(text))
+		if a.opts.StatelessIP {
+			return nil
+		}
+		start := time.Now()
+		t := a.sess.Census(name, text)
+		t.pins.Replay(a.ip)
+		a.observeStage(stagePrescan, time.Since(start))
+		if t.err != nil {
+			a.curLine = t.err.Line
+			return t.err.Cause
+		}
 		return nil
 	})
 }

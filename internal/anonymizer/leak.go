@@ -214,9 +214,14 @@ var ipv6Doc = netip.MustParsePrefix("2001:db8::/32")
 // punctuation, is an IPv6 address or prefix outside the special scopes
 // that identify no network (loopback, unspecified, link-local,
 // multicast and the documentation prefix), or is a half-hashed one (see
-// halfHashedIPv6).
+// halfHashedIPv6). netip is asked only about tokens of IPv6 shape
+// (ipv6Shaped): its errors allocate, and a MAC address or a time is
+// colon-separated too.
 func isPublicIPv6(w string) bool {
 	_, core, _ := token.TrimPunct(w)
+	if !ipv6Shaped(core) {
+		return halfHashedIPv6(core)
+	}
 	addr, err := netip.ParseAddr(core)
 	if err != nil {
 		p, perr := netip.ParsePrefix(core)
@@ -230,6 +235,29 @@ func isPublicIPv6(w string) bool {
 	}
 	return !(addr.IsLoopback() || addr.IsUnspecified() || addr.IsLinkLocalUnicast() ||
 		addr.IsMulticast() || ipv6Doc.Contains(addr))
+}
+
+// ipv6Shaped reports whether core could parse as an IPv6 address or
+// prefix: before any prefix length or zone, its colon groups are empty
+// or 1–4 hex digits, the last one possibly a dotted IPv4 tail, and it
+// holds "::" or eight groups (an IPv4 tail filling two). Every token
+// netip parses as IPv6 has this shape.
+func ipv6Shaped(core string) bool {
+	addr, _, _ := strings.Cut(core, "/")
+	addr, _, _ = strings.Cut(addr, "%")
+	groups := 0
+	for rest, more := addr, true; more; groups++ {
+		var grp string
+		grp, rest, more = strings.Cut(rest, ":")
+		if !more && strings.IndexByte(grp, '.') >= 0 {
+			groups++ // an IPv4 tail fills two groups
+			continue
+		}
+		if _, ok := hexGroup(grp); !ok && grp != "" {
+			return false
+		}
+	}
+	return groups == 8 || strings.Contains(addr, "::")
 }
 
 // halfHashedIPv6 reports whether a token that is no IPv6 address still
@@ -268,6 +296,10 @@ func halfHashedIPv6(core string) bool {
 
 // hexGroup parses an IPv6 group of 1–4 hex digits.
 func hexGroup(s string) (uint16, bool) {
-	v, err := strconv.ParseUint(s, 16, 16)
-	return uint16(v), err == nil && len(s) <= 4
+	// Checked first: ParseUint's error allocates.
+	if len(s) == 0 || len(s) > 4 || strings.Trim(s, "0123456789abcdefABCDEF") != "" {
+		return 0, false
+	}
+	v, _ := strconv.ParseUint(s, 16, 16)
+	return uint16(v), true
 }

@@ -115,6 +115,40 @@ func TestHalfHashedIPv6IsALeak(t *testing.T) {
 	}
 }
 
+// TestColonTokensDoNotAllocate: the gate reads MAC addresses, times and
+// communities, colon-separated tokens that are no IPv6 address, without
+// allocating, while an IPv6 address of each form still parses and a
+// half-hashed one is still a leak.
+func TestColonTokensDoNotAllocate(t *testing.T) {
+	a := New(Options{Salt: []byte("x")})
+	for _, line := range []string{
+		"mac aa:bb:cc:dd:ee:ff\n",
+		"clock 12:34:56\n",
+		"set community 701:100\n",
+		"set large-community 2914:100:200\n",
+		"mac-address 0011:2233:4455:6677:8899:aabb:ccdd\n",
+	} {
+		if n := testing.AllocsPerRun(20, func() { a.LeakReport(line) }); n != 0 {
+			t.Errorf("LeakReport(%q): %.1f allocs, want 0", line, n)
+		}
+	}
+	for w, want := range map[string]bool{
+		"2620:0:861:1::1/64":            true,
+		"::ffff:12.1.2.3":               true,
+		"2620:0:861:1:2:3:12.1.2.3":     true,
+		"2620:0:861:1:2:3:4:5":          true,
+		"2620:0:861:1:2:3:4:5:6":        false,
+		"fe80::1%eth0":                  false,
+		"2620:0:861:1:2:3:4:5/64":       true,
+		"2620:0:861:x0ec0f8fb30cd1a::1": true,
+		"aa:bb:cc:dd:ee:ff":             false,
+	} {
+		if got := isPublicIPv6(w); got != want || refPublicIPv6(w) != want {
+			t.Errorf("isPublicIPv6(%q) = %v, reference %v, want %v", w, got, refPublicIPv6(w), want)
+		}
+	}
+}
+
 // leakScanFixture returns a worker whose Session has recorded an ASN, a
 // hashed word and mapped addresses, with one pack report rule loaded,
 // and an address that is both a recorded original and a mapping output

@@ -98,9 +98,10 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 // gives it (-1 for a bare address, I3) and how many words the form spans
 // (3 for "A mask M", 2 for an address with its netmask or wildcard, 1
 // otherwise, and when ok is false: cores[i] is no address). It is the one
-// statement of which prefixes a line names: the prescan pins every
-// prefix it returns, and the generic pass maps what it returns, so the
-// prescan pins exactly the prefixes the rewrite maps (§4.3).
+// statement of which prefixes a line names: the generic pass maps what
+// it returns, and a file's pins are the prefix calls those mappings make
+// (template.go), so the pins are exactly the prefixes the rewrite maps
+// (§4.3).
 func ipAt(cores []string, i int, block string) (rule RuleID, addr uint32, length, width int, ok bool) {
 	addr, ok = token.ParseIPv4(cores[i])
 	if !ok {
@@ -177,8 +178,8 @@ func (a *Anonymizer) mapNet(addr uint32, length int) uint32 {
 // noteIP records an original address in the leak recorder when its
 // image differs from it. This is the one place a mapper output feeds
 // back into the engine. A census does not know the image yet: its
-// fill makes the check for every call past the prescan, each of which
-// came through here (template.go).
+// fill makes the check for every call in its log, each of which came
+// through here (template.go).
 func (a *Anonymizer) noteIP(in, out uint32) {
 	if out != in && a.tmpl == nil {
 		a.seenIPs[in] = true

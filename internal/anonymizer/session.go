@@ -488,17 +488,14 @@ func (s *Session) IPMapping() []ipanon.Pair { return s.mapper().Mapping() }
 func (s *Session) Replay(tr *ipanon.Trace) { tr.Replay(s.mapper()) }
 
 // CensusFile records one file's mapper-call traces in one engine pass
-// (Census): pins is the prescan's MapPrefix sequence, full the whole
-// pass's, prescan included. When the prescan panics, pinErr carries the
-// failure and pins holds the partial sequence up to the abort — exactly
-// what a serial run would have inserted; full is nil. A panic past the
-// prescan likewise truncates full at the abort point.
-func (s *Session) CensusFile(name, text string) (pins, full *ipanon.Trace, pinErr *FileError) {
+// (Census): full is the pass's call log, pins its prefix calls,
+// shortest first, which a corpus run replays for every file before any
+// file's log. A census that panics returns the failure as err, with
+// full, and the pins taken from it, truncated where the file died: what
+// a serial run maps before it fails the file.
+func (s *Session) CensusFile(name, text string) (pins, full *ipanon.Trace, err *FileError) {
 	t := s.Census(name, text)
-	if pinErr = t.PinErr(); pinErr != nil {
-		return t.Pins(), nil, pinErr
-	}
-	return t.Pins(), t.Calls(), nil
+	return t.Pins(), t.Calls(), t.err
 }
 
 // ipOutputs returns (cached) the set of addresses the shared mapping has

@@ -51,7 +51,7 @@ type Stats struct {
 	// each timed call's (a file's rewrite, a leak report) elapsed time
 	// is split across the rules that fired in it, proportionally to
 	// their hits, so the values sum, to within a nanosecond per hit, to
-	// the rewrite and leak-report stage times (prescan excluded).
+	// the rewrite and leak-report stage times.
 	ruleTimeNs [maxRules]int64
 }
 

@@ -11,13 +11,13 @@ import (
 
 // StreamText anonymizes one configuration file from r to w.
 //
-// Under StatelessIP the IP mapping is a pure function of the salt, so the
-// shortest-prefix-first prescan is a semantic no-op and the engine can
+// Under StatelessIP the IP mapping is a pure function of the salt, so
+// the order addresses reach it does not matter and the engine can
 // rewrite each line as it is read — constant memory in the input size,
 // byte-identical to AnonymizeText. Under the default shaped tree the
-// prescan is load-bearing (the /8 must pin its tail before the /24s
+// order is load-bearing (the /8 must pin its tail before the /24s
 // inside it resolve), so the file — one file, never a corpus — is
-// buffered, prescanned, and then rewritten.
+// buffered and runs census → replay → fill like AnonymizeText.
 //
 // One edge differs from AnonymizeText: a zero-byte input streams to zero
 // bytes, where AnonymizeText returns "\n" (an artifact of its join).
@@ -96,7 +96,10 @@ func (a *Anonymizer) stream(r io.Reader, w io.Writer) error {
 		if len(data) == 0 {
 			return nil
 		}
-		out := a.rewrite(string(data))
+		out, err := a.rewrite(string(data))
+		if err != nil {
+			return err
+		}
 		bytesIn += int64(len(data))
 		bytesOut += int64(len(out))
 		_, err = io.WriteString(w, out)

@@ -49,37 +49,67 @@ func censusFill(s *Session, name, text string) (string, *FileError) {
 	return wk.SafeFill(tm)
 }
 
-// TestFillMatchesRewrite: a census filled from the replayed tree gives
-// the rewrite's bytes, Stats, recorder, mapping and decisions.
-func TestFillMatchesRewrite(t *testing.T) {
-	for name, text := range templateInputs(t) {
-		refTr, fillTr := trace.NewTracer(), trace.NewTracer()
-		ref := Compile(Options{Salt: []byte("tmpl"), Tracer: refTr}).NewSession()
-		got := Compile(Options{Salt: []byte("tmpl"), Tracer: fillTr}).NewSession()
+// directRewrite is the reference the fill is checked against, which
+// never goes through a fill: the file's pins are replayed into the
+// Session's tree, and then every line runs through the line loop with
+// the worker mapping straight into the tree, as one "rewrite" unit.
+func directRewrite(s *Session, name, text string) (string, *FileError) {
+	pins := s.Census(name, text).Pins()
+	wk := s.Acquire()
+	defer s.Release(wk)
+	var out string
+	ferr := wk.unit(name, "rewrite", func() error {
+		pins.Replay(wk.ip)
+		var b []byte
+		wk.runText(&b, text)
+		out = fileText(b)
+		return nil
+	})
+	return out, ferr
+}
 
-		wk := ref.Acquire()
-		want, ferr := wk.SafeAnonymizeText(name, text)
-		ref.Release(wk)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		out, ferr := censusFill(got, name, text)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		if out != want {
-			t.Errorf("%s: fill differs from rewrite:\n got %q\nwant %q", name, out, want)
-		}
-		rs, gs := ref.Stats(), got.Stats()
-		if rs.Lines != gs.Lines || rs.Files != gs.Files || rs.IPsMapped != gs.IPsMapped ||
-			rs.TokensHashed != gs.TokensHashed || !reflect.DeepEqual(rs.RuleHits(), gs.RuleHits()) {
-			t.Errorf("%s: fill Stats differ from rewrite", name)
-		}
-		if !reflect.DeepEqual(ref.CaptureState(), got.CaptureState()) {
-			t.Errorf("%s: fill recorder or mapping differs from rewrite", name)
-		}
-		if rd, gd := decisions(refTr), decisions(fillTr); !reflect.DeepEqual(rd, gd) {
-			t.Errorf("%s: fill decisions differ from rewrite:\n got %v\nwant %v", name, gd, rd)
+// TestFillMatchesRewrite: a census filled from the replayed tree —
+// through SafeFill, as a corpus run fills it, and through the worker's
+// own census → replay → fill, as SafeAnonymizeText runs it — gives the
+// bytes, Stats, recorder, mapping and decisions of the line loop
+// mapping straight into the tree once the pins are in.
+func TestFillMatchesRewrite(t *testing.T) {
+	fills := map[string]func(s *Session, name, text string) (string, *FileError){
+		"SafeFill": censusFill,
+		"SafeAnonymizeText": func(s *Session, name, text string) (string, *FileError) {
+			wk := s.Acquire()
+			defer s.Release(wk)
+			return wk.SafeAnonymizeText(name, text)
+		},
+	}
+	for name, text := range templateInputs(t) {
+		for how, fill := range fills {
+			refTr, fillTr := trace.NewTracer(), trace.NewTracer()
+			ref := Compile(Options{Salt: []byte("tmpl"), Tracer: refTr}).NewSession()
+			got := Compile(Options{Salt: []byte("tmpl"), Tracer: fillTr}).NewSession()
+
+			want, ferr := directRewrite(ref, name, text)
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			out, ferr := fill(got, name, text)
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			if out != want {
+				t.Errorf("%s %s: fill differs from the line loop:\n got %q\nwant %q", how, name, out, want)
+			}
+			rs, gs := ref.Stats(), got.Stats()
+			if rs.Lines != gs.Lines || rs.Files != gs.Files || rs.IPsMapped != gs.IPsMapped ||
+				rs.TokensHashed != gs.TokensHashed || !reflect.DeepEqual(rs.RuleHits(), gs.RuleHits()) {
+				t.Errorf("%s %s: fill Stats differ from the line loop's", how, name)
+			}
+			if !reflect.DeepEqual(ref.CaptureState(), got.CaptureState()) {
+				t.Errorf("%s %s: fill recorder or mapping differs from the line loop's", how, name)
+			}
+			if rd, gd := decisions(refTr), decisions(fillTr); !reflect.DeepEqual(rd, gd) {
+				t.Errorf("%s %s: fill decisions differ from the line loop's:\n got %v\nwant %v", how, name, gd, rd)
+			}
 		}
 	}
 }
@@ -174,8 +204,9 @@ func TestCensusFailureFailsFill(t *testing.T) {
 
 	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
 	tm := s.Census("f", text)
-	if tm.PinErr() != nil || tm.Calls().Len() <= tm.Pins().Len() {
-		t.Fatalf("census past the prescan: pin error %v, %d calls, %d pins", tm.PinErr(), tm.Calls().Len(), tm.Pins().Len())
+	if tm.err == nil || tm.err.Line != 4 || tm.Pins().Len() != 1 || tm.Calls().Len() != 2 {
+		t.Fatalf("census error %v, %d pins of %d calls: want line 4, the interface's prefix and host",
+			tm.err, tm.Pins().Len(), tm.Calls().Len())
 	}
 	_, got := censusFill(s, "f", text)
 	if got == nil || want == nil || got.Error() != want.Error() || got.Line != 4 {
@@ -189,8 +220,9 @@ func TestCensusFailureFailsFill(t *testing.T) {
 	}
 }
 
-// TestCensusFileOnePass: CensusFile's pins are the prefix of its full
-// log, which one engine pass recorded.
+// TestCensusFileOnePass: CensusFile's full log is the one engine pass's
+// call log, and its pins are that log's prefix calls, shortest first,
+// not a prefix of it.
 func TestCensusFileOnePass(t *testing.T) {
 	s := Compile(Options{Salt: []byte("tmpl")}).NewSession()
 	text := templateInputs(t)["ios"]
@@ -198,12 +230,22 @@ func TestCensusFileOnePass(t *testing.T) {
 	if ferr != nil || full == nil || pins.Len() == 0 || pins.Len() >= full.Len() {
 		t.Fatalf("pins %d of %d calls, error %v", pins.Len(), full.Len(), ferr)
 	}
-	rec := &recordingSink{}
+	rec, log := &recordingSink{}, &recordingSink{}
 	pins.Replay(rec)
-	prefix := len(rec.recs)
-	full.Replay(rec)
-	if !reflect.DeepEqual(rec.recs[:prefix], rec.recs[prefix:2*prefix]) {
-		t.Error("pins are not the prefix of the full log")
+	full.Replay(log)
+	var prefixes []ipanon.Pair
+	for _, r := range log.recs {
+		if r.Out != 0 {
+			prefixes = append(prefixes, r)
+		}
+	}
+	if !sameMultiset(rec.recs, prefixes) {
+		t.Errorf("pins %v are not the log's prefix calls %v", rec.recs, prefixes)
+	}
+	for i := 1; i < len(rec.recs); i++ {
+		if rec.recs[i].Out < rec.recs[i-1].Out {
+			t.Errorf("pin %d is /%d after a /%d", i, rec.recs[i].Out-1, rec.recs[i-1].Out-1)
+		}
 	}
 }
 

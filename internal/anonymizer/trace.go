@@ -69,9 +69,9 @@ func (a *Anonymizer) decide(class, out string) {
 }
 
 // beginFileSpan opens the span covering one unit on one file. op names
-// the operation ("prescan", "rewrite", "stream") — in a serial corpus
-// a file is prescanned and rewritten in separate units and gets one
-// span per; the fail-open entries pass "" and open none.
+// the operation ("prescan", "rewrite", "stream") — a file pinned with
+// SafePrescan before its rewrite gets one span per unit; the fail-open
+// entries pass "" and open none.
 func (a *Anonymizer) beginFileSpan(name, op string) {
 	if a.tracer == nil || op == "" {
 		return
@@ -109,7 +109,7 @@ func (a *Anonymizer) endFileSpan(ferr *FileError) {
 
 // traceStage records one pipeline stage retroactively (the engine times
 // stages whether or not anything observes them), parented under the
-// open file span — or the corpus span for standalone prescans and
+// open file span — or the corpus span for fail-open rewrites and
 // leak-report passes. The rewrite stage additionally gets per-rule
 // child spans from the file's rule-hit deltas.
 func (a *Anonymizer) traceStage(stage string, d time.Duration) {

@@ -63,8 +63,8 @@ func percentile(sorted []int, p float64) int {
 }
 
 // anonymizeCorpus runs a file set through the corpus driver
-// (CorpusContext): every file prescanned, then every file rewritten, in
-// sorted-name order, with rules added as operator-supplied sensitive
+// (CorpusContext): every file's pins replayed, then every file's
+// mapper calls, in sorted-name order, with rules added as operator-supplied sensitive
 // tokens. It returns the Session, whose recorder backs Leaks, and the
 // result, whose Stats and Outputs the experiments measure. Every
 // experiment measures whole corpora, so a failed file panics.

@@ -138,8 +138,8 @@ type node struct {
 type Tree struct {
 	opts Options
 	// mu guards everything below: the resolved-address cache, the node
-	// walk (rawMap) and its node slabs, the insertion log, the prf buffer
-	// and the output set.
+	// walk (rawMap), its node slabs and its last path, the insertion log,
+	// the prf buffer and the output set.
 	mu sync.Mutex
 	// slabs hold the trie's nodes, nodeSlab to a block, and nodes counts
 	// those in use: node i is slabs[i/nodeSlab][i%nodeSlab], the root is
@@ -160,6 +160,9 @@ type Tree struct {
 	// previously chase-emitted output is itself chased), which makes the
 	// resolved mapping injective by construction at every point in time.
 	outs map[uint32]struct{}
+	// last is the path of the latest node walk, where the next one
+	// resumes (rawMap).
+	last walk
 	// remaps counts collision-chase steps: how many candidates were
 	// rejected because a raw image landed in the special range or on an
 	// already-emitted output (§4.3).
@@ -221,10 +224,23 @@ func (t *Tree) prfBit(path uint32, depth int) bool {
 // rawMap walks ip through the tree, creating and resolving nodes as
 // needed, and returns the XOR-flip image. This is the pure
 // prefix-preserving bijection before special-address chasing.
+//
+// The walk resumes where it leaves the previous one (Tree.last): the
+// first d bits ip shares with the last walk's input lead to the same
+// d nodes, whose flips that walk resolved and which are only read
+// again, so the image's first d bits are the last raw image's and the
+// walk starts at depth d.
 func (t *Tree) rawMap(ip uint32) uint32 {
-	var out uint32
-	n := t.node(0)
-	for depth := 0; depth < 32; depth++ {
+	w := &t.last
+	depth := 0
+	if w.valid {
+		depth = min(bits.LeadingZeros32(ip^w.in), 31)
+	}
+	out := w.out >> (32 - uint(depth)) // 0 for depth 0
+	ni := w.nodes[depth]
+	for ; depth < 32; depth++ {
+		w.nodes[depth] = ni
+		n := t.node(ni)
 		bit := ip >> (31 - uint(depth)) & 1
 		if !n.flipSet {
 			n.flipSet = true
@@ -274,14 +290,22 @@ func (t *Tree) rawMap(ip uint32) uint32 {
 			outBit ^= 1
 		}
 		out = out<<1 | outBit
-		child := n.children[bit]
-		if child == 0 {
-			child = t.newNode()
-			n.children[bit] = child
+		ni = n.children[bit]
+		if ni == 0 {
+			ni = t.newNode()
+			n.children[bit] = ni
 		}
-		n = t.node(child)
 	}
+	w.in, w.out, w.valid = ip, out, true
 	return out
+}
+
+// walk is the path of the tree's last node walk: its input, its raw
+// image, and the node it passed at each depth (nodes[0] is the root).
+type walk struct {
+	in, out uint32
+	nodes   [32]uint32
+	valid   bool
 }
 
 // prefixBits returns the first depth bits of ip, left-aligned, with the

@@ -1,11 +1,18 @@
 package ipanon
 
-// Trace is a recording Mapper used by the deterministic parallel corpus
-// mode. It maps nothing: MapV4 and MapPrefix return the (masked) input
-// unchanged and append the call to an ordered log. Replaying the log into
-// a real Mapper reproduces exactly the insertion sequence the traced run
+import (
+	"slices"
+	"sort"
+)
+
+// Trace is a recording Mapper: the census of the shaped tree's
+// census → replay → fill pipeline maps every file through one. It maps
+// nothing: MapV4 and MapPrefix return the (masked) input unchanged and
+// append the call to an ordered log. Replaying the log into a real
+// Mapper reproduces exactly the insertion sequence the traced pass
 // would have performed, which is what the shaped Tree's order-dependent
-// mapping requires for byte-identical parallel output.
+// mapping requires for byte-identical output; Pins extracts the log's
+// prefix calls, which replay first, shortest prefix first (§4.3).
 //
 // A Trace is recorded by one goroutine (one census worker records each
 // file's Trace); the traces are then replayed serially in a
@@ -61,11 +68,31 @@ func (tr *Trace) Remaps() int64 { return 0 }
 // delta to persist.
 func (tr *Trace) Since(n int) []Pair { return nil }
 
-// Prefix returns the log of the first n recorded calls, sharing this
-// trace's storage (later calls recorded here never show through it).
-// The two keep separate images: replaying one never changes what the
-// other's Resolve returns.
-func (tr *Trace) Prefix(n int) *Trace { return &Trace{ops: tr.ops[:n:n]} }
+// Reset empties the log, and forgets its images, keeping the storage
+// for the next recording.
+func (tr *Trace) Reset() { tr.ops, tr.imgs, tr.into = tr.ops[:0], tr.imgs[:0], nil }
+
+// Pins returns the log's prefix calls, shortest prefix first, as a log
+// of their own, recorded into into (which is Reset; nil allocates a new
+// Trace). Replayed before the log itself, they resolve every /8 before
+// the /24s inside it and every /24 before its hosts, which is what keeps
+// subnet addresses subnet-shaped (§4.3). Prefixes of one length keep
+// the order sort.Slice leaves them in, which depends on the recorded
+// sequence alone.
+func (tr *Trace) Pins(into *Trace) *Trace {
+	if into == nil {
+		into = &Trace{}
+	}
+	into.Reset()
+	for _, op := range tr.ops {
+		if op.prefix {
+			into.ops = append(into.ops, op)
+		}
+	}
+	pins := into.ops
+	sort.Slice(pins, func(i, j int) bool { return pins[i].length < pins[j].length })
+	return into
+}
 
 // Resolve returns m's answer to recorded call i. After the trace has
 // been replayed into m that is the image the replay kept; otherwise the
@@ -78,12 +105,12 @@ func (tr *Trace) Resolve(i int, m Mapper) uint32 {
 }
 
 // Replay feeds every recorded call into m in recorded order, keeping
-// each call's image for Resolve. Repeated addresses are harmless — they
-// resolve from m's cache — so replaying a trace that contains both a
-// prescan pass and a rewrite pass reproduces the serial engine's call
-// sequence exactly.
+// each call's image for Resolve (in the storage the last Replay used,
+// when it is large enough). Repeated addresses are harmless — they
+// resolve from m's cache — so replaying a log's Pins and then the log
+// reproduces the serial engine's call sequence exactly.
 func (tr *Trace) Replay(m Mapper) {
-	imgs := make([]uint32, len(tr.ops))
+	imgs := slices.Grow(tr.imgs[:0], len(tr.ops))[:len(tr.ops)]
 	for i, op := range tr.ops {
 		imgs[i] = op.issue(m)
 	}

@@ -62,18 +62,17 @@ func checkResolve(t *testing.T, what string, tr *Trace, calls []traceCall, m Map
 }
 
 // TestTraceResolveAfterReplay pins that Resolve answers from the images
-// Replay kept exactly what the mapper would: for a prefix of pins
-// replayed on its own before the full log (as the census replay does),
+// Replay kept exactly what the mapper would: for the log's pins
+// replayed on their own before the full log (as the census replay does),
 // for a truncated log (a census that failed mid-file), and — through
 // the mapper — for a trace never replayed or replayed elsewhere.
 func TestTraceResolveAfterReplay(t *testing.T) {
 	calls := traceCalls(1)
-	const pins = 8
 
 	t.Run("pins-then-full", func(t *testing.T) {
 		tr := record(calls)
 		m := NewTree(DefaultOptions([]byte("replay")))
-		tr.Prefix(pins).Replay(m)
+		tr.Pins(nil).Replay(m)
 		tr.Replay(m)
 		checkResolve(t, "full log", tr, calls, m)
 		// The replayed tree holds what direct calls in the same order
@@ -90,7 +89,7 @@ func TestTraceResolveAfterReplay(t *testing.T) {
 		cut := calls[:len(calls)/3]
 		tr := record(cut)
 		m := NewTree(DefaultOptions([]byte("replay")))
-		tr.Prefix(pins).Replay(m)
+		tr.Pins(nil).Replay(m)
 		tr.Replay(m)
 		checkResolve(t, "truncated log", tr, cut, m)
 	})
@@ -106,13 +105,66 @@ func TestTraceResolveAfterReplay(t *testing.T) {
 		tr := record(calls)
 		m1 := NewTree(DefaultOptions([]byte("one")))
 		tr.Replay(m1)
-		// Replaying the prefix elsewhere leaves the full log's images.
+		// Replaying the pins elsewhere leaves the full log's images.
 		m2 := NewTree(DefaultOptions([]byte("two")))
-		tr.Prefix(pins).Replay(m2)
+		pins := tr.Pins(nil)
+		pins.Replay(m2)
 		checkResolve(t, "replayed mapper", tr, calls, m1)
-		checkResolve(t, "prefix into another mapper", tr.Prefix(pins), calls[:pins], m2)
+		checkResolve(t, "pins into another mapper", pins, prefixCalls(calls), m2)
 		checkResolve(t, "a mapper never replayed into", tr, calls, NewTree(DefaultOptions([]byte("three"))))
 	})
+}
+
+// prefixCalls returns the prefix calls of calls, shortest first: the
+// census traceCalls models records its pins in that order.
+func prefixCalls(calls []traceCall) []traceCall {
+	var out []traceCall
+	for _, c := range calls {
+		if c.prefix {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestTracePinsArePrefixCalls: Pins holds exactly the log's prefix
+// calls, shortest first, and recording into a used Trace leaves none of
+// its old calls or images behind.
+func TestTracePinsArePrefixCalls(t *testing.T) {
+	calls := traceCalls(2)
+	// Host calls and prefixes out of length order between the pins.
+	calls = append(calls, traceCall{addr: 0x0C010000, length: 16, prefix: true}, traceCall{addr: 0x0C000000, length: 8, prefix: true})
+	tr := record(calls)
+	into := record(traceCalls(3))
+	into.Replay(NewTree(DefaultOptions([]byte("old"))))
+	pins := tr.Pins(into)
+	if pins != into {
+		t.Fatal("Pins did not record into the Trace it was given")
+	}
+	want := map[traceOp]int{}
+	for _, c := range calls {
+		if c.prefix {
+			want[record([]traceCall{c}).ops[0]]++
+		}
+	}
+	if pins.Len() != len(prefixCalls(calls)) {
+		t.Fatalf("%d pins, want %d prefix calls", pins.Len(), len(prefixCalls(calls)))
+	}
+	for i, op := range pins.ops {
+		if !op.prefix || want[op] == 0 {
+			t.Fatalf("pin %d %+v is not one of the log's prefix calls", i, op)
+		}
+		want[op]--
+		if i > 0 && op.length < pins.ops[i-1].length {
+			t.Fatalf("pin %d /%d follows a /%d", i, op.length, pins.ops[i-1].length)
+		}
+	}
+	// The images the old recording kept are gone with it.
+	var sorted []traceCall
+	for _, op := range pins.ops {
+		sorted = append(sorted, traceCall{addr: op.addr, length: int(op.length), prefix: true})
+	}
+	checkResolve(t, "reused pins, never replayed", pins, sorted, NewTree(DefaultOptions([]byte("pins"))))
 }
 
 // TestTraceInIsItsAnswer: In returns what the Trace answered each call

@@ -12,27 +12,25 @@ import (
 )
 
 // serialCorpus is the serial reference the census pipeline is checked
-// against: the §4.3 shaped tree pinned without a census. One worker of
-// a's Session prescans every file in sorted-name order, then rewrites
-// the files whose prescan survived in that order, and under
-// Options.Strict each output is then leak-gated against the values
-// recorded from the whole corpus. Its mapper calls are the sequence the
-// census replay must reproduce, so ParallelCorpusContext must match its
-// outputs, statuses and quarantine set at every worker count.
+// against: the §4.3 shaped tree pinned one file at a time, through the
+// single-file entry points. One worker of a's Session pins every file
+// in sorted-name order (SafePrescan), then rewrites every file in that
+// order, and under Options.Strict each output is then leak-gated
+// against the values recorded from the whole corpus. A file whose
+// census fails fails both units at the same line, and its rewrite
+// replays what its census mapped, as the corpus driver does. Its mapper
+// calls are the sequence the census replay must reproduce, so
+// ParallelCorpusContext must match its outputs, statuses and quarantine
+// set at every worker count.
 func serialCorpus(a *Anonymizer, files map[string]string) *CorpusResult {
 	wk := a.sess.Acquire()
 	defer a.sess.Release(wk)
 	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
 	names := sortedNames(files)
 	for _, n := range names {
-		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
-			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
-		}
+		wk.SafePrescan(n, files[n]) // a failure fails the rewrite too
 	}
 	for _, n := range names {
-		if _, failed := res.Files[n]; failed {
-			continue
-		}
 		out, ferr := wk.SafeAnonymizeText(n, files[n])
 		if ferr != nil {
 			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
